@@ -29,18 +29,25 @@ from .xi import xi as xi_fn
 DEFAULT_MAX_RANK = 12
 
 
-def _max_rank() -> int:
-    raw = os.environ.get("DISTSYM_MAX_RANK")
-    if raw is None:
-        return DEFAULT_MAX_RANK
-    try:
-        return int(raw)
-    except ValueError:
-        raise SystemExit(f"DISTSYM_MAX_RANK must be an integer, got {raw!r}")
+def _at_least(minimum: int):
+    """An argparse type: an integer no smaller than minimum."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    parse.__name__ = "integer"
+    return parse
 
 
 def _check_rank(parser: argparse.ArgumentParser, rank: int, what: str) -> None:
-    cap = _max_rank()
+    raw = os.environ.get("DISTSYM_MAX_RANK")
+    try:
+        cap = DEFAULT_MAX_RANK if raw is None else int(raw)
+    except ValueError:
+        parser.error(f"DISTSYM_MAX_RANK must be an integer, got {raw!r}")
     if rank > cap:
         parser.error(
             f"{what} needs rank {rank}, above the cap {cap}; "
@@ -66,7 +73,7 @@ def _cmd_chartable(args, parser) -> int:
             "n": n,
             "classes": [str(c) for c in classes],
             "rows": {
-                str(bp): {str(c): char.at(c) for c in classes}
+                str(bp): {str(c): v for c, v in zip(classes, char.values)}
                 for bp, char in table.items()
             },
         }
@@ -77,7 +84,7 @@ def _cmd_chartable(args, parser) -> int:
     head = max(len(str(bp)) for bp in table) + 2
     print(" " * head + "".join(k.rjust(width) for k in keys))
     for bp, char in table.items():
-        row = "".join(_fmt(char.at(c)).rjust(width) for c in classes)
+        row = "".join(_fmt(v).rjust(width) for v in char.values)
         print(str(bp).ljust(head) + row)
     return 0
 
@@ -85,7 +92,9 @@ def _cmd_chartable(args, parser) -> int:
 def _xi_payload(result) -> dict:
     return {
         "route": result.route,
-        "character": {str(c): result.character.at(c) for c in bipartitions(2 * result.n)},
+        "character": {
+            str(c): v for c, v in zip(bipartitions(2 * result.n), result.character.values)
+        },
         "decomposition": {str(bp): coeff for bp, coeff in result.decomposition.items()},
     }
 
@@ -108,8 +117,8 @@ def _cmd_xi(args, parser) -> int:
         return 0
     print(f"xi_{n} on W_{2 * n}  (routes: {', '.join(agreement['routes_compared'])}, agree: yes)")
     print("character:")
-    for c in bipartitions(2 * n):
-        print(f"  {str(c):<16} {base.character.at(c)}")
+    for c, v in zip(bipartitions(2 * n), base.character.values):
+        print(f"  {str(c):<16} {v}")
     print("decomposition:")
     for bp, coeff in base.decomposition.items():
         print(f"  {'+' if coeff > 0 else '-'} {bp}")
@@ -170,6 +179,8 @@ def _cmd_distinguished(args, parser) -> int:
 
 
 def _cmd_oracle(args, parser) -> int:
+    rank = max(2 * args.max_n, 6 if args.include_w6 else 0)
+    _check_rank(parser, rank, f"oracle verify --max-n {args.max_n}")
     rows = oracle_mod.verify_claims(max_n=args.max_n, include_w6=args.include_w6)
     if args.json:
         _emit_json(
@@ -205,12 +216,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("chartable", help="character table of W_n")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_at_least(0))
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_chartable)
 
     p = sub.add_parser("xi", help="the virtual module at parameter n")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_at_least(1))
     p.add_argument("--route", default="all", choices=["A", "B", "C", "all"])
     p.add_argument("--json", action="store_true")
     p.add_argument(
@@ -221,19 +232,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_xi)
 
     p = sub.add_parser("cells", help="cells of the even-strip special symbols")
-    p.add_argument("--rank", type=int, required=True)
+    p.add_argument("--rank", type=_at_least(0), required=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_cells)
 
     p = sub.add_parser("distinguished", help="distinguished symbols at rank 2n")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_at_least(1), required=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_distinguished)
 
     p_oracle = sub.add_parser("oracle", help="brute-force group checks")
     oracle_sub = p_oracle.add_subparsers(dest="oracle_command", required=True)
     p = oracle_sub.add_parser("verify", help="run all oracle claims")
-    p.add_argument("--max-n", type=int, default=2)
+    p.add_argument("--max-n", type=_at_least(0), default=2)
     p.add_argument("--include-w6", action="store_true")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_oracle)

@@ -12,7 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import cells, oracle
-from .xi import kappa, kappa_nu_decomposition_check, nu, xi_all
+from .xi import (
+    CoefficientViolation,
+    RouteDisagreement,
+    kappa,
+    kappa_nu_decomposition_check,
+    nu,
+    xi_all,
+)
 from .xi import xi as xi_fn
 from .partitions import Partition, SkewShape, hv_split, lr_tab_counts, tab_sign_sum
 from .symbols import (
@@ -35,6 +42,7 @@ class Check:
     name: str
     status: str
     detail: str
+    payload: dict | None = None  # the structured error behind a FAIL, if any
 
 
 @dataclass
@@ -50,6 +58,7 @@ class VerificationReport:
             "ok": self.ok,
             "checks": [
                 {"name": c.name, "status": c.status, "detail": c.detail}
+                | ({} if c.payload is None else {"payload": c.payload})
                 for c in self.checks
             ],
         }
@@ -182,12 +191,23 @@ def _kappa_nu_checks(checks: list[Check]) -> None:
         _expect(checks, f"kappa_{r}/nu_{r} decompositions", kappa_nu_decomposition_check(r), True)
 
 
+def _routes_agree(n: int) -> bool:
+    """Whether routes A, B and C give equal characters and equal
+    decompositions; xi_all itself raises on a character mismatch."""
+    results = xi_all(n)
+    base = results["A"]
+    return all(
+        r.character == base.character and r.decomposition == base.decomposition
+        for r in results.values()
+    )
+
+
 def _xi_checks(checks: list[Check]) -> None:
     results = xi_all(1)
     char = results["A"].character
     _expect(checks, "xi_1 character table", [char.at(c) for c in W2_CLASSES], XI1_REFERENCE)
     _expect(checks, "xi_1 decomposition", results["A"].decomposition, XI1_TERMS)
-    _expect(checks, "xi route agreement n=1..3", all(bool(xi_all(n)) for n in (2, 3)), True)
+    _expect(checks, "xi route agreement n=1..3", all(_routes_agree(n) for n in (1, 2, 3)), True)
 
     decomp = xi_fn(3, "B").decomposition
     displayed_ok = all(decomp.get(bp) == sgn for bp, sgn in XI3_DISPLAYED.items())
@@ -354,13 +374,24 @@ def _oracle_checks(checks: list[Check]) -> None:
         checks.append(Check(f"oracle: {name}", PASS if ok else FAIL, detail))
 
 
+_SECTIONS = (
+    ("symbols", _symbol_checks),
+    ("wchar", _wchar_checks),
+    ("combinatorics", _combinatorics_checks),
+    ("kappa/nu", _kappa_nu_checks),
+    ("oracle", _oracle_checks),
+    ("xi", _xi_checks),
+    ("cells", _cell_checks),
+)
+
+
 def run_verification() -> VerificationReport:
+    """Run every section; a route disagreement or a coefficient violation
+    ends its section with a FAIL row that carries the error's payload."""
     checks: list[Check] = []
-    _symbol_checks(checks)
-    _wchar_checks(checks)
-    _combinatorics_checks(checks)
-    _kappa_nu_checks(checks)
-    _oracle_checks(checks)
-    _xi_checks(checks)
-    _cell_checks(checks)
+    for label, section in _SECTIONS:
+        try:
+            section(checks)
+        except (RouteDisagreement, CoefficientViolation) as exc:
+            checks.append(Check(f"{label} checks", FAIL, str(exc), exc.payload))
     return VerificationReport(checks)

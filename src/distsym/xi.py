@@ -211,12 +211,10 @@ def xi_all(n: int) -> dict[str, XiResult]:
     """All three routes; any disagreement is a hard error naming the first
     differing class, with no preference among routes."""
     results = {name: xi(n, name) for name in ("A", "B", "C")}
-    base = results["A"]
+    base = results["A"].character.values
     for name in ("B", "C"):
-        other = results[name]
-        for c in bipartitions(2 * n):
-            if base.character.at(c) != other.character.at(c):
-                raise RouteDisagreement(
-                    n, "A", name, c, base.character.at(c), other.character.at(c)
-                )
+        other = results[name].character.values
+        if other != base:
+            i = next(i for i, (x, y) in enumerate(zip(base, other)) if x != y)
+            raise RouteDisagreement(n, "A", name, bipartitions(2 * n)[i], base[i], other[i])
     return results

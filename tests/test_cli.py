@@ -1,8 +1,16 @@
+import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from distsym import verify
 from distsym.cli import main
+from distsym.wchar import Bipartition
+from distsym.xi import RouteDisagreement
 
 
 def run_cli(capsys, *argv):
@@ -108,6 +116,41 @@ class TestVerifyCommand:
         statuses = {c["status"] for c in payload["checks"]}
         assert statuses == {"pass", "discrepancy-documented"}
 
+    def test_route_disagreement_is_a_fail_row(self, capsys, monkeypatch):
+        def disagree(n):
+            raise RouteDisagreement(n, "A", "B", Bipartition.of((2,)), 1, 2)
+
+        monkeypatch.setattr(verify, "xi_all", disagree)
+        code, out, err = run_cli(capsys, "verify", "--json")
+        assert code == 1 and err == ""
+        checks = json.loads(out)["checks"]
+        failed = [c for c in checks if c["status"] == "fail"]
+        assert failed == [
+            {
+                "name": "xi checks",
+                "status": "fail",
+                "detail": "xi(1): routes A and B differ at class 2;-: 1 != 2",
+                "payload": {"n": 1, "routes": ["A", "B"], "class": "2;-", "values": ["1", "2"]},
+            }
+        ]
+        assert checks[-1]["name"] == "rank-6 cuspidal flag"  # later sections still ran
+
+    def test_route_agreement_row_compares_decompositions(self, capsys, monkeypatch):
+        real = verify.xi_all
+
+        def dropped_term(n):
+            results = real(n)
+            if n == 2:
+                c = results["C"]
+                fewer = dict(list(c.decomposition.items())[1:])
+                results["C"] = dataclasses.replace(c, decomposition=fewer)
+            return results
+
+        monkeypatch.setattr(verify, "xi_all", dropped_term)
+        code, out, _ = run_cli(capsys, "verify")
+        assert code == 1
+        assert "FAIL  xi route agreement n=1..3  [computed False, expected True]" in out
+
 
 class TestUsageErrors:
     def test_unknown_command(self, capsys):
@@ -118,6 +161,49 @@ class TestUsageErrors:
     def test_unknown_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["xi", "1", "--frobnicate"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["chartable", "-1"],
+            ["xi", "0"],
+            ["cells", "--rank", "-2"],
+            ["distinguished", "--n", "0"],
+            ["oracle", "verify", "--max-n", "-1"],
+        ],
+    )
+    def test_out_of_range_arguments(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "must be at least" in capsys.readouterr().err
+
+    def test_malformed_rank_cap(self, capsys, monkeypatch):
+        monkeypatch.setenv("DISTSYM_MAX_RANK", "abc")
+        with pytest.raises(SystemExit) as exc:
+            main(["xi", "1"])
+        assert exc.value.code == 2
+        assert "DISTSYM_MAX_RANK must be an integer" in capsys.readouterr().err
+
+    def test_exit_two_without_traceback_from_the_shell(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src), "DISTSYM_MAX_RANK": "abc"}
+        for argv in (["xi", "1"], ["chartable", "-1"]):
+            proc = subprocess.run(
+                [sys.executable, "-m", "distsym.cli", *argv],
+                env=env, capture_output=True, text=True, timeout=60,
+            )
+            assert proc.returncode == 2, proc.stderr
+            assert "Traceback" not in proc.stderr
+
+    def test_oracle_rank_cap(self, monkeypatch):
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", "verify", "--max-n", "7"])  # rank 14 > 12
+        assert exc.value.code == 2
+        monkeypatch.setenv("DISTSYM_MAX_RANK", "4")
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", "verify", "--max-n", "1", "--include-w6"])  # rank 6 > 4
         assert exc.value.code == 2
 
     def test_rank_cap(self, capsys, monkeypatch):

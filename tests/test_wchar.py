@@ -12,6 +12,7 @@ from distsym.wchar import (
     ClassFunction,
     bipartitions,
     centralizer_order,
+    character_table,
     class_size,
     decompose,
     group_order,
@@ -204,6 +205,54 @@ class TestIrreducibles:
         assert quadratic_character_value(Bipartition.of((), (2,))) == -1
 
 
+# Independent route to the W_n table: the defining induction products of a
+# lifted S_a character and a twisted lifted S_b character.  The package
+# builds the table by the B_n Murnaghan-Nakayama rule instead.
+
+
+def lifted(part: Partition, twisted: bool) -> ClassFunction:
+    """An S_m character pulled back along W_m -> S_m; the twisted lift is
+    multiplied by the sign-flip character."""
+    values = {}
+    for c in bipartitions(part.size):
+        cycle_type = Partition(tuple(sorted(c.alpha.parts + c.beta.parts, reverse=True)))
+        sign = quadratic_character_value(c) if twisted else 1
+        values[c] = sign * sym_character(part, cycle_type)
+    return ClassFunction(part.size, values)
+
+
+class TestMurnaghanNakayamaTable:
+    def test_matches_induced_irreducibles_through_w7(self):
+        for n in range(8):
+            for bp, chi in character_table(n).items():
+                induced = induction_product(lifted(bp.alpha, False), lifted(bp.beta, True))
+                assert chi == induced, bp
+
+    def test_rows_are_w_irreducible(self):
+        for bp, chi in character_table(4).items():
+            assert w_irreducible(bp) is chi
+
+    @pytest.mark.parametrize("n", [8, 10])
+    def test_column_orthogonality_and_degrees(self, n):
+        """sum over chi of chi(c) chi(c') = z_c if c = c', else 0.
+
+        Each row is packed into one integer with a signed slot of `bits`
+        bits per class, so for a fixed c the sum over chi of chi(c) * row
+        gives the whole row of sums at once.  No slot can exceed
+        k * max|chi|**2 in absolute value, far below half its range, so
+        the packed integers are equal exactly when every slot is.
+        """
+        table = character_table(n)
+        rows = [chi.values for chi in table.values()]
+        bound = len(rows) * max(abs(v) for row in rows for v in row) ** 2
+        bits = (2 * bound).bit_length() + 1
+        packed = [sum(v << (bits * j) for j, v in enumerate(row)) for row in rows]
+        for i, c in enumerate(bipartitions(n)):
+            sums = sum(row[i] * p for row, p in zip(rows, packed))
+            assert sums == centralizer_order(c) << (bits * i), c
+        assert sum(chi.degree**2 for chi in table.values()) == group_order(n)
+
+
 class TestInductionProduct:
     def test_trivial_times_trivial_degree(self):
         f = trivial_character(1)
@@ -256,3 +305,59 @@ class TestDecompose:
     def test_degree_mismatch(self):
         with pytest.raises(ValueError):
             inner_product(trivial_character(1), trivial_character(2))
+
+
+# Reference semantics of the dict-keyed class functions the dense tuples
+# replaced: absent classes read as 0, operations act class by class.
+
+
+def dict_decompose(n: int, f: dict) -> dict:
+    out = {}
+    for bp in bipartitions(n):
+        chi = w_irreducible(bp)
+        num = sum(f.get(c, 0) * chi.at(c) * class_size(c) for c in bipartitions(n))
+        coeff = Fraction(num, group_order(n))
+        if coeff:
+            out[bp] = int(coeff) if coeff.denominator == 1 else coeff
+    return out
+
+
+@st.composite
+def sparse_class_functions(draw):
+    n = draw(st.integers(0, 4))
+    classes = st.sampled_from(bipartitions(n))
+    values = st.integers(-5, 5) | st.fractions(max_denominator=4)
+    f, g = (draw(st.dictionaries(classes, values)) for _ in range(2))
+    return n, f, g, draw(values)
+
+
+class TestDenseClassFunction:
+    @settings(max_examples=60, deadline=None)
+    @given(sparse_class_functions())
+    def test_matches_dict_semantics(self, case):
+        n, f, g, scalar = case
+        cf, cg = ClassFunction(n, f), ClassFunction(n, g)
+        classes = bipartitions(n)
+        assert [cf.at(c) for c in classes] == [f.get(c, 0) for c in classes]
+        assert cf + cg == ClassFunction(n, {c: f.get(c, 0) + g.get(c, 0) for c in classes})
+        assert cf - cg == ClassFunction(n, {c: f.get(c, 0) - g.get(c, 0) for c in classes})
+        assert scalar * cf == ClassFunction(n, {c: scalar * f.get(c, 0) for c in classes})
+        same = all(f.get(c, 0) == g.get(c, 0) for c in classes)
+        assert (cf == cg) is same
+        assert decompose(cf) == dict_decompose(n, f)
+        rebuilt = ClassFunction.zero(n)
+        for bp, coeff in decompose(cf).items():
+            rebuilt = rebuilt + coeff * w_irreducible(bp)
+        assert rebuilt == cf
+
+    def test_rejects_keys_that_are_not_classes(self):
+        with pytest.raises(ValueError):
+            ClassFunction(2, {Bipartition.of((1,)): 1})
+        with pytest.raises(ValueError):
+            ClassFunction(2, {"2;-": 1})
+        with pytest.raises(ValueError):
+            trivial_character(2).at(Bipartition.of((3,)))
+
+    def test_degree_mismatch_in_arithmetic(self):
+        with pytest.raises(ValueError):
+            trivial_character(1) + trivial_character(2)
