@@ -306,7 +306,6 @@ class CellEntry:
 
 @dataclass
 class DistinguishedReport:
-    n: int
     rank: int
     entries: list[CellEntry]
     union: tuple[Symbol, ...]
@@ -323,31 +322,26 @@ class DistinguishedReport:
         }
 
 
-def cell_entries_of_rank(rank: int) -> list[CellEntry]:
-    entries = []
-    for z in even_strip_specials_of_rank(rank):
-        c = make_cell(z)
-        entries.append(CellEntry(z, c.d, c, fourier_constituents(c)))
-    return entries
+def rank_report(rank: int) -> DistinguishedReport:
+    """Cells, constituents, and the flat distinguished list at any rank.
 
-
-def distinguished(n: int) -> DistinguishedReport:
-    """Cells, constituents, and the flat distinguished list at rank 2n.
-
-    The count is the sum of 2**d over the special symbols; the union must
-    reach it because families of distinct special symbols share no
-    symbols.  The cuspidal flag records whether the symbol (0..2d | -) is
-    among the constituents, which must happen whenever 2n = d*d + d.
+    The count is the sum of 2**d over the even-strip special symbols; the
+    union must reach it because families of distinct special symbols share
+    no symbols.  The cuspidal flag records whether the symbol (0..2d | -)
+    is among the constituents, which must happen whenever rank = d*d + d.
+    Odd ranks give an empty report; rank 0 gives the cuspidal 0|-.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    rank = 2 * n
-    entries = cell_entries_of_rank(rank)
+    if rank < 0:
+        raise ValueError("rank must be non-negative")
+    entries = []
     merged = set()
     count = 0
-    for e in entries:
-        merged.update(e.constituents)
-        count += 2**e.d
+    for z in even_strip_specials_of_rank(rank):
+        c = make_cell(z)
+        constituents = fourier_constituents(c)
+        entries.append(CellEntry(z, c.d, c, constituents))
+        merged.update(constituents)
+        count += 2**c.d
     if len(merged) != count:
         raise FamilyModelViolation(
             entries[0].z, frozenset(), f"union size {len(merged)} != {count}"
@@ -355,4 +349,11 @@ def distinguished(n: int) -> DistinguishedReport:
     union = tuple(sorted(merged, key=symbol_sort_key))
     cusp_d = next((d for d in range(rank + 1) if d * d + d == rank), None)
     present = cusp_d is not None and cuspidal_symbol(cusp_d) in merged
-    return DistinguishedReport(n, rank, entries, union, count, present)
+    return DistinguishedReport(rank, entries, union, count, present)
+
+
+def distinguished(n: int) -> DistinguishedReport:
+    """The distinguished-symbol report of Sp_{4n}: the report at rank 2n."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    return rank_report(2 * n)

@@ -4,7 +4,8 @@ Subcommands: chartable, xi, cells, distinguished, oracle, verify.  Output
 defaults to plain text tables; --json switches to the documented schemas.
 All numbers print exactly (integers, or a/b for rationals).  The
 environment variable DISTSYM_MAX_RANK (default 12) caps the symbol rank a
-command may touch, guarding accidental blow-ups.
+command may touch, guarding accidental blow-ups; the brute-force oracle
+has its own bound, --max-n at most 3.
 
 Exit codes: 0 success, 1 internal model violation (the offending object is
 serialized to stderr), 2 usage errors.
@@ -20,13 +21,15 @@ import sys
 from . import cells as cells_mod
 from . import oracle as oracle_mod
 from .cells import FamilyModelViolation
-from .symbols import cuspidal_symbol, symbol_sort_key
 from .verify import run_verification
 from .wchar import bipartitions, character_table
 from .xi import CoefficientViolation, RouteDisagreement, xi_all
 from .xi import xi as xi_fn
 
 DEFAULT_MAX_RANK = 12
+# The oracle enumerates W_{2N} for --max-n N: W_6 takes about a second,
+# while W_8 (about 1e7 elements per pass) runs for minutes.
+ORACLE_MAX_N = 3
 
 
 def _at_least(minimum: int):
@@ -59,10 +62,6 @@ def _emit_json(payload: dict) -> None:
     print(json.dumps(payload, indent=2))
 
 
-def _fmt(value) -> str:
-    return str(value)
-
-
 def _cmd_chartable(args, parser) -> int:
     n = args.n
     _check_rank(parser, n, f"chartable {n}")
@@ -84,7 +83,7 @@ def _cmd_chartable(args, parser) -> int:
     head = max(len(str(bp)) for bp in table) + 2
     print(" " * head + "".join(k.rjust(width) for k in keys))
     for bp, char in table.items():
-        row = "".join(_fmt(v).rjust(width) for v in char.values)
+        row = "".join(str(v).rjust(width) for v in char.values)
         print(str(bp).ljust(head) + row)
     return 0
 
@@ -125,25 +124,6 @@ def _cmd_xi(args, parser) -> int:
     return 0
 
 
-def _rank_payload(rank: int) -> dict:
-    entries = cells_mod.cell_entries_of_rank(rank)
-    merged = set()
-    count = 0
-    for e in entries:
-        merged.update(e.constituents)
-        count += 2**e.d
-    union = sorted(merged, key=symbol_sort_key)
-    cusp_d = next((d for d in range(rank + 1) if d * d + d == rank), None)
-    present = cusp_d is not None and cuspidal_symbol(cusp_d) in merged
-    return {
-        "rank": rank,
-        "cells": [e.to_json() for e in entries],
-        "union": [str(s) for s in union],
-        "count": count,
-        "cuspidal_present": present,
-    }
-
-
 def _print_rank_report(payload: dict) -> None:
     print(f"rank {payload['rank']}: {len(payload['cells'])} cells, "
           f"{payload['count']} distinguished symbols, "
@@ -158,9 +138,13 @@ def _print_rank_report(payload: dict) -> None:
     print(f"  union: {', '.join(payload['union'])}")
 
 
-def _cmd_cells(args, parser) -> int:
-    _check_rank(parser, args.rank, f"cells --rank {args.rank}")
-    payload = _rank_payload(args.rank)
+def _cmd_report(args, parser) -> int:
+    if args.command == "cells":
+        rank, what = args.rank, f"cells --rank {args.rank}"
+    else:
+        rank, what = 2 * args.n, f"distinguished --n {args.n}"
+    _check_rank(parser, rank, what)
+    payload = cells_mod.rank_report(rank).to_json()
     if args.json:
         _emit_json(payload)
     else:
@@ -168,17 +152,12 @@ def _cmd_cells(args, parser) -> int:
     return 0
 
 
-def _cmd_distinguished(args, parser) -> int:
-    _check_rank(parser, 2 * args.n, f"distinguished --n {args.n}")
-    report = cells_mod.distinguished(args.n)
-    if args.json:
-        _emit_json(report.to_json())
-    else:
-        _print_rank_report(report.to_json())
-    return 0
-
-
 def _cmd_oracle(args, parser) -> int:
+    if args.max_n > ORACLE_MAX_N:
+        parser.error(
+            f"oracle verify --max-n {args.max_n} would enumerate W_{2 * args.max_n}; "
+            f"the oracle stops at --max-n {ORACLE_MAX_N}"
+        )
     rank = max(2 * args.max_n, 6 if args.include_w6 else 0)
     _check_rank(parser, rank, f"oracle verify --max-n {args.max_n}")
     rows = oracle_mod.verify_claims(max_n=args.max_n, include_w6=args.include_w6)
@@ -234,12 +213,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cells", help="cells of the even-strip special symbols")
     p.add_argument("--rank", type=_at_least(0), required=True)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_cells)
+    p.set_defaults(fn=_cmd_report)
 
     p = sub.add_parser("distinguished", help="distinguished symbols at rank 2n")
     p.add_argument("--n", type=_at_least(1), required=True)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_distinguished)
+    p.set_defaults(fn=_cmd_report)
 
     p_oracle = sub.add_parser("oracle", help="brute-force group checks")
     oracle_sub = p_oracle.add_subparsers(dest="oracle_command", required=True)

@@ -17,10 +17,12 @@ independent routes that must agree exactly:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import factorial
+from typing import Iterable
 
-from .partitions import Partition, SkewShape, gamma2_extensions, hv_split, partitions
+from .cells import even_strip_specials, make_cell
+from .partitions import SkewShape, gamma2_extensions, hv_split, partitions
+from .symbols import to_bipartition
 from .wchar import (
     Bipartition,
     ClassFunction,
@@ -160,37 +162,32 @@ def _xi_route_a(n: int) -> XiResult:
     char = ClassFunction.zero(2 * n)
     for r in range(n + 1):
         char = char + induction_product(kappa(r), nu(n - r))
-    decomp = {}
-    for bp, coeff in decompose(char).items():
-        if isinstance(coeff, Fraction):
-            if coeff.denominator != 1:
-                raise CoefficientViolation(n, "A", bp, coeff)
-            coeff = int(coeff)
-        decomp[bp] = coeff
-    return XiResult(n, "A", char, decomp)
+    return XiResult(n, "A", char, decompose(char))
+
+
+def _signed_sum(n: int, route: str, terms: Iterable[tuple[Bipartition, int]]) -> XiResult:
+    """Add signed irreducibles into a decomposition, in insertion order,
+    and form the character as the sum of coeff * chi over it."""
+    decomp: dict[Bipartition, int] = {}
+    for bp, sign in terms:
+        decomp[bp] = decomp.get(bp, 0) + sign
+    char = ClassFunction.zero(2 * n)
+    for bp, coeff in decomp.items():
+        char = char + coeff * w_irreducible(bp)
+    return XiResult(n, route, char, decomp)
 
 
 def _xi_route_b(n: int) -> XiResult:
-    char = ClassFunction.zero(2 * n)
-    decomp = {}
-    for bp, sign in even_paired_pairs(n):
-        decomp[bp] = sign
-        char = char + sign * w_irreducible(bp)
-    return XiResult(n, "B", char, decomp)
+    return _signed_sum(n, "B", even_paired_pairs(n))
 
 
 def _xi_route_c(n: int) -> XiResult:
-    from .cells import even_strip_specials, make_cell
-    from .symbols import to_bipartition
-
-    char = ClassFunction.zero(2 * n)
-    decomp: dict[Bipartition, int] = {}
-    for z in even_strip_specials(n):
-        for sign, sym in make_cell(z).terms:
-            bp = Bipartition(*to_bipartition(sym))
-            decomp[bp] = decomp.get(bp, 0) + sign
-            char = char + sign * w_irreducible(bp)
-    return XiResult(n, "C", char, decomp)
+    terms = (
+        (Bipartition(*to_bipartition(sym)), sign)
+        for z in even_strip_specials(n)
+        for sign, sym in make_cell(z).terms
+    )
+    return _signed_sum(n, "C", terms)
 
 
 _ROUTES = {"A": _xi_route_a, "B": _xi_route_b, "C": _xi_route_c}

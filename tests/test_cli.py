@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from distsym import verify
+from distsym import cells, oracle, verify
 from distsym.cli import main
 from distsym.wchar import Bipartition
 from distsym.xi import RouteDisagreement
@@ -78,15 +78,37 @@ class TestCellsCommands:
         assert payload["cuspidal_present"] is True
 
     def test_cells_matches_distinguished(self, capsys):
-        _, via_cells, _ = run_cli(capsys, "cells", "--rank", "2", "--json")
-        _, via_dist, _ = run_cli(capsys, "distinguished", "--n", "1", "--json")
-        assert via_cells == via_dist
+        for n in range(1, 7):
+            for fmt in (["--json"], []):
+                _, via_cells, _ = run_cli(capsys, "cells", "--rank", str(2 * n), *fmt)
+                _, via_dist, _ = run_cli(capsys, "distinguished", "--n", str(n), *fmt)
+                assert via_cells == via_dist
 
     def test_odd_rank_is_empty(self, capsys):
-        code, out, _ = run_cli(capsys, "cells", "--rank", "5", "--json")
-        assert code == 0
+        for rank in range(1, 12, 2):
+            code, out, _ = run_cli(capsys, "cells", "--rank", str(rank), "--json")
+            assert code == 0
+            payload = json.loads(out)
+            assert payload["cells"] == [] and payload["count"] == 0
+            assert payload["union"] == [] and payload["cuspidal_present"] is False
+        # rank 0 is not empty: its one cell is the cuspidal symbol 0|-
+        code, out, _ = run_cli(capsys, "cells", "--rank", "0", "--json")
         payload = json.loads(out)
-        assert payload["cells"] == [] and payload["count"] == 0
+        assert code == 0 and payload["count"] == 1
+        assert payload["union"] == ["0|-"] and payload["cuspidal_present"] is True
+
+    def test_overlapping_families_fail_loudly(self, capsys, monkeypatch):
+        # every cell claims the constituents of the first one
+        shared = cells.fourier_constituents(cells.make_cell(cells.even_strip_specials(2)[0]))
+        monkeypatch.setattr(cells, "fourier_constituents", lambda cell: shared)
+        code, out, err = run_cli(capsys, "cells", "--rank", "4")
+        assert code == 1 and out == ""
+        assert json.loads(err) == {
+            "error": "FamilyModelViolation",
+            "special_symbol": "0,2,3|1,2",
+            "family_index": [],
+            "multiplicity": "union size 2 != 7",
+        }
 
     def test_text_mode(self, capsys):
         code, out, _ = run_cli(capsys, "distinguished", "--n", "1")
@@ -205,6 +227,17 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["oracle", "verify", "--max-n", "1", "--include-w6"])  # rank 6 > 4
         assert exc.value.code == 2
+
+    def test_oracle_bound_above_the_rank_cap(self, capsys, monkeypatch):
+        def enumerate_anyway(**kwargs):
+            raise AssertionError("the oracle ran")
+
+        monkeypatch.setattr(oracle, "verify_claims", enumerate_anyway)
+        monkeypatch.setenv("DISTSYM_MAX_RANK", "100")
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", "verify", "--max-n", "4"])  # W_8, inside the rank cap
+        assert exc.value.code == 2
+        assert "the oracle stops at --max-n 3" in capsys.readouterr().err
 
     def test_rank_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("DISTSYM_MAX_RANK", "2")

@@ -1,3 +1,6 @@
+import importlib
+from fractions import Fraction
+
 import pytest
 
 from distsym.partitions import Partition, SkewShape, hv_split, is_even_paired_shape
@@ -8,6 +11,7 @@ from distsym.wchar import (
     trivial_character,
 )
 from distsym.xi import (
+    CoefficientViolation,
     RouteDisagreement,
     even_paired_pairs,
     kappa,
@@ -150,3 +154,14 @@ class TestXi:
         assert decomp[Bipartition.of((3, 3))] == -1
         assert decomp[Bipartition.of((2, 1), (2, 1))] == 1
         assert decomp[Bipartition.of((2, 1, 1), (2,))] == -1
+
+    def test_non_integral_coefficient_is_a_violation(self, monkeypatch):
+        # distsym.xi is the function; the module has to come from importlib
+        xi_mod = importlib.import_module("distsym.xi")
+        bp = Bipartition.of((2,))
+        monkeypatch.setattr(xi_mod, "decompose", lambda char: {bp: Fraction(1, 2)})
+        with pytest.raises(CoefficientViolation) as exc:
+            xi(1, "A")
+        assert exc.value.payload == {
+            "n": 1, "route": "A", "irreducible": "2;-", "coefficient": "1/2"
+        }
