@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterable
 
 from .partitions import Partition, even_strip_extensions, even_subsets, partitions
 from .symbols import (
@@ -37,7 +38,7 @@ from .wchar import Bipartition, ClassFunction, bipartitions, w_irreducible
 class FamilyModelViolation(Exception):
     """The Fourier model produced a multiplicity outside {0, 1}."""
 
-    def __init__(self, z: SpecialSymbol, index: frozenset, multiplicity):
+    def __init__(self, z: SpecialSymbol, index: Iterable[int], multiplicity):
         self.payload = {
             "special_symbol": str(z),
             "family_index": sorted(index),
@@ -102,9 +103,11 @@ def standard_arrangement(z: SpecialSymbol) -> Arrangement:
 
 def odd_difference_pairs(z: SpecialSymbol) -> tuple[tuple[int, int], ...]:
     """The pairs of the standard arrangement whose difference is odd."""
-    return tuple(
-        p for p in standard_arrangement(z).pairs if (p[1] - p[0]) % 2 == 1
-    )
+    return _odd_pairs(standard_arrangement(z))
+
+
+def _odd_pairs(arrangement: Arrangement) -> tuple[tuple[int, int], ...]:
+    return tuple(p for p in arrangement.pairs if (p[1] - p[0]) % 2 == 1)
 
 
 def is_admissible(z: SpecialSymbol, arrangement: Arrangement) -> bool:
@@ -165,10 +168,10 @@ def make_cell(
     and symbol obtained by row-swapping Psi.  Defaults to the standard
     arrangement with its odd-difference pairs.
     """
-    if arrangement is None:
-        arrangement = standard_arrangement(z)
-    if sign_pairs is None:
-        sign_pairs = odd_difference_pairs(z)
+    if arrangement is None or sign_pairs is None:
+        standard = standard_arrangement(z)
+        arrangement = standard if arrangement is None else arrangement
+        sign_pairs = _odd_pairs(standard) if sign_pairs is None else sign_pairs
     if not is_admissible(z, arrangement):
         raise ValueError(f"{arrangement} is not admissible for {z}")
     sign_set = {tuple(sorted(p)) for p in sign_pairs}
@@ -186,15 +189,6 @@ def make_cell(
     if len(seen) != len(terms):
         raise ValueError(f"cell terms for {z} are not distinct")
     return Cell(z, arrangement, tuple(sorted(sign_set)), tuple(terms))
-
-
-def cell_psi_subsets(cell: Cell) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """The Psi subsets in the same bitmask order as the cell's terms."""
-    pairs = cell.arrangement.pairs
-    return tuple(
-        tuple(pairs[i] for i in range(len(pairs)) if mask >> i & 1)
-        for mask in range(2 ** len(pairs))
-    )
 
 
 def cell_character(cell: Cell) -> ClassFunction:
@@ -257,32 +251,59 @@ def family(z: SpecialSymbol) -> tuple[tuple[frozenset, Symbol], ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _even_masks(m: int) -> tuple[int, ...]:
+    """even_subsets(range(m)) as bitmasks, in its order."""
+    return tuple(sum(1 << i for i in a) for a in even_subsets(tuple(range(m))))
+
+
+def _members(singles: tuple[int, ...], mask: int) -> tuple[int, ...]:
+    """The singles at the set bits of mask, ascending."""
+    return tuple(x for i, x in enumerate(singles) if mask >> i & 1)
+
+
 def fourier_constituents(cell: Cell) -> tuple[Symbol, ...]:
     """The family members carried by a cell under the even-subset pairing.
 
-    The multiplicity of the member at index A is the averaged sign sum
-    (1/2**d) * sum over Psi of sign(Psi) * (-1)**|A & B(Psi)|, where
-    B(Psi) is the union of the swapped pairs.  Multiplicities must land in
-    {0, 1}; exactly 2**d members survive.
+    Bit i of a mask stands for the i-th smallest single of Z.  The family
+    member at an even mask A is Z with the singles in A moved to the other
+    row, as in family(Z).  Term t of the cell swaps the pairs at the set
+    bits of t, so its swapped set B_t is the OR of those pairs' masks.  The
+    multiplicity at A is the averaged sign sum
+    (1/2**d) * sum over t of sign_t * (-1)**popcount(A & B_t).
+    Multiplicities must land in {0, 1}, and exactly 2**d members survive;
+    a Symbol is built only for those.  The even masks run in the order of
+    family(Z), so a violation reports the same first index A.
     """
     z = cell.z
     d = cell.d
-    b_indices = [
-        (sign, frozenset(x for p in psi for x in p))
-        for (sign, _), psi in zip(cell.terms, cell_psi_subsets(cell))
-    ]
-    constituents = []
-    for a, sym in family(z):
-        num = sum(sign * (-1) ** len(a & b) for sign, b in b_indices)
+    singles = z.singles()
+    bit = {x: 1 << i for i, x in enumerate(singles)}
+    swapped = [0]
+    for x, y in cell.arrangement.pairs:
+        swapped += [b | bit[x] | bit[y] for b in swapped]
+    signed_b = [(sign, b) for (sign, _), b in zip(cell.terms, swapped)]
+    kept = []
+    for a in _even_masks(len(singles)):
+        num = sum(-s if (a & b).bit_count() & 1 else s for s, b in signed_b)
         if num % (2**d):
-            raise FamilyModelViolation(z, a, f"{num}/{2 ** d}")
+            raise FamilyModelViolation(z, _members(singles, a), f"{num}/{2 ** d}")
         mult = num // (2**d)
         if mult not in (0, 1):
-            raise FamilyModelViolation(z, a, mult)
+            raise FamilyModelViolation(z, _members(singles, a), mult)
         if mult:
-            constituents.append(sym)
-    if len(constituents) != 2**d:
-        raise FamilyModelViolation(z, frozenset(), f"{len(constituents)} constituents")
+            kept.append(a)
+    if len(kept) != 2**d:
+        raise FamilyModelViolation(z, frozenset(), f"{len(kept)} constituents")
+    doubles = z.doubles()
+    top = sum(bit[x] for x in z.top if x in bit)
+    constituents = [
+        Symbol(
+            tuple(sorted(doubles + _members(singles, top ^ a))),
+            tuple(sorted(doubles + _members(singles, ~(top ^ a)))),
+        )
+        for a in kept
+    ]
     return tuple(sorted(constituents, key=symbol_sort_key))
 
 

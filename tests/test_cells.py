@@ -1,5 +1,10 @@
-import pytest
+import dataclasses
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from distsym import cells
 from distsym.cells import (
     Arrangement,
     FamilyModelViolation,
@@ -16,12 +21,53 @@ from distsym.cells import (
     standard_arrangement,
     swap_pairs,
 )
-from distsym.symbols import SpecialSymbol, Symbol, cuspidal_symbol
+from distsym.symbols import SpecialSymbol, Symbol, cuspidal_symbol, symbol_sort_key
 from distsym.wchar import inner_product
 from distsym.xi import xi
 
 Z4 = SpecialSymbol(Symbol.parse("0,2|1"))
 Z12 = SpecialSymbol(Symbol.parse("0,2,4|1,3"))
+
+
+def reference_constituents(cell):
+    """The even-subset pairing weighed over every member of family(Z) with
+    frozenset indices: the independent reference for fourier_constituents.
+    Term t swaps the pairs at the set bits of t."""
+    z, d = cell.z, cell.d
+    pairs = cell.arrangement.pairs
+    swapped = [
+        (sign, frozenset(x for i, p in enumerate(pairs) if t >> i & 1 for x in p))
+        for t, (sign, _) in enumerate(cell.terms)
+    ]
+    constituents = []
+    for a, sym in family(z):
+        num = sum(sign * (-1) ** len(a & b) for sign, b in swapped)
+        if num % 2**d:
+            raise FamilyModelViolation(z, a, f"{num}/{2 ** d}")
+        mult = num // 2**d
+        if mult not in (0, 1):
+            raise FamilyModelViolation(z, a, mult)
+        if mult:
+            constituents.append(sym)
+    if len(constituents) != 2**d:
+        raise FamilyModelViolation(z, frozenset(), f"{len(constituents)} constituents")
+    return tuple(sorted(constituents, key=symbol_sort_key))
+
+
+def outcome(fn, cell):
+    """The constituents, or the payload of the violation raised."""
+    try:
+        return fn(cell)
+    except FamilyModelViolation as err:
+        return err.payload
+
+
+def flip_term(cell, t):
+    """The cell with the sign of term t reversed."""
+    terms = list(cell.terms)
+    sign, sym = terms[t]
+    terms[t] = (-sign, sym)
+    return dataclasses.replace(cell, terms=tuple(terms))
 
 
 class TestArrangements:
@@ -110,6 +156,28 @@ class TestCells:
             c = make_cell(z)
             assert c.terms[0] == (1, z.symbol)
             assert len({sym for _, sym in c.terms}) == 2**c.d
+
+    def test_default_arrangement_computed_once(self, monkeypatch):
+        calls = []
+        original = cells.standard_arrangement
+
+        def counted(z):
+            calls.append(z)
+            return original(z)
+
+        monkeypatch.setattr(cells, "standard_arrangement", counted)
+        c = make_cell(Z12)
+        assert calls == [Z12]
+        assert c.arrangement == original(Z12)
+        assert c.sign_pairs == ((0, 1), (2, 3))
+
+    def test_given_arrangement_keeps_standard_sign_pairs(self):
+        # the standard pair (0, 2) of 0,5|2 has even difference, so no sign
+        # pairs, although the given pair (2, 5) has odd difference
+        z = SpecialSymbol(Symbol.parse("0,5|2"))
+        c = make_cell(z, Arrangement(((2, 5),), 0))
+        assert c.sign_pairs == ()
+        assert [(s, str(sym)) for s, sym in c.terms] == [(1, "0,5|2"), (1, "0,2|5")]
 
     def test_inadmissible_arrangement_rejected(self):
         with pytest.raises(ValueError):
@@ -210,6 +278,44 @@ class TestFourier:
                 c = make_cell(z)
                 assert len(fourier_constituents(c)) == 2**c.d
 
+    @pytest.mark.parametrize("z, multiplicity", [(Z4, "-1"), (Z12, "-2/4")])
+    def test_flipped_sign_is_a_violation(self, z, multiplicity):
+        with pytest.raises(FamilyModelViolation) as err:
+            fourier_constituents(flip_term(make_cell(z), 0))
+        assert err.value.payload == {
+            "special_symbol": str(z),
+            "family_index": [],
+            "multiplicity": multiplicity,
+        }
+
+    def test_matches_reference_through_rank_12(self):
+        for n in range(1, 7):
+            for z in even_strip_specials(n):
+                c = make_cell(z)
+                assert fourier_constituents(c) == reference_constituents(c), str(z)
+
+    def test_flipped_signs_match_reference(self):
+        for n in (1, 2, 3):
+            for z in even_strip_specials(n):
+                c = make_cell(z)
+                for t in range(len(c.terms)):
+                    flipped = flip_term(c, t)
+                    expected = outcome(reference_constituents, flipped)
+                    assert outcome(fourier_constituents, flipped) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_random_sign_pairs(self, data):
+        n = data.draw(st.integers(1, 4))
+        z = data.draw(st.sampled_from(even_strip_specials(n)))
+        pairs = standard_arrangement(z).pairs
+        mask = data.draw(st.integers(0, 2 ** len(pairs) - 1))
+        chosen = tuple(p for i, p in enumerate(pairs) if mask >> i & 1)
+        c = make_cell(z, sign_pairs=chosen)
+        # the reference raises on a multiplicity outside {0, 1}
+        assert fourier_constituents(c) == reference_constituents(c)
+        assert len(fourier_constituents(c)) == 2**c.d
+
 
 class TestCellCharacters:
     def test_cell_norm_and_pairing(self):
@@ -248,16 +354,19 @@ class TestDistinguished:
         assert rep.cuspidal_present
 
     def test_counts(self):
-        assert distinguished(2).count == 7
-        assert distinguished(3).count == 16
+        counts = [distinguished(n).count for n in range(1, 11)]
+        assert counts == [3, 7, 16, 32, 61, 112, 197, 336, 560, 912]
 
     def test_cuspidal_flags(self):
         assert not distinguished(2).cuspidal_present
         rep = distinguished(3)
         assert rep.cuspidal_present
         assert cuspidal_symbol(2) in rep.union
+        assert Symbol.parse("0,1,2,3,4,5,6,7,8|-") in distinguished(10).union
 
     def test_cuspidal_present_whenever_rank_matches(self):
+        flagged = [n for n in range(1, 11) if distinguished(n).cuspidal_present]
+        assert flagged == [1, 3, 6, 10]
         for n in (1, 2, 3, 4, 5):
             rep = distinguished(n)
             solvable = any(d * d + d == 2 * n for d in range(2 * n + 1))
