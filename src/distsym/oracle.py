@@ -5,18 +5,33 @@ with a sign per image: img[i-1] = +v sends i to v, -v sends i to the
 primed copy of v.  Priming is equivariant, so this determines the action
 on all 2n points.  Everything here recomputes character-level claims from
 the group itself, independently of the closed forms they certify.
+
+kappa_n and nu_n are induced from two subgroups of W_{2n}: the block
+subgroup K_n (the underlying permutation preserves or swaps the halves
+1..n and n+1..2n) and the centralizer N_n of the long involution.  Both
+are generated directly, 2 (n!)^2 4^n and n! 4^n elements, rather than
+filtered out of all 2^{2n} (2n)! elements of W_{2n}.  A guard checks each
+generated element against the defining predicate, rejects repeats and
+checks the count against the order formula; any breach raises
+ArithmeticError.  The subgroup-orders claim counts members with
+those predicates over all of W_{2n}, the independent check of the order
+formulas the guard relies on.  So kappa_3 and nu_3 visit 4608 and 384
+elements, not 46080 each, and verify_claims(2, include_w6=True) takes
+about 0.07 s (CPython 3.11 on a 2-core x86-64 machine).
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations, product
 from typing import Callable, Iterable, Iterator
 
-from .partitions import Partition
 from .wchar import (
     Bipartition,
     ClassFunction,
+    _class_index,
     bipartitions,
     centralizer_order,
     class_size,
@@ -54,9 +69,19 @@ def enumerate_group(n: int) -> list[SignedPerm]:
     return list(iter_group(n))
 
 
+@lru_cache(maxsize=None)
+def _classes_by_parts(n: int) -> dict[tuple[tuple[int, ...], tuple[int, ...]], Bipartition]:
+    """The instances of bipartitions(n), keyed on raw (alpha parts, beta parts)."""
+    classes = bipartitions(n)
+    return {parts: classes[i] for parts, i in _class_index(n).items()}
+
+
 def class_of(w: SignedPerm) -> Bipartition:
     """Cycle type: positive cycles to the first coordinate, negative ones
-    (odd number of sign flips around the cycle) to the second."""
+    (odd number of sign flips around the cycle) to the second.
+
+    Returns the instance of bipartitions(n), looked up on the raw part
+    tuples; a cycle type that is not a class of W_n raises KeyError."""
     n = len(w)
     seen = [False] * n
     alpha = []
@@ -75,9 +100,9 @@ def class_of(w: SignedPerm) -> Bipartition:
                 negative = not negative
             j = abs(image)
         (beta if negative else alpha).append(length)
-    return Bipartition.of(
-        tuple(sorted(alpha, reverse=True)), tuple(sorted(beta, reverse=True))
-    )
+    alpha.sort(reverse=True)
+    beta.sort(reverse=True)
+    return _classes_by_parts(n)[tuple(alpha), tuple(beta)]
 
 
 def long_involution(n: int) -> SignedPerm:
@@ -131,39 +156,78 @@ def induced_character(
 
 def block_subgroup_order(n: int) -> int:
     """|K_n| inside W_{2n}."""
-    import math
-
     return 2 * math.factorial(n) ** 2 * 2 ** (2 * n)
 
 
 def centralizer_subgroup_order(n: int) -> int:
     """|N_n| inside W_{2n}."""
-    import math
-
     return 2**n * math.factorial(n) * 2**n
 
 
+def iter_block_subgroup(n: int) -> Iterator[SignedPerm]:
+    """K_n: each block-preserving permutation p + q of 1..2n and its block
+    swap q + p, times all sign vectors."""
+    for p in permutations(range(1, n + 1)):
+        for q in permutations(range(n + 1, 2 * n + 1)):
+            for under in (p + q, q + p):
+                yield from product(*((x, -x) for x in under))
+
+
+def iter_centralizer_subgroup(n: int) -> Iterator[SignedPerm]:
+    """N_n: the first half is any signed image of 1..n that meets each pair
+    {j, 2n+1-j} once; w(2n+1-i) = sgn(w(i)) (2n+1-|w(i)|) fixes the rest."""
+    m = 2 * n + 1
+    for pairs in permutations(range(1, n + 1)):
+        for first in product(*((j, -j, m - j, j - m) for j in pairs)):
+            yield first + tuple(m - x if x > 0 else -m - x for x in reversed(first))
+
+
+def _guarded(
+    members: Iterable[SignedPerm],
+    is_member: Callable[[SignedPerm], bool],
+    order: int,
+    name: str,
+) -> Iterator[SignedPerm]:
+    """Pass members through; raise ArithmeticError on a non-member, a
+    repeat, or a count other than order.  Repeats are caught on compact
+    byte keys, so the guard holds about 40 bytes per element."""
+    seen: set[bytes] = set()
+    for w in members:
+        if not is_member(w):
+            raise ArithmeticError(f"{name} generator yielded the non-member {w}")
+        key = bytes(x + len(w) for x in w)
+        if key in seen:
+            raise ArithmeticError(f"{name} generator repeated {w}")
+        seen.add(key)
+        yield w
+    if len(seen) != order:
+        raise ArithmeticError(
+            f"{name} generator yielded {len(seen)} elements, the order is {order}"
+        )
+
+
 def kappa_bruteforce(n: int) -> ClassFunction:
-    """Ind(trivial) - Ind(block-swap sign) from K_n, in one streamed pass."""
-    degree = 2 * n
-    members = (
-        (w, 1 - block_swap_sign(w, n))
-        for w in iter_group(degree)
-        if in_block_subgroup(w, n)
+    """Ind(trivial) - Ind(block-swap sign) from K_n, in one pass over K_n."""
+    order = block_subgroup_order(n)
+    members = _guarded(
+        iter_block_subgroup(n), lambda w: in_block_subgroup(w, n), order, f"K_{n}"
     )
-    return induced_character(degree, members, block_subgroup_order(n))
+    return induced_character(
+        2 * n, ((w, 1 - block_swap_sign(w, n)) for w in members), order
+    )
 
 
 def nu_bruteforce(n: int) -> ClassFunction:
-    """Ind(flip-count sign) from the centralizer of the long involution."""
-    degree = 2 * n
-    sigma = long_involution(degree)
-    members = (
-        (w, flip_count_sign(w, n))
-        for w in iter_group(degree)
-        if in_centralizer_subgroup(w, sigma)
+    """Ind(flip-count sign) from the centralizer N_n of the long involution."""
+    sigma = long_involution(2 * n)
+    order = centralizer_subgroup_order(n)
+    members = _guarded(
+        iter_centralizer_subgroup(n),
+        lambda w: in_centralizer_subgroup(w, sigma),
+        order,
+        f"N_{n}",
     )
-    return induced_character(degree, members, centralizer_subgroup_order(n))
+    return induced_character(2 * n, ((w, flip_count_sign(w, n)) for w in members), order)
 
 
 def sign_flip_character(n: int) -> ClassFunction:
@@ -219,17 +283,17 @@ def verify_claims(max_n: int = 2, include_w6: bool = False) -> list[tuple[str, b
 
     for n in range(1, max_n + 1):
         def orders(n=n):
-            k = sum(1 for w in iter_group(2 * n) if in_block_subgroup(w, n))
             sigma = long_involution(2 * n)
-            m = sum(
-                1 for w in iter_group(2 * n) if in_centralizer_subgroup(w, sigma)
-            )
+            k = m = 0
+            for w in iter_group(2 * n):
+                k += in_block_subgroup(w, n)
+                m += in_centralizer_subgroup(w, sigma)
             ok = k == block_subgroup_order(n) and m == centralizer_subgroup_order(n)
             return ok, f"|K_{n}|={k}, |N_{n}|={m}"
 
         check(f"subgroup orders inside W_{2*n}", orders)
 
-    kappa_ns = list(range(1, max_n + 1)) + ([3] if include_w6 else [])
+    kappa_ns = list(range(1, max_n + 1)) + ([3] if include_w6 and max_n < 3 else [])
     for n in kappa_ns:
         def kap(n=n):
             return kappa_bruteforce(n) == kappa(n), f"all classes of W_{2*n}"

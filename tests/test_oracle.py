@@ -1,5 +1,6 @@
 import pytest
 
+from distsym import oracle
 from distsym.oracle import (
     block_subgroup_order,
     block_swap_sign,
@@ -12,6 +13,8 @@ from distsym.oracle import (
     in_block_subgroup,
     in_centralizer_subgroup,
     induced_character,
+    iter_block_subgroup,
+    iter_centralizer_subgroup,
     iter_group,
     kappa_bruteforce,
     long_involution,
@@ -78,6 +81,33 @@ class TestClassOf:
                 counts[c] = counts.get(c, 0) + 1
             assert counts == {c: class_size(c) for c in bipartitions(n)}
 
+    def test_returns_the_cached_class(self):
+        # Independent cycle type: orbits of w on the 2n signed points.  A
+        # negative k-cycle is one orbit of size 2k holding both i and -i; a
+        # positive one is a pair of k-orbits, one the negative of the other.
+        for n in range(1, 5):
+            classes = bipartitions(n)
+            for w in iter_group(n):
+                alpha, beta, seen = [], [], set()
+                for start in range(1, n + 1):
+                    if start in seen:
+                        continue
+                    orbit, x = [], start
+                    while x not in orbit:
+                        orbit.append(x)
+                        x = w[abs(x) - 1] if x > 0 else -w[abs(x) - 1]
+                    seen.update(abs(x) for x in orbit)
+                    if -start in orbit:
+                        beta.append(len(orbit) // 2)
+                    else:
+                        alpha.append(len(orbit))
+                expected = Bipartition.of(
+                    tuple(sorted(alpha, reverse=True)), tuple(sorted(beta, reverse=True))
+                )
+                c = class_of(w)
+                assert c == expected
+                assert c is classes[classes.index(expected)]
+
     def test_class_of_is_conjugation_invariant(self):
         elements = enumerate_group(2)
         for w in elements:
@@ -127,6 +157,93 @@ class TestSubgroups:
                 assert vals[compose(u, v)] == vals[u] * vals[v]
 
 
+def _filtered_subgroups(n):
+    sigma = long_involution(2 * n)
+    k, m = [], []
+    for w in iter_group(2 * n):
+        if in_block_subgroup(w, n):
+            k.append(w)
+        if in_centralizer_subgroup(w, sigma):
+            m.append(w)
+    return k, m
+
+
+class TestSubgroupGenerators:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_generators_match_the_filtered_subgroups(self, n):
+        k, m = _filtered_subgroups(n)
+        gen_k = list(iter_block_subgroup(n))
+        gen_m = list(iter_centralizer_subgroup(n))
+        assert len(gen_k) == len(set(gen_k)) == block_subgroup_order(n)
+        assert len(gen_m) == len(set(gen_m)) == centralizer_subgroup_order(n)
+        assert set(gen_k) == set(k)
+        assert set(gen_m) == set(m)
+
+
+def _repeats(gen):
+    def bad(n):
+        ws = list(gen(n))
+        ws[-1] = ws[0]
+        return iter(ws)
+
+    return bad
+
+
+def _non_member(gen):
+    def bad(n):
+        ws = list(gen(n))
+        # swaps 1 and 3: it neither keeps the blocks of K_2 nor commutes
+        # with the long involution of W_4
+        ws[-1] = (3, 2, 1, 4)
+        return iter(ws)
+
+    return bad
+
+
+def _drops(gen):
+    def bad(n):
+        return iter(list(gen(n))[:-1])
+
+    return bad
+
+
+# each breach with the part of the guard's message that names it
+_BREACHES = {
+    "repeat": (_repeats, "repeated"),
+    "non-member": (_non_member, "yielded the non-member"),
+    "drop": (_drops, "elements, the order is"),
+}
+_SUBGROUPS = {
+    "K": ("iter_block_subgroup", kappa_bruteforce, "kappa_2 closed form vs induced characters"),
+    "N": ("iter_centralizer_subgroup", nu_bruteforce, "nu_2 closed form vs induced character"),
+}
+
+
+class TestGeneratorGuard:
+    @pytest.mark.parametrize("breach", sorted(_BREACHES))
+    @pytest.mark.parametrize("subgroup", sorted(_SUBGROUPS))
+    def test_breach_raises(self, monkeypatch, subgroup, breach):
+        attr, bruteforce, _ = _SUBGROUPS[subgroup]
+        make_bad, message = _BREACHES[breach]
+        monkeypatch.setattr(oracle, attr, make_bad(getattr(oracle, attr)))
+        with pytest.raises(ArithmeticError, match=f"{subgroup}_2 generator .*{message}"):
+            bruteforce(2)
+
+    @pytest.mark.parametrize("breach", sorted(_BREACHES))
+    @pytest.mark.parametrize("subgroup", sorted(_SUBGROUPS))
+    def test_breach_fails_the_claim(self, monkeypatch, subgroup, breach):
+        attr, _, row = _SUBGROUPS[subgroup]
+        make_bad, message = _BREACHES[breach]
+        monkeypatch.setattr(oracle, attr, make_bad(getattr(oracle, attr)))
+        rows = {name: (ok, detail) for name, ok, detail in verify_claims(max_n=2)}
+        ok, detail = rows[row]
+        assert not ok
+        assert detail.startswith(f"error: {subgroup}_2 generator") and message in detail
+        # the patched generator serves kappa_n (or nu_n) for every n, nothing else
+        kind = row.split("_")[0]
+        assert all(ok for name, (ok, _) in rows.items() if not name.startswith(kind + "_"))
+
+
 class TestInducedCharacters:
     def test_nu_degree(self):
         for n in (1, 2):
@@ -158,3 +275,13 @@ class TestSignFlipCharacter:
 def test_verify_claims_all_pass():
     rows = verify_claims(max_n=2)
     assert rows and all(ok for _, ok, _ in rows)
+
+
+@pytest.mark.parametrize("max_n,count", [(0, 10), (1, 13), (2, 16), (3, 17)])
+def test_row_names_are_unique_with_w6(max_n, count):
+    rows = verify_claims(max_n=max_n, include_w6=True)
+    names = [name for name, _, _ in rows]
+    assert len(names) == len(set(names)) == count
+    assert "kappa_3 closed form vs induced characters" in names
+    assert "nu_3 closed form vs induced character" in names
+    assert all(ok for _, ok, _ in rows)
