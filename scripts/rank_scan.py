@@ -3,15 +3,16 @@
 
 For each n up to the bound (default 4): the size of the even-strip
 special-symbol set, the distinguished count sum(2^d), whether the
-cuspidal symbol shows up, and the self inner product of the virtual
-module as a cross-check, with wall-clock timings."""
+cuspidal symbol shows up, and, as a cross-check, the virtual module xi_n
+by all three routes (xi_all raises unless they agree) with its self inner
+product, which must equal the count; with wall-clock timings."""
 
 import argparse
 import time
 
 from distsym.cells import distinguished, even_strip_specials
 from distsym.wchar import inner_product
-from distsym.xi import xi
+from distsym.xi import xi_all
 
 
 def main() -> None:
@@ -20,7 +21,7 @@ def main() -> None:
     parser.add_argument(
         "--skip-xi",
         action="store_true",
-        help="skip the inner-product cross-check (it dominates the runtime)",
+        help="skip the xi cross-check: the three routes agree and <xi, xi> = count",
     )
     args = parser.parse_args()
 
@@ -36,7 +37,7 @@ def main() -> None:
         row = f"{n:>3} {2 * n:>5} {len(specials):>5} {report.count:>6} "
         row += f"{'yes' if report.cuspidal_present else 'no':>9}"
         if not args.skip_xi:
-            char = xi(n, "A").character
+            char = xi_all(n)["A"].character
             norm = inner_product(char, char)
             assert norm == report.count, "pairing count mismatch"
             row += f" {norm:>8}"

@@ -82,6 +82,11 @@ def class_of(w: SignedPerm) -> Bipartition:
 
     Returns the instance of bipartitions(n), looked up on the raw part
     tuples; a cycle type that is not a class of W_n raises KeyError."""
+    return _classes_by_parts(len(w))[_cycle_type(w)]
+
+
+def _cycle_type(w: SignedPerm) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The (alpha parts, beta parts) of class_of(w), as raw tuples."""
     n = len(w)
     seen = [False] * n
     alpha = []
@@ -102,7 +107,7 @@ def class_of(w: SignedPerm) -> Bipartition:
         (beta if negative else alpha).append(length)
     alpha.sort(reverse=True)
     beta.sort(reverse=True)
-    return _classes_by_parts(n)[tuple(alpha), tuple(beta)]
+    return tuple(alpha), tuple(beta)
 
 
 def long_involution(n: int) -> SignedPerm:
@@ -139,19 +144,19 @@ def induced_character(
 
     Ind f at g equals |Z_G(g)| / |H| times the sum of f over the subgroup
     elements conjugate to g; summing per W-class over the subgroup's
-    elements needs one pass over H only.
+    elements needs one pass over H only, summed per class position.
     """
-    acc: dict[Bipartition, int] = {}
+    index = _class_index(degree)
+    acc = [0] * len(index)
     for w, val in member_values:
-        c = class_of(w)
-        acc[c] = acc.get(c, 0) + val
-    values = {}
-    for c in bipartitions(degree):
-        q = Fraction(centralizer_order(c) * acc.get(c, 0), subgroup_order)
+        acc[index[_cycle_type(w)]] += val
+    values = []
+    for c, total in zip(bipartitions(degree), acc):
+        q = Fraction(centralizer_order(c) * total, subgroup_order)
         if q.denominator != 1:
             raise ArithmeticError(f"induced value not integral at {c}: {q}")
-        values[c] = int(q)
-    return ClassFunction(degree, values)
+        values.append(int(q))
+    return ClassFunction._dense(degree, tuple(values))
 
 
 def block_subgroup_order(n: int) -> int:

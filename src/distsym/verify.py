@@ -193,7 +193,7 @@ def _kappa_nu_checks(checks: list[Check]) -> None:
 
 def _routes_agree(n: int) -> bool:
     """Whether routes A, B and C give equal characters and equal
-    decompositions; xi_all itself raises on a character mismatch."""
+    decompositions; xi_all itself raises on either mismatch."""
     results = xi_all(n)
     base = results["A"]
     return all(

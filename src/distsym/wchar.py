@@ -33,6 +33,18 @@ so each term is the induced character of (alpha - h; beta) at w'.  On the
 beta side the same holds, and eps, being multiplicative over cycles,
 contributes s for the removed cycle and stays on the rest.  The test suite
 keeps the induced construction as an independent check through W_7.
+
+The transposed rule evaluates a virtual character sum_b c_b chi^b at every
+class without building any chi^b (virtual_character).  Write the rule's
+step for an r-cycle as chi_i(w) = sum_j M_ij chi_j(w'), with M read off
+_hook_moves.  Then sum_i c_i chi_i(w) = sum_j (M^T c)_j chi_j(w'): the
+coefficient vector is pushed through the transposed steps, one cycle at a
+time in the table's cycle order (positive cycles largest first, then
+negative ones largest first), down to W_0, where the one entry left is the
+value at w.  Classes that share a cycle prefix share the pushed vector, and
+no row of the table is built: the W_16 table takes about 40 s and 950 MiB,
+while one virtual character of W_16 takes about 1 s and 60 MiB (CPython
+3.11, 2-core x86-64).
 """
 
 from __future__ import annotations
@@ -45,7 +57,7 @@ from functools import lru_cache
 from math import comb, factorial
 from operator import add, mul, sub
 
-from .partitions import Partition, partition_sort_key, partitions
+from .partitions import Partition, partitions
 
 
 @dataclass(frozen=True)
@@ -68,15 +80,6 @@ class Bipartition:
     @classmethod
     def of(cls, alpha: tuple[int, ...], beta: tuple[int, ...] = ()) -> "Bipartition":
         return cls(Partition(alpha), Partition(beta))
-
-
-def bipartition_sort_key(bp: Bipartition) -> tuple:
-    return (
-        bp.n,
-        -bp.alpha.size,
-        partition_sort_key(bp.alpha),
-        partition_sort_key(bp.beta),
-    )
 
 
 @lru_cache(maxsize=None)
@@ -126,6 +129,19 @@ def _class_sizes(n: int) -> tuple[int, ...]:
     return tuple(class_size(c) for c in bipartitions(n))
 
 
+def _to_dense(n: int, values: Mapping[Bipartition, int | Fraction], what: str) -> tuple:
+    """A mapping keyed on bipartitions of n as one value per position of
+    bipartitions(n); absent keys are 0, any other key raises ValueError."""
+    index = _class_index(n)
+    dense = [0] * len(index)
+    for c, v in values.items():
+        i = index.get((c.alpha.parts, c.beta.parts)) if isinstance(c, Bipartition) else None
+        if i is None:
+            raise ValueError(f"{c!s} is not {what} of W_{n}")
+        dense[i] = v
+    return tuple(dense)
+
+
 class ClassFunction:
     """An exact-valued function on the conjugacy classes of W_n.
 
@@ -137,15 +153,8 @@ class ClassFunction:
     def __init__(self, n: int, values: Mapping[Bipartition, int | Fraction]):
         """Convert a mapping from classes to values; absent classes are 0.
         A key that is not a class of W_n raises ValueError."""
-        index = _class_index(n)
-        dense = [0] * len(index)
-        for c, v in values.items():
-            i = index.get((c.alpha.parts, c.beta.parts)) if isinstance(c, Bipartition) else None
-            if i is None:
-                raise ValueError(f"{c!s} is not a class of W_{n}")
-            dense[i] = v
         self.n = n
-        self.values = tuple(dense)
+        self.values = _to_dense(n, values, "a class")
 
     @classmethod
     def _dense(cls, n: int, values: tuple) -> "ClassFunction":
@@ -370,6 +379,60 @@ def w_irreducible(bp: Bipartition) -> ClassFunction:
     """The irreducible W_n character indexed by a bipartition: its row of
     the character table."""
     return _table(bp.n)[_class_index(bp.n)[bp.alpha.parts, bp.beta.parts]]
+
+
+def virtual_character(n: int, coefficients: Mapping[Bipartition, int]) -> ClassFunction:
+    """The class function sum_b c_b chi^b of W_n for a coefficient c_b per
+    irreducible (absent ones are 0), without building any chi^b.  A key
+    that is not an irreducible of W_n raises ValueError."""
+    return ClassFunction._dense(n, _evaluate(n, _to_dense(n, coefficients, "an irreducible")))
+
+
+@lru_cache(maxsize=None)
+def _evaluate(n: int, coefficients: tuple) -> tuple:
+    """Values at every class of sum_i coefficients[i] * chi_i, by the
+    transposed B_n rule.
+
+    Consuming an r-cycle takes the vector over W_m to one over W_{m - r}
+    through the transpose of _hook_moves(m, r, negative).  The cycle
+    prefixes are walked depth first in the table's cycle order, so each
+    prefix's vector is computed once and only those along the current
+    prefix are held.  Memoized across calls: equal coefficient vectors,
+    such as the three xi routes' decompositions, are evaluated once.
+    """
+    out = [0] * len(coefficients)
+    index = _class_index(n)
+    gamma: list[int] = []
+    delta: list[int] = []
+
+    def step(vec, m: int, r: int, negative: bool) -> list:
+        pushed = [0] * len(_class_index(m - r))
+        for x, (plus, minus) in zip(vec, _hook_moves(m, r, negative)):
+            if x:
+                for j in plus:
+                    pushed[j] += x
+                for j in minus:
+                    pushed[j] -= x
+        return pushed
+
+    def negative_cycles(vec, m: int, bound: int) -> None:
+        if not m:
+            out[index[tuple(gamma), tuple(delta)]] = vec[0]
+            return
+        for r in range(min(bound, m), 0, -1):
+            delta.append(r)
+            negative_cycles(step(vec, m, r, True), m - r, r)
+            delta.pop()
+
+    def positive_cycles(vec, m: int, bound: int) -> None:
+        for r in range(min(bound, m), 0, -1):
+            gamma.append(r)
+            positive_cycles(step(vec, m, r, False), m - r, r)
+            gamma.pop()
+        negative_cycles(vec, m, m)
+
+    positive_cycles(coefficients, n, n)
+    return tuple(out)
 
 
 def character_table(n: int) -> dict[Bipartition, ClassFunction]:

@@ -12,11 +12,25 @@ independent routes that must agree exactly:
      even-paired shape, with sign (-1)**(|v|/2),
   C. the sum of the virtual cells attached to the even-strip special
      symbols of rank 2n.
+
+No route builds an irreducible character or the character table.  Routes B
+and C form their character from their decomposition by the transposed
+Murnaghan-Nakayama rule (wchar.virtual_character).  Route A decomposes its
+induction products from the stated decompositions kappa_terms x nu_terms:
+inducing chi^(lam; -) (x) chi^(mu; nu) multiplies s_lam s_mu on the first
+coordinate and keeps nu.  Each kappa term is a two-row lam = (p, q), so by
+Jacobi-Trudi s_(p,q) = h_p h_q - h_(p+1) h_(q-1), and each h_k s_mu is the
+sum of s over the horizontal k-strips added to mu, by Pieri's rule
+(I. G. Macdonald, Symmetric Functions and Hall Polynomials, 2nd ed.,
+ch. I, sections 3 and 5).  This keeps route A independent of route B's
+skew-pair description.  Route A then checks that its decomposition
+evaluates to its induction-product character.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import factorial
 from typing import Iterable
 
@@ -26,25 +40,29 @@ from .symbols import to_bipartition
 from .wchar import (
     Bipartition,
     ClassFunction,
+    _class_index,
     bipartitions,
     decompose,
     induction_product,
-    w_irreducible,
+    virtual_character,
 )
 
 
 class RouteDisagreement(Exception):
-    """Two construction routes produced different class functions."""
+    """Two constructions of xi_n differ: their characters at a class, or
+    (with at="irreducible") their coefficients at an irreducible."""
 
-    def __init__(self, n: int, route_a: str, route_b: str, cls: Bipartition, va, vb):
+    def __init__(
+        self, n: int, route_a: str, route_b: str, cls: Bipartition, va, vb, at: str = "class"
+    ):
         self.payload = {
             "n": n,
             "routes": [route_a, route_b],
-            "class": str(cls),
+            at: str(cls),
             "values": [str(va), str(vb)],
         }
         super().__init__(
-            f"xi({n}): routes {route_a} and {route_b} differ at class {cls}: {va} != {vb}"
+            f"xi({n}): routes {route_a} and {route_b} differ at {at} {cls}: {va} != {vb}"
         )
 
 
@@ -158,23 +176,76 @@ class XiResult:
         self.decomposition = {bp: c for bp, c in self.decomposition.items() if c}
 
 
+def _require_equal_characters(
+    n: int, name_a: str, f: ClassFunction, name_b: str, g: ClassFunction
+) -> None:
+    """Raise RouteDisagreement at the first class where f and g differ."""
+    if f.values != g.values:
+        i = next(i for i, (x, y) in enumerate(zip(f.values, g.values)) if x != y)
+        cls = bipartitions(2 * n)[i]
+        raise RouteDisagreement(n, name_a, name_b, cls, f.values[i], g.values[i])
+
+
+@lru_cache(maxsize=None)
+def _horizontal_strips(mu: tuple[int, ...], k: int) -> tuple[tuple[int, ...], ...]:
+    """Every partition lam containing mu with lam / mu a horizontal strip
+    of k boxes: mu_i <= lam_i <= mu_(i-1), with at most one new row."""
+    rows = mu + (0,)
+    out = []
+
+    def rec(i: int, left: int, lam: tuple[int, ...]) -> None:
+        if i == len(rows):
+            if not left:
+                out.append(tuple(p for p in lam if p))
+            return
+        room = left if i == 0 else min(left, rows[i - 1] - rows[i])
+        for add in range(room + 1):
+            rec(i + 1, left - add, lam + (rows[i] + add,))
+
+    rec(0, k, ())
+    return tuple(out)
+
+
+def _route_a_decomposition(n: int) -> dict[Bipartition, int]:
+    """The decomposition of sum_r kappa_r (x) nu_(n-r) by Jacobi-Trudi and
+    Pieri on the stated terms, in canonical bipartitions(2n) order.
+
+    Every kappa term is a two-row (p, q; -); a term of another shape would
+    be decomposed wrongly, and route A's evaluation check would fail."""
+    acc = [0] * len(bipartitions(2 * n))
+    index = _class_index(2 * n)
+    for r in range(n + 1):
+        nu_items = nu_terms(n - r).items()
+        for lam, c in kappa_terms(r).items():
+            p, q = (lam.alpha.parts + (0, 0))[:2]
+            for mu, d in nu_items:
+                for a, b, sign in ((p, q, c * d), (p + 1, q - 1, -c * d)):
+                    if b < 0:
+                        continue
+                    for inner in _horizontal_strips(mu.alpha.parts, b):
+                        for outer in _horizontal_strips(inner, a):
+                            acc[index[outer, mu.beta.parts]] += sign
+    return {bp: c for bp, c in zip(bipartitions(2 * n), acc) if c}
+
+
 def _xi_route_a(n: int) -> XiResult:
     char = ClassFunction.zero(2 * n)
     for r in range(n + 1):
         char = char + induction_product(kappa(r), nu(n - r))
-    return XiResult(n, "A", char, decompose(char))
+    result = XiResult(n, "A", char, _route_a_decomposition(n))
+    _require_equal_characters(
+        n, "A", char, "A decomposition", virtual_character(2 * n, result.decomposition)
+    )
+    return result
 
 
 def _signed_sum(n: int, route: str, terms: Iterable[tuple[Bipartition, int]]) -> XiResult:
     """Add signed irreducibles into a decomposition, in insertion order,
-    and form the character as the sum of coeff * chi over it."""
+    and evaluate it to the character."""
     decomp: dict[Bipartition, int] = {}
     for bp, sign in terms:
         decomp[bp] = decomp.get(bp, 0) + sign
-    char = ClassFunction.zero(2 * n)
-    for bp, coeff in decomp.items():
-        char = char + coeff * w_irreducible(bp)
-    return XiResult(n, route, char, decomp)
+    return XiResult(n, route, virtual_character(2 * n, decomp), decomp)
 
 
 def _xi_route_b(n: int) -> XiResult:
@@ -206,12 +277,19 @@ def xi(n: int, route: str = "A") -> XiResult:
 
 def xi_all(n: int) -> dict[str, XiResult]:
     """All three routes; any disagreement is a hard error naming the first
-    differing class, with no preference among routes."""
+    differing class, or the first differing irreducible when the
+    characters agree and the decompositions do not, with no preference
+    among routes."""
     results = {name: xi(n, name) for name in ("A", "B", "C")}
-    base = results["A"].character.values
+    base = results["A"]
     for name in ("B", "C"):
-        other = results[name].character.values
-        if other != base:
-            i = next(i for i, (x, y) in enumerate(zip(base, other)) if x != y)
-            raise RouteDisagreement(n, "A", name, bipartitions(2 * n)[i], base[i], other[i])
+        other = results[name]
+        _require_equal_characters(n, "A", base.character, name, other.character)
+        if other.decomposition != base.decomposition:
+            bp = next(
+                bp for bp in bipartitions(2 * n)
+                if base.decomposition.get(bp, 0) != other.decomposition.get(bp, 0)
+            )
+            raise RouteDisagreement(n, "A", name, bp, base.decomposition.get(bp, 0),
+                                    other.decomposition.get(bp, 0), at="irreducible")
     return results

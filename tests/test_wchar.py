@@ -21,6 +21,7 @@ from distsym.wchar import (
     quadratic_character_value,
     sym_character,
     trivial_character,
+    virtual_character,
     w_irreducible,
 )
 
@@ -251,6 +252,35 @@ class TestMurnaghanNakayamaTable:
             sums = sum(row[i] * p for row, p in zip(rows, packed))
             assert sums == centralizer_order(c) << (bits * i), c
         assert sum(chi.degree**2 for chi in table.values()) == group_order(n)
+
+
+@st.composite
+def sparse_coefficient_vectors(draw):
+    n = draw(st.integers(0, 7))
+    irreducibles = st.sampled_from(bipartitions(n))
+    return n, draw(st.dictionaries(irreducibles, st.integers(-3, 3), max_size=12))
+
+
+class TestVirtualCharacter:
+    """The transposed rule against the rows of the table it transposes."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(sparse_coefficient_vectors())
+    def test_equals_the_sum_of_table_rows(self, case):
+        n, coeffs = case
+        want = ClassFunction.zero(n)
+        for bp, coeff in coeffs.items():
+            want = want + coeff * w_irreducible(bp)
+        assert virtual_character(n, coeffs) == want
+
+    def test_single_irreducibles_are_the_rows(self):
+        for n in range(6):
+            for bp, chi in character_table(n).items():
+                assert virtual_character(n, {bp: 1}) == chi, bp
+
+    def test_rejects_keys_that_are_not_irreducibles(self):
+        with pytest.raises(ValueError, match="not an irreducible of W_2"):
+            virtual_character(2, {Bipartition.of((1,)): 1})
 
 
 class TestInductionProduct:

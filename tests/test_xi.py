@@ -1,14 +1,18 @@
+import dataclasses
 import importlib
 from fractions import Fraction
 
 import pytest
 
+from distsym import wchar
 from distsym.partitions import Partition, SkewShape, hv_split, is_even_paired_shape
 from distsym.wchar import (
     Bipartition,
     bipartitions,
+    decompose,
     inner_product,
     trivial_character,
+    virtual_character,
 )
 from distsym.xi import (
     CoefficientViolation,
@@ -22,6 +26,9 @@ from distsym.xi import (
     xi,
     xi_all,
 )
+
+# distsym.xi is the function; the module has to come from importlib
+xi_mod = importlib.import_module("distsym.xi")
 
 W2 = [
     Bipartition.of((1, 1)),
@@ -86,6 +93,11 @@ class TestNu:
     def test_decomposition_checks(self):
         for r in range(3):
             assert kappa_nu_decomposition_check(r)
+
+    @pytest.mark.parametrize("r", range(7))
+    def test_stated_terms_evaluate_to_the_closed_forms(self, r):
+        assert virtual_character(2 * r, kappa_terms(r)) == kappa(r)
+        assert virtual_character(2 * r, nu_terms(r)) == nu(r)
 
 
 class TestXi:
@@ -156,12 +168,64 @@ class TestXi:
         assert decomp[Bipartition.of((2, 1, 1), (2,))] == -1
 
     def test_non_integral_coefficient_is_a_violation(self, monkeypatch):
-        # distsym.xi is the function; the module has to come from importlib
-        xi_mod = importlib.import_module("distsym.xi")
         bp = Bipartition.of((2,))
-        monkeypatch.setattr(xi_mod, "decompose", lambda char: {bp: Fraction(1, 2)})
+        monkeypatch.setattr(xi_mod, "_route_a_decomposition", lambda n: {bp: Fraction(1, 2)})
         with pytest.raises(CoefficientViolation) as exc:
             xi(1, "A")
         assert exc.value.payload == {
             "n": 1, "route": "A", "irreducible": "2;-", "coefficient": "1/2"
+        }
+
+
+class TestTableFree:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_pieri_decomposition_equals_the_table_decomposition(self, n):
+        result = xi(n, "A")
+        assert list(result.decomposition.items()) == list(decompose(result.character).items())
+
+    def test_xi_all_never_builds_the_table(self, monkeypatch):
+        def refuse(n):
+            raise AssertionError(f"the W_{n} character table was built")
+
+        monkeypatch.setattr(wchar, "_table", refuse)
+        wchar._evaluate.cache_clear()
+        for n in range(1, 6):
+            results = xi_all(n)
+            char = results["A"].character
+            assert inner_product(char, char) == len(results["A"].decomposition)
+
+    def test_decomposition_disagreement_names_the_irreducible(self, monkeypatch):
+        real = xi_mod._ROUTES["C"]
+        first = Bipartition.of((4,))
+
+        def dropped_term(n):
+            result = real(n)
+            fewer = {bp: c for bp, c in result.decomposition.items() if bp != first}
+            return dataclasses.replace(result, decomposition=fewer)
+
+        monkeypatch.setitem(xi_mod._ROUTES, "C", dropped_term)
+        with pytest.raises(RouteDisagreement) as exc:
+            xi_all(2)
+        assert exc.value.payload == {
+            "n": 2, "routes": ["A", "C"], "irreducible": "4;-", "values": ["1", "0"]
+        }
+        assert str(exc.value) == "xi(2): routes A and C differ at irreducible 4;-: 1 != 0"
+
+    def test_route_a_decomposition_must_evaluate_to_its_character(self, monkeypatch):
+        real = xi_mod._route_a_decomposition
+        trivial = Bipartition.of((4,))
+        value = xi(2, "A").character.values[0]
+        monkeypatch.setattr(
+            xi_mod,
+            "_route_a_decomposition",
+            lambda n: {bp: c for bp, c in real(n).items() if bp != trivial},
+        )
+        with pytest.raises(RouteDisagreement) as exc:
+            xi(2, "A")
+        # dropping the trivial character lowers the value at every class by 1
+        assert exc.value.payload == {
+            "n": 2,
+            "routes": ["A", "A decomposition"],
+            "class": str(bipartitions(4)[0]),
+            "values": [str(value), str(value - 1)],
         }
