@@ -2,7 +2,15 @@
 symbol combinatorics, and the distinguished unipotent symbols of the
 symplectic symmetric space, all over exact integer and rational numbers."""
 
-from .partitions import Partition, SkewShape, Tableau, hv_split, lr_tab_counts, tab_sign_sum
+from .partitions import (
+    Partition,
+    SkewShape,
+    Tableau,
+    hv_split,
+    lr_tab_counts,
+    strip_sign_sum,
+    tab_sign_sum,
+)
 from .symbols import (
     SpecialSymbol,
     Symbol,
@@ -72,6 +80,7 @@ __all__ = [
     "nu",
     "reduce_symbol",
     "standard_arrangement",
+    "strip_sign_sum",
     "sym_character",
     "tab_sign_sum",
     "to_bipartition",

@@ -22,17 +22,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .partitions import Partition, even_strip_extensions, even_subsets, partitions
-from .symbols import (
-    SpecialSymbol,
-    Symbol,
-    cuspidal_symbol,
-    from_bipartition,
-    is_special,
-    symbol_sort_key,
-    to_bipartition,
-)
-from .wchar import Bipartition, ClassFunction, bipartitions, w_irreducible
+from .partitions import even_strip_extensions, even_subsets, partitions
+from .symbols import SpecialSymbol, Symbol, cuspidal_symbol, from_bipartition, symbol_sort_key
 
 
 class FamilyModelViolation(Exception):
@@ -191,14 +182,6 @@ def make_cell(
     return Cell(z, arrangement, tuple(sorted(sign_set)), tuple(terms))
 
 
-def cell_character(cell: Cell) -> ClassFunction:
-    """The cell as a class function on W_rank via the bipartition map."""
-    char = ClassFunction.zero(cell.z.rank)
-    for sign, sym in cell.terms:
-        char = char + sign * w_irreducible(Bipartition(*to_bipartition(sym)))
-    return char
-
-
 @lru_cache(maxsize=None)
 def even_strip_specials(n: int) -> tuple[SpecialSymbol, ...]:
     """The special symbols of rank 2n whose bipartition skew is an even
@@ -211,25 +194,6 @@ def even_strip_specials(n: int) -> tuple[SpecialSymbol, ...]:
         for beta in partitions(bsize):
             for alpha in even_strip_extensions(beta, strip):
                 out.append(SpecialSymbol(from_bipartition(alpha, beta)))
-    return tuple(sorted(out, key=lambda z: symbol_sort_key(z.symbol)))
-
-
-def even_strip_specials_of_rank(rank: int) -> tuple[SpecialSymbol, ...]:
-    """Same set keyed by symbol rank; empty for odd rank, where no
-    bipartition difference can be an even strip."""
-    if rank % 2:
-        return ()
-    return even_strip_specials(rank // 2)
-
-
-@lru_cache(maxsize=None)
-def special_symbols_of_rank(rank: int) -> tuple[SpecialSymbol, ...]:
-    """All special symbols of a given rank, via the defect-1 bijection."""
-    out = []
-    for bp in bipartitions(rank):
-        sym = from_bipartition(bp.alpha, bp.beta)
-        if is_special(sym):
-            out.append(SpecialSymbol(sym))
     return tuple(sorted(out, key=lambda z: symbol_sort_key(z.symbol)))
 
 
@@ -357,7 +321,9 @@ def rank_report(rank: int) -> DistinguishedReport:
     entries = []
     merged = set()
     count = 0
-    for z in even_strip_specials_of_rank(rank):
+    # no bipartition difference of odd size is an even strip
+    specials = () if rank % 2 else even_strip_specials(rank // 2)
+    for z in specials:
         c = make_cell(z)
         constituents = fourier_constituents(c)
         entries.append(CellEntry(z, c.d, c, constituents))

@@ -205,11 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=_at_least(1))
     p.add_argument("--route", default="all", choices=["A", "B", "C", "all"])
     p.add_argument("--json", action="store_true")
-    p.add_argument(
-        "--format",
-        choices=["table", "json"],
-        help="table (default) or json; --format=json equals --json",
-    )
     p.set_defaults(fn=_cmd_xi)
 
     p = sub.add_parser("cells", help="cells of the even-strip special symbols")
@@ -240,8 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "format", None) == "json":
-        args.json = True
     try:
         return args.fn(args, parser)
     except (RouteDisagreement, FamilyModelViolation, CoefficientViolation) as exc:

@@ -24,12 +24,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 from itertools import permutations, product
 from typing import Callable, Iterable, Iterator
 
 from .wchar import (
-    Bipartition,
     ClassFunction,
     _class_index,
     bipartitions,
@@ -41,10 +39,6 @@ from .wchar import (
 from .xi import kappa, nu
 
 SignedPerm = tuple[int, ...]
-
-
-def identity(n: int) -> SignedPerm:
-    return tuple(range(1, n + 1))
 
 
 def compose(u: SignedPerm, v: SignedPerm) -> SignedPerm:
@@ -63,30 +57,10 @@ def iter_group(n: int) -> Iterator[SignedPerm]:
             yield tuple(p * s for p, s in zip(perm, signs))
 
 
-def enumerate_group(n: int) -> list[SignedPerm]:
-    if n > 4:
-        raise ValueError(f"refusing to materialize W_{n}; stream iter_group instead")
-    return list(iter_group(n))
-
-
-@lru_cache(maxsize=None)
-def _classes_by_parts(n: int) -> dict[tuple[tuple[int, ...], tuple[int, ...]], Bipartition]:
-    """The instances of bipartitions(n), keyed on raw (alpha parts, beta parts)."""
-    classes = bipartitions(n)
-    return {parts: classes[i] for parts, i in _class_index(n).items()}
-
-
-def class_of(w: SignedPerm) -> Bipartition:
-    """Cycle type: positive cycles to the first coordinate, negative ones
-    (odd number of sign flips around the cycle) to the second.
-
-    Returns the instance of bipartitions(n), looked up on the raw part
-    tuples; a cycle type that is not a class of W_n raises KeyError."""
-    return _classes_by_parts(len(w))[_cycle_type(w)]
-
-
 def _cycle_type(w: SignedPerm) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The (alpha parts, beta parts) of class_of(w), as raw tuples."""
+    """The class of w as raw (alpha parts, beta parts), its key in
+    _class_index: positive cycles go to alpha, negative ones (an odd number
+    of sign flips around the cycle) to beta."""
     n = len(w)
     seen = [False] * n
     alpha = []
@@ -242,21 +216,22 @@ def sign_flip_character(n: int) -> ClassFunction:
     convention; either failure aborts, since the convention underpins the
     whole irreducible construction.
     """
-    per_class: dict[Bipartition, set[int]] = {}
+    index = _class_index(n)
+    per_class: list[set[int]] = [set() for _ in index]
     for w in iter_group(n):
         v = -1 if sum(1 for x in w if x < 0) % 2 else 1
-        per_class.setdefault(class_of(w), set()).add(v)
-    values = {}
-    for c, vals in per_class.items():
+        per_class[index[_cycle_type(w)]].add(v)
+    values = []
+    for c, vals in zip(bipartitions(n), per_class):
         if len(vals) != 1:
             raise ArithmeticError(f"sign-flip character not class-constant at {c}")
-        values[c] = vals.pop()
-    for c, v in values.items():
+        v = vals.pop()
         if v != quadratic_character_value(c):
             raise ArithmeticError(
                 f"sign-flip character disagrees with (-1)**len(beta) at {c}"
             )
-    return ClassFunction(n, values)
+        values.append(v)
+    return ClassFunction._dense(n, tuple(values))
 
 
 def verify_claims(max_n: int = 2, include_w6: bool = False) -> list[tuple[str, bool, str]]:
@@ -272,16 +247,14 @@ def verify_claims(max_n: int = 2, include_w6: bool = False) -> list[tuple[str, b
 
     for n in range(1, 5):
         def sizes(n=n):
-            counts: dict[Bipartition, int] = {}
-            total = 0
+            index = _class_index(n)
+            counts = [0] * len(index)
             for w in iter_group(n):
-                c = class_of(w)
-                counts[c] = counts.get(c, 0) + 1
-                total += 1
-            expected = {c: class_size(c) for c in bipartitions(n)}
+                counts[index[_cycle_type(w)]] += 1
+            expected = [class_size(c) for c in bipartitions(n)]
             return (
-                counts == expected and total == group_order(n),
-                f"{len(counts)} classes of W_{n}",
+                counts == expected and sum(counts) == group_order(n),
+                f"{sum(1 for c in counts if c)} classes of W_{n}",
             )
 
         check(f"class sizes W_{n} match centralizer orders", sizes)

@@ -68,11 +68,6 @@ class Partition:
         return cls(tuple(int(t) for t in text.split(",")))
 
 
-def partition_sort_key(p: Partition) -> tuple:
-    """Size first, then reverse-lexicographic on parts (larger parts earlier)."""
-    return (p.size, tuple(-x for x in p.parts))
-
-
 @lru_cache(maxsize=None)
 def partitions(n: int, max_part: int | None = None) -> tuple[Partition, ...]:
     """All partitions of n, in the canonical (reverse-lexicographic) order."""
@@ -174,7 +169,10 @@ def hv_split(shape: SkewShape) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 def is_even_paired_shape(shape: SkewShape) -> bool:
     """True when every column holds at most two boxes, the size is even,
-    and each row of the single-column part has an even number of boxes."""
+    and each row of the single-column part has an even number of boxes.
+
+    The definition itself, kept as the independent cross-check that the
+    tests hold route B's generator (xi.even_paired_pairs) against."""
     if shape.size % 2:
         return False
     counts = shape.column_counts()
@@ -238,38 +236,6 @@ def lr_tab_counts(shape: SkewShape) -> dict[int, int]:
     return dict(counts)
 
 
-def strip_tab_counts(rows: tuple[int, ...]) -> dict[int, int]:
-    """Lattice-filling counts for a horizontal strip given by row lengths.
-
-    In a horizontal strip no two boxes share a column, so within a row the
-    2s form a right-end run and the filling is determined by the run
-    lengths alone.
-    """
-    counts: Counter = Counter()
-
-    def rec(i: int, ones: int, twos: int) -> None:
-        if i == len(rows):
-            counts[twos] += 1
-            return
-        r = rows[i]
-        for k in range(0, min(r, ones - twos) + 1):
-            rec(i + 1, ones + r - k, twos + k)
-
-    rec(0, 0, 0)
-    return dict(counts)
-
-
-def horizontal_strip_shape(rows: tuple[int, ...]) -> SkewShape:
-    """A skew shape realizing a horizontal strip with the given row lengths."""
-    rows = tuple(r for r in rows if r)
-    below = [0] * len(rows)
-    for i in range(len(rows) - 2, -1, -1):
-        below[i] = below[i + 1] + rows[i + 1]
-    outer = tuple(below[i] + rows[i] for i in range(len(rows)))
-    inner = tuple(b for b in below if b)
-    return SkewShape(Partition(outer), Partition(inner))
-
-
 @lru_cache(maxsize=None)
 def _strip_sign_sum(rows: tuple[int, ...]) -> int:
     rows = tuple(r for r in rows if r)
@@ -284,26 +250,21 @@ def _strip_sign_sum(rows: tuple[int, ...]) -> int:
     return total
 
 
-def tab_sign_sum(shape: SkewShape, mode: str = "direct") -> int:
-    """The signed count of lattice fillings, sum of (-1)**(number of 2s).
+def tab_sign_sum(shape: SkewShape) -> int:
+    """The signed count of lattice fillings, sum of (-1)**(number of 2s),
+    by enumerating the fillings; any shape with at most two boxes per
+    column is accepted."""
+    return sum((-1) ** i * c for i, c in lr_tab_counts(shape).items())
 
-    In "direct" mode the fillings are enumerated; any shape with at most
-    two boxes per column is accepted.  In "recursive" mode the shape must
-    be a horizontal strip of even size; the value is computed by the
-    merge-top-rows reduction, which strictly shrinks the strip by two
-    boxes per step.
-    """
-    if mode == "direct":
-        counts = lr_tab_counts(shape)
-        return sum((-1) ** i * c for i, c in counts.items())
-    if mode == "recursive":
-        if not shape.is_horizontal_strip():
-            raise ValueError(f"{shape} is not a horizontal strip")
-        if shape.size % 2:
-            raise ValueError(f"{shape} has odd size")
-        rows = tuple(r for r in shape.row_lengths() if r)
-        return _strip_sign_sum(rows)
-    raise ValueError(f"unknown mode {mode!r}")
+
+def strip_sign_sum(shape: SkewShape) -> int:
+    """tab_sign_sum of a horizontal strip of even size, by the merge-top-rows
+    reduction, which strictly shrinks the strip by two boxes per step."""
+    if not shape.is_horizontal_strip():
+        raise ValueError(f"{shape} is not a horizontal strip")
+    if shape.size % 2:
+        raise ValueError(f"{shape} has odd size")
+    return _strip_sign_sum(shape.row_lengths())
 
 
 def even_strip_extensions(beta: Partition, strip_size: int) -> Iterator[Partition]:

@@ -245,9 +245,3 @@ def odd_defect_symbols(rank: int) -> tuple[Symbol, ...]:
             b += 1
         d += 2
     return tuple(sorted(set(out), key=symbol_sort_key))
-
-
-@lru_cache(maxsize=None)
-def defect_one_symbols(rank: int) -> tuple[Symbol, ...]:
-    """All reduced defect-1 symbols of the given rank."""
-    return tuple(s for s in odd_defect_symbols(rank) if s.defect == 1)

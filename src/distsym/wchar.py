@@ -204,10 +204,6 @@ class ClassFunction:
         return cls._dense(n, (0,) * len(_class_index(n)))
 
 
-def trivial_character(n: int) -> ClassFunction:
-    return ClassFunction._dense(n, (1,) * len(_class_index(n)))
-
-
 def quadratic_character_value(c: Bipartition) -> int:
     """Value on (gamma; delta) of the sign-flip character: each negative
     cycle flips an odd number of points, so the value is (-1)**len(delta).
@@ -314,7 +310,9 @@ def sym_character(alpha: Partition, cycle_type: Partition) -> int:
     """Irreducible symmetric-group character value at a cycle type.
 
     Strips are peeled off for the largest part first; the recursion is
-    memoized on (partition, remaining cycle type).
+    memoized on (partition, remaining cycle type).  The package itself does
+    not call it: it is the S_n Murnaghan-Nakayama rule behind the tests'
+    independent check of the W_n table by the induced construction.
     """
     if alpha.size != cycle_type.size:
         raise ValueError(f"size mismatch: {alpha} vs {cycle_type}")

@@ -74,7 +74,7 @@ class CoefficientViolation(Exception):
         super().__init__(f"xi({n}) route {route}: coefficient {coeff} at {bp}")
 
 
-def _kappa_block(value: int, mult: int) -> int:
+def _kappa_block(value: int, mult: int, negative: bool) -> int:
     return 0 if value % 2 else 2**mult
 
 
@@ -85,45 +85,43 @@ def _nu_block(value: int, mult: int, negative: bool) -> int:
     return base ** (mult // 2) * factorial(mult) // factorial(mult // 2)
 
 
+def _closed_form(r: int, block) -> ClassFunction:
+    """The multiplicative class function on W_{2r}: its value at a class
+    is the product of block(value, mult, negative) over the blocks of equal
+    cycles, negative for the blocks of beta."""
+    if r < 0:
+        raise ValueError("r must be non-negative")
+    values = []
+    for c in bipartitions(2 * r):
+        v = 1
+        for parts, negative in ((c.alpha, False), (c.beta, True)):
+            for value, mult in parts.multiplicities().items():
+                v *= block(value, mult, negative)
+        values.append(v)
+    return ClassFunction._dense(2 * r, tuple(values))
+
+
 def kappa(r: int) -> ClassFunction:
     """Closed form of the kappa class function on W_{2r}: zero on any
     class with an odd part, 2**multiplicity per even-part block."""
-    if r < 0:
-        raise ValueError("r must be non-negative")
-    values = {}
-    for c in bipartitions(2 * r):
-        v = 1
-        for value, mult in c.alpha.multiplicities().items():
-            v *= _kappa_block(value, mult)
-        for value, mult in c.beta.multiplicities().items():
-            v *= _kappa_block(value, mult)
-        values[c] = v
-    return ClassFunction(2 * r, values)
+    return _closed_form(r, _kappa_block)
 
 
-def nu(m: int) -> ClassFunction:
-    """Closed form of the nu class function on W_{2m}.
+def nu(r: int) -> ClassFunction:
+    """Closed form of the nu class function on W_{2r}.
 
     Per block of part value v and multiplicity k: zero when k is odd,
     otherwise (+-v)**(k/2) * k!/(k/2)! with the minus sign on the negative
     coordinate.
     """
-    if m < 0:
-        raise ValueError("m must be non-negative")
-    values = {}
-    for c in bipartitions(2 * m):
-        v = 1
-        for value, mult in c.alpha.multiplicities().items():
-            v *= _nu_block(value, mult, negative=False)
-        for value, mult in c.beta.multiplicities().items():
-            v *= _nu_block(value, mult, negative=True)
-        values[c] = v
-    return ClassFunction(2 * m, values)
+    return _closed_form(r, _nu_block)
 
 
 def kappa_terms(r: int) -> dict[Bipartition, int]:
     """Stated decomposition of kappa_r: alternating two-row partitions
     (i, 2r - i) with empty second coordinate."""
+    if r < 0:
+        raise ValueError("r must be non-negative")
     out = {}
     for i in range(r + 1):
         parts = tuple(p for p in (2 * r - i, i) if p)

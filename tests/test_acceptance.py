@@ -5,16 +5,10 @@ import time
 
 import pytest
 
-from distsym.cells import (
-    cell_character,
-    distinguished,
-    even_strip_specials,
-    fourier_constituents,
-    make_cell,
-)
+from distsym.cells import distinguished, even_strip_specials, fourier_constituents, make_cell
 from distsym.oracle import kappa_bruteforce, nu_bruteforce
-from distsym.partitions import horizontal_strip_shape, tab_sign_sum
-from distsym.symbols import SpecialSymbol, Symbol
+from distsym.partitions import strip_sign_sum, tab_sign_sum
+from distsym.symbols import SpecialSymbol, Symbol, to_bipartition
 from distsym.verify import (
     DOCUMENTED,
     SP12_CONSTITUENTS_REFERENCE,
@@ -28,9 +22,11 @@ from distsym.wchar import (
     bipartitions,
     group_order,
     inner_product,
+    virtual_character,
     w_irreducible,
 )
 from distsym.xi import kappa, nu, xi, xi_all
+from test_partitions import compositions, horizontal_strip_shape
 
 W2_CLASSES = [
     Bipartition.of((1, 1)),
@@ -122,16 +118,6 @@ def test_criterion_06_character_table_orthonormality():
     report(6, f"W_n tables orthonormal with sum dim^2 = 2^n n!, n <= 6, in {elapsed:.2f}s", ok)
 
 
-def compositions(total: int):
-    """All tuples of positive integers with the given sum."""
-    if total == 0:
-        yield ()
-        return
-    for first in range(1, total + 1):
-        for rest in compositions(total - first):
-            yield (first, *rest)
-
-
 def test_criterion_07_strip_sign_values():
     ok = True
     checked = 0
@@ -139,12 +125,17 @@ def test_criterion_07_strip_sign_values():
         for rows in compositions(total):
             shape = horizontal_strip_shape(rows)
             expected = 1 if all(r % 2 == 0 for r in rows) else 0
-            if tab_sign_sum(shape, "direct") != expected:
+            if tab_sign_sum(shape) != expected:
                 ok = False
-            if tab_sign_sum(shape, "recursive") != expected:
+            if strip_sign_sum(shape) != expected:
                 ok = False
             checked += 1
-    report(7, f"sign sums on all {checked} horizontal strips of size <= 10, both modes", ok)
+    report(
+        7,
+        f"sign sums on all {checked} horizontal strips of size <= 10, "
+        f"enumerated and by the merge-rows recursion",
+        ok,
+    )
 
 
 def test_criterion_08_self_inner_products():
@@ -212,8 +203,8 @@ def test_criterion_12_cell_pairings():
         ok = ok and all(c in (-1, 1) for c in decomp.values())
         ok = ok and decomp.get(Bipartition.of((2 * n,))) == 1
         for z in even_strip_specials(n):
-            c = cell_character(make_cell(z))
-            if inner_product(char, c) != 2**z.d:
+            terms = {Bipartition(*to_bipartition(sym)): sign for sign, sym in make_cell(z).terms}
+            if inner_product(char, virtual_character(2 * n, terms)) != 2**z.d:
                 ok = False
     report(
         12,

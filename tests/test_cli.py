@@ -57,11 +57,6 @@ class TestXiCommand:
         payload = json.loads(out)
         assert list(payload["routes"]) == ["B"]
 
-    def test_format_table(self, capsys):
-        code, out, _ = run_cli(capsys, "xi", "1", "--format=table")
-        assert code == 0
-        assert "decomposition" in out
-
     def test_json_deterministic(self, capsys):
         _, first, _ = run_cli(capsys, "xi", "2", "--json")
         _, second, _ = run_cli(capsys, "xi", "2", "--json")
@@ -181,9 +176,12 @@ class TestUsageErrors:
         assert exc.value.code == 2
 
     def test_unknown_flag(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["xi", "1", "--frobnicate"])
-        assert exc.value.code == 2
+        # --format is gone too: --json is the one switch to the JSON schema
+        for flag in ("--frobnicate", "--format=json"):
+            with pytest.raises(SystemExit) as exc:
+                main(["xi", "1", flag])
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",

@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -9,14 +10,12 @@ from distsym.partitions import (
     SkewShape,
     even_strip_extensions,
     gamma2_extensions,
-    horizontal_strip_shape,
     hv_split,
     is_even_paired_shape,
     iter_tableaux,
     lr_tab_counts,
-    partition_sort_key,
     partitions,
-    strip_tab_counts,
+    strip_sign_sum,
     tab_sign_sum,
 )
 
@@ -26,12 +25,49 @@ partitions_st = st.lists(st.integers(1, 6), max_size=5).map(
 
 
 def compositions(total: int):
+    """All tuples of positive integers with the given sum."""
     if total == 0:
         yield ()
         return
     for first in range(1, total + 1):
         for rest in compositions(total - first):
             yield (first, *rest)
+
+
+def strip_tab_counts(rows: tuple[int, ...]) -> dict[int, int]:
+    """Lattice-filling counts of a horizontal strip given by its row
+    lengths, keyed by the number of 2s: the independent reference for
+    lr_tab_counts on strips.
+
+    In a horizontal strip no two boxes share a column, so within a row the
+    2s form a right-end run and the filling is determined by the run
+    lengths alone.
+    """
+    counts: Counter = Counter()
+
+    def rec(i: int, ones: int, twos: int) -> None:
+        if i == len(rows):
+            counts[twos] += 1
+            return
+        r = rows[i]
+        for k in range(0, min(r, ones - twos) + 1):
+            rec(i + 1, ones + r - k, twos + k)
+
+    rec(0, 0, 0)
+    return dict(counts)
+
+
+def horizontal_strip_shape(rows: tuple[int, ...]) -> SkewShape:
+    """A skew shape realizing a horizontal strip with the given row
+    lengths (zeros dropped), each row ending in the column just left of
+    where the row above begins."""
+    rows = tuple(r for r in rows if r)
+    below = [0] * len(rows)
+    for i in range(len(rows) - 2, -1, -1):
+        below[i] = below[i + 1] + rows[i + 1]
+    outer = tuple(below[i] + rows[i] for i in range(len(rows)))
+    inner = tuple(b for b in below if b)
+    return SkewShape(Partition(outer), Partition(inner))
 
 
 class TestPartition:
@@ -65,7 +101,9 @@ class TestPartition:
             (2, 1, 1),
             (1, 1, 1, 1),
         ]
-        assert sorted(partitions(4), key=partition_sort_key) == list(partitions(4))
+        # size first, then reverse-lexicographic on parts
+        by_size = sorted(partitions(4), key=lambda p: (p.size, tuple(-x for x in p.parts)))
+        assert by_size == list(partitions(4))
 
     def test_str_parse_roundtrip(self):
         for p in itertools.chain.from_iterable(partitions(n) for n in range(7)):
@@ -245,26 +283,22 @@ class TestTabSignSum:
     )
     def test_reference_values(self, text, expected):
         s = SkewShape.parse(text)
-        assert tab_sign_sum(s, "direct") == expected
-        assert tab_sign_sum(s, "recursive") == expected
+        assert tab_sign_sum(s) == expected
+        assert strip_sign_sum(s) == expected
 
     def test_recursive_rejects_non_strip(self):
-        with pytest.raises(ValueError):
-            tab_sign_sum(SkewShape.parse("2,2/-"), "recursive")
-        with pytest.raises(ValueError):
-            tab_sign_sum(SkewShape.parse("1/-"), "recursive")
+        with pytest.raises(ValueError, match="not a horizontal strip"):
+            strip_sign_sum(SkewShape.parse("2,2/-"))
+        with pytest.raises(ValueError, match="odd size"):
+            strip_sign_sum(SkewShape.parse("1/-"))
 
     def test_strip_values(self):
-        # even strips give 1, other strips of even size give 0, both modes
+        # even strips give 1, other strips of even size give 0, both ways
         for rows in all_horizontal_strips(8):
             shape = horizontal_strip_shape(rows)
             expected = 1 if all(r % 2 == 0 for r in rows) else 0
-            assert tab_sign_sum(shape, "direct") == expected, rows
-            assert tab_sign_sum(shape, "recursive") == expected, rows
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            tab_sign_sum(SkewShape.parse("2/-"), "sideways")
+            assert tab_sign_sum(shape) == expected, rows
+            assert strip_sign_sum(shape) == expected, rows
 
 
 class TestStripExtensions:

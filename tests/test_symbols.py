@@ -7,7 +7,6 @@ from distsym.symbols import (
     SpecialSymbol,
     Symbol,
     cuspidal_symbol,
-    defect_one_symbols,
     from_bipartition,
     is_cuspidal,
     is_special,
@@ -16,6 +15,11 @@ from distsym.symbols import (
     to_bipartition,
 )
 from distsym.wchar import bipartitions
+
+
+def defect_one_symbols(rank: int) -> tuple[Symbol, ...]:
+    """The defect-1 layer of odd_defect_symbols(rank)."""
+    return tuple(s for s in odd_defect_symbols(rank) if s.defect == 1)
 
 
 class TestSymbolBasics:
@@ -191,7 +195,8 @@ class TestOddDefectEnumeration:
 
     def test_contains_defect_one_layer(self):
         for n in range(7):
-            assert set(defect_one_symbols(n)) <= set(odd_defect_symbols(n))
+            via_map = {from_bipartition(bp.alpha, bp.beta) for bp in bipartitions(n)}
+            assert via_map <= set(odd_defect_symbols(n))
 
     def test_cuspidal_members(self):
         assert cuspidal_symbol(1) in odd_defect_symbols(2)

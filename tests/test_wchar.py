@@ -20,10 +20,14 @@ from distsym.wchar import (
     inner_product,
     quadratic_character_value,
     sym_character,
-    trivial_character,
     virtual_character,
     w_irreducible,
 )
+
+
+def trivial_character(n: int) -> ClassFunction:
+    """The all-ones class function on W_n."""
+    return ClassFunction(n, dict.fromkeys(bipartitions(n), 1))
 
 
 class TestClasses:

@@ -8,10 +8,10 @@ from distsym import wchar
 from distsym.partitions import Partition, SkewShape, hv_split, is_even_paired_shape
 from distsym.wchar import (
     Bipartition,
+    ClassFunction,
     bipartitions,
     decompose,
     inner_product,
-    trivial_character,
     virtual_character,
 )
 from distsym.xi import (
@@ -29,6 +29,11 @@ from distsym.xi import (
 
 # distsym.xi is the function; the module has to come from importlib
 xi_mod = importlib.import_module("distsym.xi")
+
+
+def trivial_character(n: int) -> ClassFunction:
+    """The all-ones class function on W_n."""
+    return ClassFunction(n, dict.fromkeys(bipartitions(n), 1))
 
 W2 = [
     Bipartition.of((1, 1)),
@@ -124,6 +129,9 @@ class TestXi:
             xi(0, "A")
         with pytest.raises(ValueError):
             xi(1, "D")
+        for build in (kappa, nu, kappa_terms, nu_terms):
+            with pytest.raises(ValueError, match="must be non-negative"):
+                build(-1)
 
     def test_self_inner_products(self):
         for n, expected in [(1, 3), (2, 7), (3, 16)]:
