@@ -133,11 +133,15 @@ def is_admissible(z: SpecialSymbol, arrangement: Arrangement) -> bool:
 
 def swap_pairs(z: SpecialSymbol, pairs: tuple[tuple[int, int], ...]) -> Symbol:
     """Row-swap the two members of each given pair of singles; everything
-    else, including the isolated single, keeps its row."""
+    else, including the isolated single, keeps its row.  A pair member
+    that is not a single of Z is rejected."""
+    singles = set(z.singles())
     top = set(z.top)
     bottom = set(z.bottom)
     for pair in pairs:
         for x in pair:
+            if x not in singles:
+                raise ValueError(f"{x} is not a single of {z}")
             if x in top:
                 top.remove(x)
                 bottom.add(x)
@@ -145,6 +149,33 @@ def swap_pairs(z: SpecialSymbol, pairs: tuple[tuple[int, int], ...]) -> Symbol:
                 bottom.remove(x)
                 top.add(x)
     return Symbol(tuple(sorted(top)), tuple(sorted(bottom)))
+
+
+def _pair_masks(singles: tuple[int, ...], pairs: tuple[tuple[int, int], ...]) -> list[int]:
+    """Each pair as a bitmask over the singles (bit i is the i-th smallest)."""
+    bit = {x: 1 << i for i, x in enumerate(singles)}
+    return [bit[x] | bit[y] for x, y in pairs]
+
+
+def _flipped(z: SpecialSymbol, masks: Iterable[int]) -> list[Symbol]:
+    """Z with the singles at the set bits of each mask moved to the other
+    row; bit i stands for the i-th smallest single."""
+    singles = z.singles()
+    doubles = z.doubles()
+    in_top = set(z.top)
+    top = sum(1 << i for i, x in enumerate(singles) if x in in_top)
+    bits = [(1 << i, x) for i, x in enumerate(singles)]
+    out = []
+    for mask in masks:
+        new_top = top ^ mask
+        top_row = list(doubles)
+        bottom_row = list(doubles)
+        for bit, x in bits:
+            (top_row if new_top & bit else bottom_row).append(x)
+        top_row.sort()
+        bottom_row.sort()
+        out.append(Symbol(tuple(top_row), tuple(bottom_row)))
+    return out
 
 
 def make_cell(
@@ -169,17 +200,16 @@ def make_cell(
     if not sign_set <= set(arrangement.pairs):
         raise ValueError("sign_pairs must be a subset of the arrangement's pairs")
     pairs = arrangement.pairs
-    terms = []
-    seen = set()
-    for mask in range(2 ** len(pairs)):
-        psi = tuple(pairs[i] for i in range(len(pairs)) if mask >> i & 1)
-        sign = (-1) ** len([p for p in psi if p in sign_set])
-        sym = swap_pairs(z, psi)
-        terms.append((sign, sym))
-        seen.add(sym)
-    if len(seen) != len(terms):
+    signs = [1]
+    swapped = [0]
+    for pair, pair_mask in zip(pairs, _pair_masks(z.singles(), pairs)):
+        flip = -1 if pair in sign_set else 1
+        signs += [flip * s for s in signs]
+        swapped += [b | pair_mask for b in swapped]
+    syms = _flipped(z, swapped)
+    if len(set(syms)) != len(syms):
         raise ValueError(f"cell terms for {z} are not distinct")
-    return Cell(z, arrangement, tuple(sorted(sign_set)), tuple(terms))
+    return Cell(z, arrangement, tuple(sorted(sign_set)), tuple(zip(signs, syms)))
 
 
 @lru_cache(maxsize=None)
@@ -226,6 +256,11 @@ def _members(singles: tuple[int, ...], mask: int) -> tuple[int, ...]:
     return tuple(x for i, x in enumerate(singles) if mask >> i & 1)
 
 
+def _syndrome(a: int, pair_masks: list[int]) -> int:
+    """Bit j is the parity of the singles of mask a in pair j."""
+    return sum(((a & p).bit_count() & 1) << j for j, p in enumerate(pair_masks))
+
+
 def fourier_constituents(cell: Cell) -> tuple[Symbol, ...]:
     """The family members carried by a cell under the even-subset pairing.
 
@@ -235,40 +270,54 @@ def fourier_constituents(cell: Cell) -> tuple[Symbol, ...]:
     bits of t, so its swapped set B_t is the OR of those pairs' masks.  The
     multiplicity at A is the averaged sign sum
     (1/2**d) * sum over t of sign_t * (-1)**popcount(A & B_t).
-    Multiplicities must land in {0, 1}, and exactly 2**d members survive;
-    a Symbol is built only for those.  The even masks run in the order of
-    family(Z), so a violation reports the same first index A.
+
+    Since B_t is a union of whole pairs, popcount(A & B_t) has the parity
+    of popcount(s(A) & t), where the syndrome s(A) is the d-bit mask whose
+    bit j is the parity of |A & pair_j|.  So the sign sum at A is F[s(A)],
+    where F is the d-dimensional Walsh-Hadamard transform of the term
+    signs, F[u] = sum over t of sign_t * (-1)**popcount(u & t): O(d 2**d)
+    exact integer work for any signs.  Each syndrome is reached by exactly
+    2**d even masks (per pair both or neither member when its bit is 0,
+    one member when it is 1, the isolated single fixing the parity).
+
+    Multiplicities must land in {0, 1}, and exactly 2**d members survive,
+    which is exactly one syndrome with F = 2**d; a Symbol is built only for
+    its members.  A violation reports the first even mask A in the order
+    of family(Z).
     """
     z = cell.z
-    d = cell.d
+    full = 2**cell.d
+    if len(cell.terms) != full:
+        raise ValueError(f"d = {cell.d} needs {full} terms, got {len(cell.terms)}")
+    # in place: f[u] becomes sum over t of sign_t * (-1)**popcount(u & t)
+    f = [sign for sign, _ in cell.terms]
+    h = 1
+    while h < full:
+        for i in range(0, full, 2 * h):
+            for j in range(i, i + h):
+                f[j], f[j + h] = f[j] + f[j + h], f[j] - f[j + h]
+        h *= 2
     singles = z.singles()
-    bit = {x: 1 << i for i, x in enumerate(singles)}
-    swapped = [0]
-    for x, y in cell.arrangement.pairs:
-        swapped += [b | bit[x] | bit[y] for b in swapped]
-    signed_b = [(sign, b) for (sign, _), b in zip(cell.terms, swapped)]
-    kept = []
-    for a in _even_masks(len(singles)):
-        num = sum(-s if (a & b).bit_count() & 1 else s for s, b in signed_b)
-        if num % (2**d):
-            raise FamilyModelViolation(z, _members(singles, a), f"{num}/{2 ** d}")
-        mult = num // (2**d)
-        if mult not in (0, 1):
-            raise FamilyModelViolation(z, _members(singles, a), mult)
-        if mult:
-            kept.append(a)
-    if len(kept) != 2**d:
-        raise FamilyModelViolation(z, frozenset(), f"{len(kept)} constituents")
-    doubles = z.doubles()
-    top = sum(bit[x] for x in z.top if x in bit)
-    constituents = [
-        Symbol(
-            tuple(sorted(doubles + _members(singles, top ^ a))),
-            tuple(sorted(doubles + _members(singles, ~(top ^ a)))),
-        )
-        for a in kept
-    ]
-    return tuple(sorted(constituents, key=symbol_sort_key))
+    pair_masks = _pair_masks(singles, cell.arrangement.pairs)
+    if any(num not in (0, full) for num in f):
+        # every syndrome is reached, so this finds the first violating A
+        for a in _even_masks(len(singles)):
+            num = f[_syndrome(a, pair_masks)]
+            if num % full:
+                raise FamilyModelViolation(z, _members(singles, a), f"{num}/{full}")
+            if num // full not in (0, 1):
+                raise FamilyModelViolation(z, _members(singles, a), num // full)
+    peaks = [u for u, num in enumerate(f) if num]
+    if len(peaks) != 1:
+        raise FamilyModelViolation(z, frozenset(), f"{len(peaks) * full} constituents")
+    kept = [0]
+    for j, p in enumerate(pair_masks):
+        # one member (the low bit or the high bit) if syndrome bit j is set
+        options = (p & -p, p & (p - 1)) if peaks[0] >> j & 1 else (0, p)
+        kept = [k | o for k in kept for o in options]
+    isolated = 1 << singles.index(cell.arrangement.isolated)
+    kept = [k | isolated if k.bit_count() & 1 else k for k in kept]
+    return tuple(sorted(_flipped(z, kept), key=symbol_sort_key))
 
 
 @dataclass

@@ -10,6 +10,7 @@ implemented here.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
@@ -31,12 +32,12 @@ class Symbol:
     bottom: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        top = tuple(int(x) for x in self.top)
-        bottom = tuple(int(x) for x in self.bottom)
+        top = tuple(map(int, self.top))
+        bottom = tuple(map(int, self.bottom))
         for row in (top, bottom):
-            if any(x < 0 for x in row):
+            if row and min(row) < 0:
                 raise ValueError(f"negative entry in row {row!r}")
-            if any(row[i] >= row[i + 1] for i in range(len(row) - 1)):
+            if any(map(operator.ge, row, row[1:])):
                 raise ValueError(f"row must be strictly increasing: {row!r}")
         if top and bottom and top[0] == 0 and bottom[0] == 0:
             raise ValueError("symbol is not reduced; use reduce_symbol()")

@@ -1,4 +1,6 @@
 import dataclasses
+import functools
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -79,6 +81,16 @@ def reference_constituents(cell):
     return tuple(sorted(constituents, key=symbol_sort_key))
 
 
+@functools.cache
+def cells_by_d():
+    """The standard cells of ranks 2..20, grouped by d."""
+    out = {}
+    for n in range(1, 11):
+        for z in even_strip_specials(n):
+            out.setdefault(z.d, []).append(make_cell(z))
+    return out
+
+
 def outcome(fn, cell):
     """The constituents, or the payload of the violation raised."""
     try:
@@ -147,6 +159,17 @@ class TestSwap:
             sym = swap_pairs(Z12, psi)
             assert sym.rank == Z12.rank and sym.defect == 1
 
+    def test_swap_rejects_doubled_entry(self):
+        # 2 sits in both rows of 0,2,5|1,2; swapping it would drop it
+        z = SpecialSymbol(Symbol.parse("0,2,5|1,2"))
+        with pytest.raises(ValueError, match=re.escape("2 is not a single of 0,2,5|1,2")):
+            swap_pairs(z, ((1, 2),))
+
+    def test_swap_rejects_entry_outside_z(self):
+        z = SpecialSymbol(Symbol.parse("0,2,5|1,2"))
+        with pytest.raises(ValueError, match="7 is not a single"):
+            swap_pairs(z, ((0, 7),))
+
 
 class TestCells:
     def test_rank2_cell(self):
@@ -207,6 +230,15 @@ class TestCells:
     def test_inadmissible_arrangement_rejected(self):
         with pytest.raises(ValueError):
             make_cell(Z4, Arrangement(((0, 2),), 1))
+
+    def test_terms_are_swapped_pairs_through_rank_20(self):
+        for n in range(1, 11):
+            for z in even_strip_specials(n):
+                c = make_cell(z)
+                pairs = c.arrangement.pairs
+                for t, (_, sym) in enumerate(c.terms):
+                    psi = tuple(p for i, p in enumerate(pairs) if t >> i & 1)
+                    assert sym == swap_pairs(z, psi), (str(z), t)
 
 
 class TestEnumeration:
@@ -326,6 +358,34 @@ class TestFourier:
                     expected = outcome(reference_constituents, flipped)
                     assert outcome(fourier_constituents, flipped) == expected
 
+    def test_term_count_checked(self):
+        c = make_cell(Z12)
+        for terms in (c.terms[:-1], c.terms + c.terms[:1]):
+            with pytest.raises(ValueError, match="d = 2 needs 4 terms"):
+                fourier_constituents(dataclasses.replace(c, terms=terms))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_arbitrary_signs_match_reference_through_rank_20(self, data):
+        # d is drawn first, so d = 3 and d = 4 (ranks 12 and 20 up) are common
+        d = data.draw(st.sampled_from(sorted(cells_by_d())))
+        c = data.draw(st.sampled_from(cells_by_d()[d]))
+        size = 2**d
+        arbitrary = st.lists(st.sampled_from((1, -1)), min_size=size, max_size=size)
+        # signs outside +-1 also reach the survivor-count check
+        integers = st.lists(st.integers(-2, 2), min_size=size, max_size=size)
+        # +-(-1)**popcount(t & m): one syndrome at +-2**d, the rest 0
+        character = st.builds(
+            lambda m, eps: [eps * (-1) ** (t & m).bit_count() for t in range(size)],
+            st.integers(0, size - 1),
+            st.sampled_from((1, -1)),
+        )
+        signs = data.draw(st.one_of(arbitrary, character, integers))
+        terms = tuple((s, sym) for s, (_, sym) in zip(signs, c.terms))
+        cell = dataclasses.replace(c, terms=terms)
+        expected = outcome(reference_constituents, cell)
+        assert outcome(fourier_constituents, cell) == expected
+
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_random_sign_pairs(self, data):
@@ -391,6 +451,28 @@ class TestDistinguished:
             rep = distinguished(n)
             solvable = any(d * d + d == 2 * n for d in range(2 * n + 1))
             assert rep.cuspidal_present == solvable
+
+    def test_n15_cuspidal_in_one_cell(self):
+        rep = distinguished(15)
+        assert rep.count == 8123 and rep.cuspidal_present
+        cusp = cuspidal_symbol(5)
+        carriers = [e for e in rep.entries if cusp in e.constituents]
+        assert len(carriers) == 1
+        (entry,) = carriers
+        assert str(entry.z) == "0,2,4,6,8,10|1,3,5,7,9" and entry.d == 5
+        # multiplicity one, by the reference sign sum over the whole family
+        assert reference_constituents(entry.cell).count(cusp) == 1
+
+    def test_counts_match_product_formula(self):
+        # observed, not proved: the count at n is the coefficient of x**n in
+        # prod_k (1 - x**k)**-1 * prod_{k odd} (1 - x**k)**-2
+        top = 15
+        coeffs = [1] + [0] * top
+        for k in range(1, top + 1):
+            for _ in range(3 if k % 2 else 1):
+                for i in range(k, top + 1):
+                    coeffs[i] += coeffs[i - k]
+        assert [distinguished(n).count for n in range(1, top + 1)] == coeffs[1:]
 
     def test_count_is_union_size(self):
         for n in (1, 2, 3, 4):
