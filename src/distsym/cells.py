@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .partitions import even_strip_extensions, even_subsets, partitions
+from .partitions import Partition, even_subsets, horizontal_strips, partitions
 from .symbols import SpecialSymbol, Symbol, cuspidal_symbol, from_bipartition, symbol_sort_key
 
 
@@ -222,8 +222,8 @@ def even_strip_specials(n: int) -> tuple[SpecialSymbol, ...]:
     for bsize in range(n, -1, -1):
         strip = 2 * n - 2 * bsize
         for beta in partitions(bsize):
-            for alpha in even_strip_extensions(beta, strip):
-                out.append(SpecialSymbol(from_bipartition(alpha, beta)))
+            for alpha in horizontal_strips(beta.parts, strip, 2):
+                out.append(SpecialSymbol(from_bipartition(Partition(alpha), beta)))
     return tuple(sorted(out, key=lambda z: symbol_sort_key(z.symbol)))
 
 
@@ -231,29 +231,13 @@ def family(z: SpecialSymbol) -> tuple[tuple[frozenset, Symbol], ...]:
     """The 2**(2d) family members of Z, indexed by even subsets A of the
     singles: A records which singles change row relative to Z."""
     singles = z.singles()
-    doubles = z.doubles()
-    top_singles = frozenset(z.top) - set(doubles)
-    out = []
-    for a in even_subsets(singles):
-        new_top = top_singles ^ a
-        new_bottom = set(singles) - new_top
-        sym = Symbol(
-            tuple(sorted(set(doubles) | new_top)),
-            tuple(sorted(set(doubles) | new_bottom)),
-        )
-        out.append((a, sym))
-    return tuple(out)
+    return tuple(zip(even_subsets(singles), _flipped(z, _even_masks(len(singles)))))
 
 
 @lru_cache(maxsize=None)
 def _even_masks(m: int) -> tuple[int, ...]:
     """even_subsets(range(m)) as bitmasks, in its order."""
     return tuple(sum(1 << i for i in a) for a in even_subsets(tuple(range(m))))
-
-
-def _members(singles: tuple[int, ...], mask: int) -> tuple[int, ...]:
-    """The singles at the set bits of mask, ascending."""
-    return tuple(x for i, x in enumerate(singles) if mask >> i & 1)
 
 
 def _syndrome(a: int, pair_masks: list[int]) -> int:
@@ -301,12 +285,12 @@ def fourier_constituents(cell: Cell) -> tuple[Symbol, ...]:
     pair_masks = _pair_masks(singles, cell.arrangement.pairs)
     if any(num not in (0, full) for num in f):
         # every syndrome is reached, so this finds the first violating A
-        for a in _even_masks(len(singles)):
-            num = f[_syndrome(a, pair_masks)]
+        for a, mask in zip(even_subsets(singles), _even_masks(len(singles))):
+            num = f[_syndrome(mask, pair_masks)]
             if num % full:
-                raise FamilyModelViolation(z, _members(singles, a), f"{num}/{full}")
+                raise FamilyModelViolation(z, a, f"{num}/{full}")
             if num // full not in (0, 1):
-                raise FamilyModelViolation(z, _members(singles, a), num // full)
+                raise FamilyModelViolation(z, a, num // full)
     peaks = [u for u, num in enumerate(f) if num]
     if len(peaks) != 1:
         raise FamilyModelViolation(z, frozenset(), f"{len(peaks) * full} constituents")
@@ -361,9 +345,11 @@ def rank_report(rank: int) -> DistinguishedReport:
 
     The count is the sum of 2**d over the even-strip special symbols; the
     union must reach it because families of distinct special symbols share
-    no symbols.  The cuspidal flag records whether the symbol (0..2d | -)
-    is among the constituents, which must happen whenever rank = d*d + d.
-    Odd ranks give an empty report; rank 0 gives the cuspidal 0|-.
+    no symbols, so the first cell that meets an earlier cell's constituents
+    or adds other than 2**d symbols raises, naming its Z.  The cuspidal
+    flag records whether the symbol (0..2d | -) is among the constituents,
+    which must happen whenever rank = d*d + d.  Odd ranks give an empty
+    report; rank 0 gives the cuspidal 0|-.
     """
     if rank < 0:
         raise ValueError("rank must be non-negative")
@@ -375,13 +361,15 @@ def rank_report(rank: int) -> DistinguishedReport:
     for z in specials:
         c = make_cell(z)
         constituents = fourier_constituents(c)
+        if not merged.isdisjoint(constituents):
+            shared = next(s for s in constituents if s in merged)
+            earlier = next(e.z for e in entries if shared in e.constituents)
+            raise FamilyModelViolation(z, frozenset(), f"{shared} is also carried by {earlier}")
         entries.append(CellEntry(z, c.d, c, constituents))
         merged.update(constituents)
         count += 2**c.d
-    if len(merged) != count:
-        raise FamilyModelViolation(
-            entries[0].z, frozenset(), f"union size {len(merged)} != {count}"
-        )
+        if len(merged) != count:
+            raise FamilyModelViolation(z, frozenset(), f"union size {len(merged)} != {count}")
     union = tuple(sorted(merged, key=symbol_sort_key))
     cusp_d = next((d for d in range(rank + 1) if d * d + d == rank), None)
     present = cusp_d is not None and cuspidal_symbol(cusp_d) in merged

@@ -130,7 +130,7 @@ def induced_character(
         if q.denominator != 1:
             raise ArithmeticError(f"induced value not integral at {c}: {q}")
         values.append(int(q))
-    return ClassFunction._dense(degree, tuple(values))
+    return ClassFunction(degree, values)
 
 
 def block_subgroup_order(n: int) -> int:
@@ -231,7 +231,7 @@ def sign_flip_character(n: int) -> ClassFunction:
                 f"sign-flip character disagrees with (-1)**len(beta) at {c}"
             )
         values.append(v)
-    return ClassFunction._dense(n, tuple(values))
+    return ClassFunction(n, values)
 
 
 def verify_claims(max_n: int = 2, include_w6: bool = False) -> list[tuple[str, bool, str]]:

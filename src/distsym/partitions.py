@@ -267,27 +267,25 @@ def strip_sign_sum(shape: SkewShape) -> int:
     return _strip_sign_sum(shape.row_lengths())
 
 
-def even_strip_extensions(beta: Partition, strip_size: int) -> Iterator[Partition]:
-    """All partitions alpha containing beta with alpha/beta a horizontal
-    strip of the given size whose every row length is even."""
-    if strip_size < 0 or strip_size % 2:
-        return
-    b = beta.parts
-    nrows = len(b) + 1
+@lru_cache(maxsize=None)
+def horizontal_strips(mu: tuple[int, ...], k: int, step: int) -> tuple[tuple[int, ...], ...]:
+    """Every partition lam containing mu with lam / mu a horizontal strip
+    of k boxes whose row lengths are multiples of step: mu_i <= lam_i <=
+    mu_(i-1), with at most one new row.  Partitions are raw part tuples."""
+    rows = mu + (0,)
+    out = []
 
-    def rec(i: int, remaining: int, acc: list[int]) -> Iterator[Partition]:
-        if i == nrows:
-            if remaining == 0:
-                yield Partition(tuple(x for x in acc if x))
+    def rec(i: int, left: int, lam: tuple[int, ...]) -> None:
+        if i == len(rows):
+            if not left:
+                out.append(tuple(p for p in lam if p))
             return
-        base = b[i] if i < len(b) else 0
-        cap = remaining if i == 0 else min(remaining, b[i - 1] - base)
-        for a in range(2 * (cap // 2), -1, -2):
-            acc.append(base + a)
-            yield from rec(i + 1, remaining - a, acc)
-            acc.pop()
+        room = left if i == 0 else min(left, rows[i - 1] - rows[i])
+        for add in range(0, room + 1, step):
+            rec(i + 1, left - add, lam + (rows[i] + add,))
 
-    yield from rec(0, strip_size, [])
+    rec(0, k, ())
+    return tuple(out)
 
 
 def gamma2_extensions(beta: Partition, strip_size: int) -> Iterator[Partition]:

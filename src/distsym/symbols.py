@@ -11,7 +11,7 @@ implemented here.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Iterator
 
@@ -149,10 +149,15 @@ class SpecialSymbol:
     """A defect-1 symbol with weakly interleaving rows."""
 
     symbol: Symbol
+    _singles: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _doubles: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not is_special(self.symbol):
             raise ValueError(f"{self.symbol} is not special")
+        top, bottom = set(self.top), set(self.bottom)
+        object.__setattr__(self, "_singles", tuple(sorted(top ^ bottom)))
+        object.__setattr__(self, "_doubles", tuple(sorted(top & bottom)))
 
     @property
     def top(self) -> tuple[int, ...]:
@@ -168,11 +173,11 @@ class SpecialSymbol:
 
     def singles(self) -> tuple[int, ...]:
         """Entries occurring in exactly one row, ascending; always odd many."""
-        return tuple(sorted(set(self.top) ^ set(self.bottom)))
+        return self._singles
 
     def doubles(self) -> tuple[int, ...]:
         """Entries occurring in both rows, ascending."""
-        return tuple(sorted(set(self.top) & set(self.bottom)))
+        return self._doubles
 
     @property
     def d(self) -> int:

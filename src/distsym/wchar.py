@@ -50,7 +50,7 @@ while one virtual character of W_16 takes about 1 s and 60 MiB (CPython
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -129,15 +129,15 @@ def _class_sizes(n: int) -> tuple[int, ...]:
     return tuple(class_size(c) for c in bipartitions(n))
 
 
-def _to_dense(n: int, values: Mapping[Bipartition, int | Fraction], what: str) -> tuple:
-    """A mapping keyed on bipartitions of n as one value per position of
-    bipartitions(n); absent keys are 0, any other key raises ValueError."""
+def _to_dense(n: int, values: Mapping[Bipartition, int]) -> tuple:
+    """Coefficients keyed on irreducibles of W_n as one value per position
+    of bipartitions(n); absent keys are 0, any other key raises ValueError."""
     index = _class_index(n)
     dense = [0] * len(index)
     for c, v in values.items():
         i = index.get((c.alpha.parts, c.beta.parts)) if isinstance(c, Bipartition) else None
         if i is None:
-            raise ValueError(f"{c!s} is not {what} of W_{n}")
+            raise ValueError(f"{c!s} is not an irreducible of W_{n}")
         dense[i] = v
     return tuple(dense)
 
@@ -150,18 +150,15 @@ class ClassFunction:
 
     __slots__ = ("n", "values")
 
-    def __init__(self, n: int, values: Mapping[Bipartition, int | Fraction]):
-        """Convert a mapping from classes to values; absent classes are 0.
-        A key that is not a class of W_n raises ValueError."""
+    def __init__(self, n: int, values: Iterable[int | Fraction]):
+        """One value per class, in the order of bipartitions(n); a wrong
+        number of values raises ValueError."""
+        values = tuple(values)
+        classes = len(_class_index(n))
+        if len(values) != classes:
+            raise ValueError(f"W_{n} has {classes} classes, got {len(values)} values")
         self.n = n
-        self.values = _to_dense(n, values, "a class")
-
-    @classmethod
-    def _dense(cls, n: int, values: tuple) -> "ClassFunction":
-        f = cls.__new__(cls)
-        f.n = n
-        f.values = values
-        return f
+        self.values = values
 
     def at(self, c: Bipartition):
         try:
@@ -179,14 +176,14 @@ class ClassFunction:
 
     def __add__(self, other: "ClassFunction") -> "ClassFunction":
         self._check_degree(other)
-        return ClassFunction._dense(self.n, tuple(map(add, self.values, other.values)))
+        return ClassFunction(self.n, map(add, self.values, other.values))
 
     def __sub__(self, other: "ClassFunction") -> "ClassFunction":
         self._check_degree(other)
-        return ClassFunction._dense(self.n, tuple(map(sub, self.values, other.values)))
+        return ClassFunction(self.n, map(sub, self.values, other.values))
 
     def __rmul__(self, scalar) -> "ClassFunction":
-        return ClassFunction._dense(self.n, tuple(scalar * v for v in self.values))
+        return ClassFunction(self.n, (scalar * v for v in self.values))
 
     def __eq__(self, other) -> bool:
         return (
@@ -201,7 +198,7 @@ class ClassFunction:
 
     @classmethod
     def zero(cls, n: int) -> "ClassFunction":
-        return cls._dense(n, (0,) * len(_class_index(n)))
+        return cls(n, (0,) * len(_class_index(n)))
 
 
 def quadratic_character_value(c: Bipartition) -> int:
@@ -276,7 +273,7 @@ def induction_product(f: ClassFunction, g: ClassFunction) -> ClassFunction:
                     if y:
                         total += aw * bw * x * y
         out.append(total)
-    return ClassFunction._dense(n, tuple(out))
+    return ClassFunction(n, out)
 
 
 @lru_cache(maxsize=None)
@@ -370,7 +367,7 @@ def _table(n: int) -> tuple[ClassFunction, ...]:
         return col
 
     cols = [column(c.alpha.parts, c.beta.parts, n) for c in bipartitions(n)]
-    return tuple(ClassFunction._dense(n, row) for row in zip(*cols))
+    return tuple(ClassFunction(n, row) for row in zip(*cols))
 
 
 def w_irreducible(bp: Bipartition) -> ClassFunction:
@@ -383,7 +380,7 @@ def virtual_character(n: int, coefficients: Mapping[Bipartition, int]) -> ClassF
     """The class function sum_b c_b chi^b of W_n for a coefficient c_b per
     irreducible (absent ones are 0), without building any chi^b.  A key
     that is not an irreducible of W_n raises ValueError."""
-    return ClassFunction._dense(n, _evaluate(n, _to_dense(n, coefficients, "an irreducible")))
+    return ClassFunction(n, _evaluate(n, _to_dense(n, coefficients)))
 
 
 @lru_cache(maxsize=None)

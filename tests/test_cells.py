@@ -303,6 +303,16 @@ class TestFamilies:
                 assert sym.defect % 2 == 1
             assert members[0] == (frozenset(), z.symbol)
 
+    def test_members_are_swapped_pairs_through_rank_12(self):
+        # the set-based reference: the member at A swaps sorted(A) in
+        # consecutive pairs
+        for rank in range(1, 13):
+            for z in special_symbols_of_rank(rank):
+                for a, sym in family(z):
+                    members = sorted(a)
+                    pairs = tuple(zip(members[::2], members[1::2]))
+                    assert sym == swap_pairs(z, pairs), (str(z), members)
+
     def test_families_disjoint_per_rank(self):
         for rank in range(1, 9):
             seen: dict = {}
@@ -473,6 +483,40 @@ class TestDistinguished:
                 for i in range(k, top + 1):
                     coeffs[i] += coeffs[i - k]
         assert [distinguished(n).count for n in range(1, top + 1)] == coeffs[1:]
+
+    def test_overlap_names_the_cell_that_meets_an_earlier_family(self, monkeypatch):
+        # 6|- claims 0,1,4|2,3, a constituent of the earlier 0,2,4|1,3
+        original = cells.fourier_constituents
+        shared = (Symbol.parse("0,1,4|2,3"),)
+        monkeypatch.setattr(
+            cells,
+            "fourier_constituents",
+            lambda cell: shared if str(cell.z) == "6|-" else original(cell),
+        )
+        with pytest.raises(FamilyModelViolation) as err:
+            rank_report(6)
+        assert err.value.payload == {
+            "special_symbol": "6|-",
+            "family_index": [],
+            "multiplicity": "0,1,4|2,3 is also carried by 0,2,4|1,3",
+        }
+
+    def test_short_cell_is_named_by_the_count_check(self, monkeypatch):
+        # 0,2,4|1,3 repeats one of its four constituents
+        original = cells.fourier_constituents
+
+        def repeated(cell):
+            out = original(cell)
+            return out[:1] + out[:-1] if str(cell.z) == "0,2,4|1,3" else out
+
+        monkeypatch.setattr(cells, "fourier_constituents", repeated)
+        with pytest.raises(FamilyModelViolation) as err:
+            rank_report(6)
+        assert err.value.payload == {
+            "special_symbol": "0,2,4|1,3",
+            "family_index": [],
+            "multiplicity": "union size 5 != 6",
+        }
 
     def test_count_is_union_size(self):
         for n in (1, 2, 3, 4):

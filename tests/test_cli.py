@@ -93,16 +93,17 @@ class TestCellsCommands:
         assert payload["union"] == ["0|-"] and payload["cuspidal_present"] is True
 
     def test_overlapping_families_fail_loudly(self, capsys, monkeypatch):
-        # every cell claims the constituents of the first one
+        # every cell claims the constituents of the first one, so the second
+        # cell is the first to meet an earlier family
         shared = cells.fourier_constituents(cells.make_cell(cells.even_strip_specials(2)[0]))
         monkeypatch.setattr(cells, "fourier_constituents", lambda cell: shared)
         code, out, err = run_cli(capsys, "cells", "--rank", "4")
         assert code == 1 and out == ""
         assert json.loads(err) == {
             "error": "FamilyModelViolation",
-            "special_symbol": "0,2,3|1,2",
+            "special_symbol": "0,3|2",
             "family_index": [],
-            "multiplicity": "union size 2 != 7",
+            "multiplicity": "0,1,2|2,3 is also carried by 0,2,3|1,2",
         }
 
     def test_text_mode(self, capsys):

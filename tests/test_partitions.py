@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from distsym.partitions import (
     Partition,
     SkewShape,
-    even_strip_extensions,
     gamma2_extensions,
+    horizontal_strips,
     hv_split,
     is_even_paired_shape,
     iter_tableaux,
@@ -302,24 +302,27 @@ class TestTabSignSum:
 
 
 class TestStripExtensions:
-    def naive_even_extensions(self, beta, size):
+    def naive_strip_extensions(self, beta, size, step):
+        """The alpha over beta with alpha/beta a horizontal strip of the
+        size, every row even when step is 2, by filtering partitions."""
         found = set()
-        for n in range(beta.size + size, beta.size + size + 1):
-            for alpha in partitions(n):
-                if not alpha.contains(beta):
-                    continue
-                s = SkewShape(alpha, beta)
-                rows = [r for r in s.row_lengths() if r]
-                if s.is_horizontal_strip() and all(r % 2 == 0 for r in rows):
-                    found.add(alpha)
+        for alpha in partitions(beta.size + size):
+            if not alpha.contains(beta):
+                continue
+            s = SkewShape(alpha, beta)
+            rows = [r for r in s.row_lengths() if r]
+            if s.is_horizontal_strip() and (step == 1 or all(r % 2 == 0 for r in rows)):
+                found.add(alpha.parts)
         return found
 
-    def test_even_extensions_match_filter(self):
+    @pytest.mark.parametrize("step", [1, 2])
+    def test_horizontal_strips_match_filter(self, step):
         for bsize in range(5):
             for beta in partitions(bsize):
-                for size in (0, 2, 4):
-                    got = set(even_strip_extensions(beta, size))
-                    assert got == self.naive_even_extensions(beta, size), (beta, size)
+                for size in range(5):
+                    got = horizontal_strips(beta.parts, size, step)
+                    assert len(set(got)) == len(got), (beta, size)
+                    assert set(got) == self.naive_strip_extensions(beta, size, step), (beta, size)
 
     def test_gamma2_extensions_match_filter(self):
         for bsize in range(4):
