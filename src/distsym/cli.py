@@ -2,10 +2,10 @@
 
 Subcommands: chartable, xi, cells, distinguished, oracle, verify.  Output
 defaults to plain text tables; --json switches to the documented schemas.
-All numbers print exactly (integers, or a/b for rationals).  The
-environment variable DISTSYM_MAX_RANK (default 12) caps the symbol rank a
-command may touch, guarding accidental blow-ups; the brute-force oracle
-has its own bound, --max-n at most 3.
+All numbers print exactly (integers, or a/b for rationals).  Every size
+argument has a fixed upper bound, checked while the arguments are parsed,
+so no accepted call does more work than `chartable 12`; a size out of
+range exits 2 before any computation.
 
 Exit codes: 0 success, 1 internal model violation (the offending object is
 serialized to stderr), 2 usage errors.
@@ -15,18 +15,26 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import cells as cells_mod
 from . import oracle as oracle_mod
-from .cells import FamilyModelViolation
-from .verify import run_verification
+from .verify import MODEL_VIOLATIONS, run_verification
 from .wchar import bipartitions, character_table
-from .xi import CoefficientViolation, RouteDisagreement, xi_all
+from .xi import xi_all
 from .xi import xi as xi_fn
 
-DEFAULT_MAX_RANK = 12
+# Each bound is the largest size whose cold `python -m distsym.cli ... --json`
+# run costs no more than `chartable 12` (2-core x86-64, CPython 3.11.7).
+# chartable 12 prints the 1165 x 1165 table of W_12: about 8-9 s, 420 MiB
+# and 34 MB of JSON.
+CHARTABLE_MAX_N = 12
+# xi 10 evaluates xi on W_20: about 8-9.5 s and 320 MiB (xi 8: 1.8 s).
+XI_MAX_N = 10
+# cells --rank 42 reaches n = 21, the largest unipotent cuspidal case the
+# symbol side checks: about 5-6.5 s and 155 MiB (rank 30: 0.7-0.9 s).
+# distinguished --n n reports rank 2n, so it shares this bound.
+CELLS_MAX_RANK = 42
 # For --max-n N the oracle's subgroup-orders claim streams all of W_{2N}
 # once: W_6 (46080 elements) takes about 0.35 s, so --max-n 3 --include-w6
 # runs in about 0.5 s (CPython 3.11), while W_8 (about 1e7 elements) would
@@ -34,39 +42,27 @@ DEFAULT_MAX_RANK = 12
 ORACLE_MAX_N = 3
 
 
-def _at_least(minimum: int):
-    """An argparse type: an integer no smaller than minimum."""
+def _bounded(minimum: int, maximum: int):
+    """An argparse type: an integer from minimum to maximum."""
 
     def parse(text: str) -> int:
         value = int(text)
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        if value > maximum:
+            raise argparse.ArgumentTypeError(f"must be at most {maximum}, got {value}")
         return value
 
     parse.__name__ = "integer"
     return parse
 
 
-def _check_rank(parser: argparse.ArgumentParser, rank: int, what: str) -> None:
-    raw = os.environ.get("DISTSYM_MAX_RANK")
-    try:
-        cap = DEFAULT_MAX_RANK if raw is None else int(raw)
-    except ValueError:
-        parser.error(f"DISTSYM_MAX_RANK must be an integer, got {raw!r}")
-    if rank > cap:
-        parser.error(
-            f"{what} needs rank {rank}, above the cap {cap}; "
-            f"raise DISTSYM_MAX_RANK to override"
-        )
-
-
 def _emit_json(payload: dict) -> None:
     print(json.dumps(payload, indent=2))
 
 
-def _cmd_chartable(args, parser) -> int:
+def _cmd_chartable(args) -> int:
     n = args.n
-    _check_rank(parser, n, f"chartable {n}")
     classes = bipartitions(n)
     table = character_table(n)
     if args.json:
@@ -100,9 +96,8 @@ def _xi_payload(result) -> dict:
     }
 
 
-def _cmd_xi(args, parser) -> int:
+def _cmd_xi(args) -> int:
     n = args.n
-    _check_rank(parser, 2 * n, f"xi {n}")
     route = args.route.upper()
     if route == "ALL":
         results = xi_all(n)
@@ -140,12 +135,8 @@ def _print_rank_report(payload: dict) -> None:
     print(f"  union: {', '.join(payload['union'])}")
 
 
-def _cmd_report(args, parser) -> int:
-    if args.command == "cells":
-        rank, what = args.rank, f"cells --rank {args.rank}"
-    else:
-        rank, what = 2 * args.n, f"distinguished --n {args.n}"
-    _check_rank(parser, rank, what)
+def _cmd_report(args) -> int:
+    rank = args.rank if args.command == "cells" else 2 * args.n
     payload = cells_mod.rank_report(rank).to_json()
     if args.json:
         _emit_json(payload)
@@ -154,14 +145,7 @@ def _cmd_report(args, parser) -> int:
     return 0
 
 
-def _cmd_oracle(args, parser) -> int:
-    if args.max_n > ORACLE_MAX_N:
-        parser.error(
-            f"oracle verify --max-n {args.max_n} would enumerate W_{2 * args.max_n}; "
-            f"the oracle stops at --max-n {ORACLE_MAX_N}"
-        )
-    rank = max(2 * args.max_n, 6 if args.include_w6 else 0)
-    _check_rank(parser, rank, f"oracle verify --max-n {args.max_n}")
+def _cmd_oracle(args) -> int:
     rows = oracle_mod.verify_claims(max_n=args.max_n, include_w6=args.include_w6)
     if args.json:
         _emit_json(
@@ -173,7 +157,7 @@ def _cmd_oracle(args, parser) -> int:
     return 0 if all(ok for _, ok, _ in rows) else 1
 
 
-def _cmd_verify(args, parser) -> int:
+def _cmd_verify(args) -> int:
     report = run_verification()
     if args.json:
         _emit_json(report.to_json())
@@ -197,30 +181,30 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("chartable", help="character table of W_n")
-    p.add_argument("n", type=_at_least(0))
+    p.add_argument("n", type=_bounded(0, CHARTABLE_MAX_N))
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_chartable)
 
     p = sub.add_parser("xi", help="the virtual module at parameter n")
-    p.add_argument("n", type=_at_least(1))
+    p.add_argument("n", type=_bounded(1, XI_MAX_N))
     p.add_argument("--route", default="all", choices=["A", "B", "C", "all"])
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_xi)
 
     p = sub.add_parser("cells", help="cells of the even-strip special symbols")
-    p.add_argument("--rank", type=_at_least(0), required=True)
+    p.add_argument("--rank", type=_bounded(0, CELLS_MAX_RANK), required=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_report)
 
     p = sub.add_parser("distinguished", help="distinguished symbols at rank 2n")
-    p.add_argument("--n", type=_at_least(1), required=True)
+    p.add_argument("--n", type=_bounded(1, CELLS_MAX_RANK // 2), required=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_report)
 
     p_oracle = sub.add_parser("oracle", help="brute-force group checks")
     oracle_sub = p_oracle.add_subparsers(dest="oracle_command", required=True)
     p = oracle_sub.add_parser("verify", help="run all oracle claims")
-    p.add_argument("--max-n", type=_at_least(0), default=2)
+    p.add_argument("--max-n", type=_bounded(0, ORACLE_MAX_N), default=2)
     p.add_argument("--include-w6", action="store_true")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_oracle)
@@ -233,11 +217,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args, parser)
-    except (RouteDisagreement, FamilyModelViolation, CoefficientViolation) as exc:
+        return args.fn(args)
+    except MODEL_VIOLATIONS as exc:
         print(json.dumps({"error": type(exc).__name__, **exc.payload}), file=sys.stderr)
         return 1
 

@@ -56,9 +56,6 @@ class Symbol:
     def defect(self) -> int:
         return abs(len(self.top) - len(self.bottom))
 
-    def entries(self) -> tuple[int, ...]:
-        return tuple(sorted(self.top + self.bottom))
-
     def __str__(self) -> str:
         def fmt(row: tuple[int, ...]) -> str:
             return ",".join(str(x) for x in row) if row else "-"
@@ -76,9 +73,6 @@ class Symbol:
             return tuple(int(t) for t in part.split(","))
 
         return cls(row(top), row(bottom))
-
-    def to_json(self) -> dict:
-        return {"top": list(self.top), "bottom": list(self.bottom)}
 
 
 def symbol_sort_key(s: Symbol) -> tuple:

@@ -392,13 +392,18 @@ _SECTIONS = (
 )
 
 
+# Every model violation carries a structured payload: verify turns one into
+# a FAIL row, and the CLI serializes it to stderr.
+MODEL_VIOLATIONS = (RouteDisagreement, CoefficientViolation, cells.FamilyModelViolation)
+
+
 def run_verification() -> VerificationReport:
-    """Run every section; a route disagreement or a coefficient violation
-    ends its section with a FAIL row that carries the error's payload."""
+    """Run every section; a model violation ends its section with a FAIL
+    row that carries the error's payload."""
     checks: list[Check] = []
     for label, section in _SECTIONS:
         try:
             section(checks)
-        except (RouteDisagreement, CoefficientViolation) as exc:
+        except MODEL_VIOLATIONS as exc:
             checks.append(Check(f"{label} checks", FAIL, str(exc), exc.payload))
     return VerificationReport(checks)

@@ -7,8 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from distsym import cells, oracle, verify
-from distsym.cli import main
+from distsym import cli, cells, oracle, verify
+from distsym.cli import build_parser, main
 from distsym.wchar import Bipartition
 from distsym.xi import RouteDisagreement
 
@@ -153,6 +153,31 @@ class TestVerifyCommand:
         ]
         assert checks[-1]["name"] == "rank-6 cuspidal flag"  # later sections still ran
 
+    def test_family_model_violation_is_a_fail_row(self, capsys, monkeypatch):
+        z = cells.even_strip_specials(1)[0]
+
+        def overlap(cell):
+            raise cells.FamilyModelViolation(z, (0,), 2)
+
+        expected = [(c.name, c.status) for c in verify.run_verification().checks]
+        monkeypatch.setattr(cells, "fourier_constituents", overlap)
+        code, out, err = run_cli(capsys, "verify", "--json")
+        assert code == 1 and err == ""
+        checks = json.loads(out)["checks"]
+        assert checks[-1] == {
+            "name": "cells checks",
+            "status": "fail",
+            "detail": "family model violation at Z=0,2|1, A=[0]: multiplicity 2",
+            "payload": {"special_symbol": "0,2|1", "family_index": [0], "multiplicity": "2"},
+        }
+        # every row before the failing cell is still reported
+        earlier = [(c["name"], c["status"]) for c in checks[:-1]]
+        assert earlier == expected[: len(earlier)]
+        assert ("xi route agreement n=1..3", "pass") in earlier
+        code, out, _ = run_cli(capsys, "verify")
+        assert code == 1
+        assert "FAIL  cells checks  [family model violation at Z=0,2|1" in out
+
     def test_route_agreement_row_compares_decompositions(self, capsys, monkeypatch):
         real = verify.xi_all
 
@@ -200,48 +225,48 @@ class TestUsageErrors:
         assert exc.value.code == 2
         assert "must be at least" in capsys.readouterr().err
 
-    def test_malformed_rank_cap(self, capsys, monkeypatch):
-        monkeypatch.setenv("DISTSYM_MAX_RANK", "abc")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["chartable", str(cli.CHARTABLE_MAX_N + 1)],
+            ["xi", str(cli.XI_MAX_N + 1)],
+            ["cells", "--rank", str(cli.CELLS_MAX_RANK + 1)],
+            ["distinguished", "--n", str(cli.CELLS_MAX_RANK // 2 + 1)],
+            ["oracle", "verify", "--max-n", str(cli.ORACLE_MAX_N + 1)],
+        ],
+        ids=["chartable", "xi", "cells", "distinguished", "oracle"],
+    )
+    def test_one_past_the_bound_exits_two(self, capsys, monkeypatch, argv):
+        def ran(*args, **kwargs):
+            raise AssertionError("the worker ran")
+
+        for module, name in [
+            (cli, "character_table"),
+            (cli, "xi_all"),
+            (cells, "rank_report"),
+            (oracle, "verify_claims"),
+        ]:
+            monkeypatch.setattr(module, name, ran)
         with pytest.raises(SystemExit) as exc:
-            main(["xi", "1"])
+            main(argv)
         assert exc.value.code == 2
-        assert "DISTSYM_MAX_RANK must be an integer" in capsys.readouterr().err
+        assert "must be at most" in capsys.readouterr().err
+
+    def test_each_bound_is_accepted(self):
+        parse = build_parser().parse_args
+        assert parse(["chartable", "12"]).n == 12
+        assert parse(["xi", "10"]).n == 10
+        assert parse(["cells", "--rank", "42"]).rank == 42
+        assert parse(["distinguished", "--n", "21"]).n == 21
+        assert parse(["oracle", "verify", "--max-n", "3"]).max_n == 3
 
     def test_exit_two_without_traceback_from_the_shell(self):
         src = Path(__file__).resolve().parent.parent / "src"
-        env = {**os.environ, "PYTHONPATH": str(src), "DISTSYM_MAX_RANK": "abc"}
-        for argv in (["xi", "1"], ["chartable", "-1"]):
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        for argv in (["xi", "11"], ["chartable", "-1"]):
             proc = subprocess.run(
                 [sys.executable, "-m", "distsym.cli", *argv],
                 env=env, capture_output=True, text=True, timeout=60,
             )
             assert proc.returncode == 2, proc.stderr
             assert "Traceback" not in proc.stderr
-
-    def test_oracle_rank_cap(self, monkeypatch):
-        with pytest.raises(SystemExit) as exc:
-            main(["oracle", "verify", "--max-n", "7"])  # rank 14 > 12
-        assert exc.value.code == 2
-        monkeypatch.setenv("DISTSYM_MAX_RANK", "4")
-        with pytest.raises(SystemExit) as exc:
-            main(["oracle", "verify", "--max-n", "1", "--include-w6"])  # rank 6 > 4
-        assert exc.value.code == 2
-
-    def test_oracle_bound_above_the_rank_cap(self, capsys, monkeypatch):
-        def enumerate_anyway(**kwargs):
-            raise AssertionError("the oracle ran")
-
-        monkeypatch.setattr(oracle, "verify_claims", enumerate_anyway)
-        monkeypatch.setenv("DISTSYM_MAX_RANK", "100")
-        with pytest.raises(SystemExit) as exc:
-            main(["oracle", "verify", "--max-n", "4"])  # W_8, inside the rank cap
-        assert exc.value.code == 2
-        assert "the oracle stops at --max-n 3" in capsys.readouterr().err
-
-    def test_rank_cap(self, capsys, monkeypatch):
-        monkeypatch.setenv("DISTSYM_MAX_RANK", "2")
-        with pytest.raises(SystemExit) as exc:
-            main(["chartable", "3"])
-        assert exc.value.code == 2
-        monkeypatch.setenv("DISTSYM_MAX_RANK", "4")
-        assert main(["chartable", "3"]) == 0

@@ -61,7 +61,6 @@ class TestSymbolBasics:
     def test_str_parse(self):
         for text in ("0,2,4|1,3", "6|-", "-|-", "0,1,2|-"):
             assert str(Symbol.parse(text)) == text
-        assert Symbol.parse("0,2|1").to_json() == {"top": [0, 2], "bottom": [1]}
 
 
 class TestReduce:
