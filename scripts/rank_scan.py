@@ -6,10 +6,12 @@ special-symbol set, the distinguished count sum(2^d), whether the
 cuspidal symbol shows up (asserting that exactly one cell carries it), the
 coefficient of x^n in
 prod_k (1-x^k)^-1 * prod_{k odd} (1-x^k)^-2, which must equal the count
-(an observation, checked here, not a theorem), and, as a cross-check, the
-virtual module xi_n by all three routes (xi_all raises unless they agree)
-with its self inner product, which must equal the count; with wall-clock
-timings."""
+(an observation, checked here, not a theorem), the number of route B's
+signed skew pairs even_paired_pairs(n), whose bipartitions must be
+distinct (so route B's pairing <xi, xi> is that number) and must equal
+the count, and, as a cross-check, the virtual module xi_n by all three
+routes (xi_all raises unless they agree) with its self inner product,
+which must equal the count; with wall-clock timings."""
 
 import argparse
 import time
@@ -17,7 +19,7 @@ import time
 from distsym.cells import distinguished, even_strip_specials
 from distsym.symbols import cuspidal_symbol
 from distsym.wchar import inner_product
-from distsym.xi import xi_all
+from distsym.xi import even_paired_pairs, xi_all
 
 
 def product_formula(max_n: int) -> list[int]:
@@ -42,6 +44,7 @@ def main() -> None:
     args = parser.parse_args()
 
     header = f"{'n':>3} {'rank':>5} {'|S|':>5} {'count':>6} {'formula':>8} {'cuspidal':>9}"
+    header += f" {'B pairs':>8}"
     if not args.skip_xi:
         header += f" {'<xi,xi>':>8}"
     header += f" {'seconds':>8}"
@@ -60,6 +63,12 @@ def main() -> None:
                 raise SystemExit(f"n = {n}: the cuspidal {cusp} is in {len(carriers)} cells")
         row = f"{n:>3} {2 * n:>5} {len(specials):>5} {report.count:>6} {formula[n]:>8} "
         row += f"{'yes' if report.cuspidal_present else 'no':>9}"
+        pairs = even_paired_pairs(n)
+        if len({bp for bp, _ in pairs}) != len(pairs):
+            raise SystemExit(f"n = {n}: even_paired_pairs repeats a bipartition")
+        if len(pairs) != report.count:
+            raise SystemExit(f"n = {n}: {len(pairs)} even-paired pairs != count {report.count}")
+        row += f" {len(pairs):>8}"
         if not args.skip_xi:
             char = xi_all(n)["A"].character
             norm = inner_product(char, char)

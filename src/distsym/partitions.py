@@ -7,6 +7,7 @@ word of a filling runs right to left within a row, rows top to bottom.
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -21,7 +22,7 @@ class Partition:
     parts: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        parts = tuple(int(p) for p in self.parts)
+        parts = tuple(map(operator.index, self.parts))
         object.__setattr__(self, "parts", parts)
         if any(p < 1 for p in parts):
             raise ValueError(f"parts must be positive integers: {parts!r}")
@@ -288,32 +289,35 @@ def horizontal_strips(mu: tuple[int, ...], k: int, step: int) -> tuple[tuple[int
     return tuple(out)
 
 
-def gamma2_extensions(beta: Partition, strip_size: int) -> Iterator[Partition]:
-    """All partitions alpha containing beta such that alpha/beta has at
-    most two boxes per column (row i may overhang at most to the start of
-    row i-2)."""
-    if strip_size < 0 or strip_size % 2:
-        return
-    b = beta.parts
-    nrows = len(b) + 2
+def even_paired_extensions(beta: tuple[int, ...], size: int) -> list[tuple[tuple[int, ...], int]]:
+    """Every alpha containing beta with alpha / beta an even-paired shape of
+    the given size, with the sign (-1)**(|v|/2), alphas in decreasing
+    lexicographic order.  Partitions are raw part tuples.
 
-    def rec(i: int, remaining: int, acc: list[int]) -> Iterator[Partition]:
-        if i == nrows:
-            if remaining == 0:
-                yield Partition(tuple(x for x in acc if x))
+    Rows are chosen top to bottom with alpha_i <= alpha_(i-1) and alpha_i <=
+    beta_(i-2), so no column holds three boxes; two sentinel rows longer
+    than alpha sit above row 0.  Row i shares s_i = max(0, alpha_i -
+    beta_(i-1)) columns with row i-1, so |v| = 2 sum s_i, and row i-1 has
+    (alpha_(i-1) - beta_(i-1)) - s_(i-1) - s_i boxes in single-box
+    columns: a branch where that is odd is cut."""
+    top = sum(beta) + size
+    rows = (top, top) + beta + (0, 0)
+    out = []
+
+    def rec(i: int, left: int, alpha: tuple[int, ...], s_prev: int, shared: int) -> None:
+        if i == len(rows):
+            if not left:
+                out.append((tuple(p for p in alpha[2:] if p), (-1) ** shared))
             return
-        base = b[i] if i < len(b) else 0
-        hi = base + remaining
-        if i >= 1:
-            hi = min(hi, acc[i - 1])
-        if i >= 2:
-            hi = min(hi, b[i - 2])
-        for val in range(hi, base - 1, -1):
-            acc.append(val)
-            yield from rec(i + 1, remaining - (val - base), acc)
-            acc.pop()
+        base = rows[i]
+        single = alpha[-1] - rows[i - 1] - s_prev
+        for a in range(min(base + left, alpha[-1], rows[i - 2]), base - 1, -1):
+            s = max(0, a - rows[i - 1])
+            if (single - s) % 2 == 0:
+                rec(i + 1, left - (a - base), alpha + (a,), s, shared + s)
 
-    yield from rec(0, strip_size, [])
+    rec(2, size, (top, top), 0, 0)
+    return out
 
 
 def even_subsets(items: tuple[int, ...]) -> tuple[frozenset, ...]:

@@ -32,8 +32,8 @@ class Symbol:
     bottom: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        top = tuple(map(int, self.top))
-        bottom = tuple(map(int, self.bottom))
+        top = tuple(map(operator.index, self.top))
+        bottom = tuple(map(operator.index, self.bottom))
         for row in (top, bottom):
             if row and min(row) < 0:
                 raise ValueError(f"negative entry in row {row!r}")
@@ -86,8 +86,8 @@ def reduce_symbol(top: Iterable[int], bottom: Iterable[int]) -> Symbol:
     entry drops by one; rank and defect are unchanged.  Rows with repeated
     entries are rejected.
     """
-    t = sorted(int(x) for x in top)
-    b = sorted(int(x) for x in bottom)
+    t = sorted(map(operator.index, top))
+    b = sorted(map(operator.index, bottom))
     for row in (t, b):
         if len(set(row)) != len(row):
             raise ValueError(f"row has repeated entries: {row!r}")

@@ -9,7 +9,8 @@ independent routes that must agree exactly:
 
   A. the induction-product sum of kappa_r (x) nu_{n-r} over r,
   B. the signed sum of irreducibles over skew pairs whose difference is an
-     even-paired shape, with sign (-1)**(|v|/2),
+     even-paired shape, with sign (-1)**(|v|/2), generated directly (no
+     candidate is filtered out) by partitions.even_paired_extensions,
   C. the sum of the virtual cells attached to the even-strip special
      symbols of rank 2n.
 
@@ -34,7 +35,7 @@ from math import factorial
 from typing import Iterable
 
 from .cells import even_strip_specials, make_cell
-from .partitions import SkewShape, gamma2_extensions, horizontal_strips, hv_split, partitions
+from .partitions import Partition, even_paired_extensions, horizontal_strips, partitions
 from .symbols import to_bipartition
 from .wchar import (
     Bipartition,
@@ -143,23 +144,15 @@ def kappa_nu_decomposition_check(r: int) -> bool:
 
 def even_paired_pairs(n: int) -> list[tuple[Bipartition, int]]:
     """All (alpha; beta) of total size 2n with beta inside alpha and the
-    skew difference an even-paired shape, with the sign (-1)**(|v|/2).
-
-    Generation runs over beta first, then over the bounded extensions with
-    at most two boxes per column, filtering on the single-column rows.
-    """
-    out = []
-    for bsize in range(n, -1, -1):
-        strip = 2 * n - 2 * bsize
-        for beta in partitions(bsize):
-            for alpha in gamma2_extensions(beta, strip):
-                shape = SkewShape(alpha, beta)
-                h_rows, v_rows = hv_split(shape)
-                if any(r % 2 for r in h_rows):
-                    continue
-                sign = (-1) ** (sum(v_rows) // 2)
-                out.append((Bipartition(alpha, beta), sign))
-    return out
+    skew difference an even-paired shape, with the sign (-1)**(|v|/2):
+    beta by decreasing size, in partitions order within a size, and for
+    each beta the alphas that even_paired_extensions generates directly."""
+    return [
+        (Bipartition(Partition(alpha), beta), sign)
+        for bsize in range(n, -1, -1)
+        for beta in partitions(bsize)
+        for alpha, sign in even_paired_extensions(beta.parts, 2 * (n - bsize))
+    ]
 
 
 @dataclass

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from distsym.partitions import (
     Partition,
     SkewShape,
-    gamma2_extensions,
+    even_paired_extensions,
     horizontal_strips,
     hv_split,
     is_even_paired_shape,
@@ -76,6 +76,11 @@ class TestPartition:
             Partition((1, 2))
         with pytest.raises(ValueError):
             Partition((2, 0))
+
+    @pytest.mark.parametrize("parts", [(2.7, 1), ("3", "1")])
+    def test_non_integer_parts_rejected(self, parts):
+        with pytest.raises(TypeError):
+            Partition(parts)
 
     @pytest.mark.parametrize(
         "parts,expected",
@@ -324,18 +329,27 @@ class TestStripExtensions:
                     assert len(set(got)) == len(got), (beta, size)
                     assert set(got) == self.naive_strip_extensions(beta, size, step), (beta, size)
 
-    def test_gamma2_extensions_match_filter(self):
-        for bsize in range(4):
+    def test_even_paired_extensions_match_definition(self):
+        # every alpha over beta whose skew shape is even-paired, by brute
+        # force over partitions, with the sign (-1)**(|v|/2) from hv_split
+        total = 0
+        for bsize in range(7):
             for beta in partitions(bsize):
-                for size in (0, 2, 4):
-                    got = set(gamma2_extensions(beta, size))
+                for size in range(9):
+                    got = even_paired_extensions(beta.parts, size)
                     want = set()
-                    for alpha in partitions(beta.size + size):
-                        if alpha.contains(beta):
-                            s = SkewShape(alpha, beta)
-                            if s.max_column_boxes() <= 2:
-                                want.add(alpha)
-                    assert got == want, (beta, size)
+                    for alpha in partitions(bsize + size):
+                        if not alpha.contains(beta):
+                            continue
+                        s = SkewShape(alpha, beta)
+                        if is_even_paired_shape(s):
+                            want.add((alpha.parts, (-1) ** (sum(hv_split(s)[1]) // 2)))
+                    alphas = [alpha for alpha, _ in got]
+                    assert set(got) == want, (beta, size)
+                    assert len(set(alphas)) == len(alphas), (beta, size)
+                    assert alphas == sorted(alphas, reverse=True), (beta, size)
+                    total += len(got)
+        assert total == 898
 
 
 @settings(max_examples=200)

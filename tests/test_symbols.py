@@ -33,6 +33,12 @@ class TestSymbolBasics:
         with pytest.raises(ValueError):
             Symbol((0, 1), (0,))
 
+    def test_non_integer_entries_rejected(self):
+        with pytest.raises(TypeError):
+            Symbol((0, 1.5), (2.9,))
+        with pytest.raises(TypeError):
+            reduce_symbol((0, 1.5), (2.9,))
+
     def test_canonical_orientation(self):
         assert Symbol((1,), (0, 2)) == Symbol((0, 2), (1,))
         s = Symbol((2,), (0, 1))

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from distsym import wchar
-from distsym.partitions import Partition, SkewShape, hv_split, is_even_paired_shape
+from distsym.partitions import Partition, SkewShape, hv_split, is_even_paired_shape, partitions
 from distsym.wchar import (
     Bipartition,
     ClassFunction,
@@ -158,6 +158,19 @@ class TestXi:
         for n in (1, 2, 3):
             decomp = xi(n, "A").decomposition
             assert dict(even_paired_pairs(n)) == decomp
+
+    def test_route_b_order(self):
+        # beta by decreasing size, in partitions order within a size, then
+        # alpha in partitions (decreasing lexicographic) order; the CLI prints
+        # route B's decomposition in this order
+        def key(bp):
+            a, b = bp.alpha, bp.beta
+            return (-b.size, partitions(b.size).index(b), partitions(a.size).index(a))
+
+        for n in range(1, 9):
+            bps = [bp for bp, _ in even_paired_pairs(n)]
+            assert bps == sorted(bps, key=key), n
+            assert list(xi(n, "B").decomposition) == bps, n
 
     def test_xi3_has_sixteen_terms(self):
         decomp = xi(3, "B").decomposition
