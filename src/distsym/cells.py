@@ -134,14 +134,19 @@ def is_admissible(z: SpecialSymbol, arrangement: Arrangement) -> bool:
 def swap_pairs(z: SpecialSymbol, pairs: tuple[tuple[int, int], ...]) -> Symbol:
     """Row-swap the two members of each given pair of singles; everything
     else, including the isolated single, keeps its row.  A pair member
-    that is not a single of Z is rejected."""
+    that is not a single of Z, or a single named twice (within one pair or
+    across two), is rejected."""
     singles = set(z.singles())
     top = set(z.top)
     bottom = set(z.bottom)
+    seen = set()
     for pair in pairs:
         for x in pair:
             if x not in singles:
                 raise ValueError(f"{x} is not a single of {z}")
+            if x in seen:
+                raise ValueError(f"{x} appears twice in the pairs {pairs}")
+            seen.add(x)
             if x in top:
                 top.remove(x)
                 bottom.add(x)
@@ -174,7 +179,8 @@ def _flipped(z: SpecialSymbol, masks: Iterable[int]) -> list[Symbol]:
             (top_row if new_top & bit else bottom_row).append(x)
         top_row.sort()
         bottom_row.sort()
-        out.append(Symbol(tuple(top_row), tuple(bottom_row)))
+        # Z's doubles plus disjoint singles of Z: increasing, and reduced as Z is
+        out.append(Symbol._of_rows(tuple(top_row), tuple(bottom_row)))
     return out
 
 

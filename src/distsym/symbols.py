@@ -26,6 +26,14 @@ class Symbol:
     lexicographically smaller one comes first.  Construction requires the
     rows to be strictly increasing and already reduced; use
     reduce_symbol() to normalize raw rows.
+
+    The private _of_rows() is the one unchecked route: it only orients the
+    rows.  Two callers use it, because their rows are valid by
+    construction: cells._flipped, whose rows are the doubles of a checked,
+    reduced special symbol plus a subset of its singles (disjoint from the
+    doubles), and from_bipartition, whose rows are parts of checked
+    Partitions shifted by their positions and minimally padded, so 0 never
+    lies in both.
     """
 
     top: tuple[int, ...]
@@ -45,6 +53,17 @@ class Symbol:
             top, bottom = bottom, top
         object.__setattr__(self, "top", top)
         object.__setattr__(self, "bottom", bottom)
+
+    @classmethod
+    def _of_rows(cls, top: tuple[int, ...], bottom: tuple[int, ...]) -> "Symbol":
+        """The symbol of rows already known to be int tuples, strictly
+        increasing and reduced: only the orientation is set."""
+        if len(bottom) > len(top) or (len(bottom) == len(top) and bottom < top):
+            top, bottom = bottom, top
+        sym = object.__new__(cls)
+        object.__setattr__(sym, "top", top)
+        object.__setattr__(sym, "bottom", bottom)
+        return sym
 
     @property
     def rank(self) -> int:
@@ -76,7 +95,11 @@ class Symbol:
 
 
 def symbol_sort_key(s: Symbol) -> tuple:
-    return (s.rank, s.defect, s.top, s.bottom)
+    """(rank, defect, top, bottom), computed from the rows inline; the
+    canonical orientation makes the defect len(top) - len(bottom)."""
+    top, bottom = s.top, s.bottom
+    t = len(top) + len(bottom) - 1
+    return (sum(top) + sum(bottom) - (t * t) // 4, len(top) - len(bottom), top, bottom)
 
 
 def reduce_symbol(top: Iterable[int], bottom: Iterable[int]) -> Symbol:
@@ -111,7 +134,8 @@ def from_bipartition(alpha: Partition, beta: Partition) -> Symbol:
     b = [0] * (m - len(b)) + b
     top = tuple(a[i] + i for i in range(m + 1))
     bottom = tuple(b[i] + i for i in range(m))
-    return Symbol(top, bottom)
+    # checked Partitions give increasing rows; the padding leaves a 0 in one row at most
+    return Symbol._of_rows(top, bottom)
 
 
 def to_bipartition(sym: Symbol) -> tuple[Partition, Partition]:

@@ -26,6 +26,12 @@ sum of s over the horizontal k-strips added to mu, by Pieri's rule
 ch. I, sections 3 and 5).  This keeps route A independent of route B's
 skew-pair description.  Route A then checks that its decomposition
 evaluates to its induction-product character.
+
+The stated terms kappa_terms(r) and nu_terms(r) are certified by character
+(kappa_nu_decomposition_check) only through r = 6 in tests/test_xi.py and
+r = 2 in `distsym verify`.  Characters are compared only through W_20
+(n = 10, the CLI's xi bound and CI's rank_scan.py --max-n 10); past W_20
+the routes agree by decomposition only.
 """
 
 from __future__ import annotations

@@ -1,5 +1,7 @@
 import dataclasses
 import functools
+import hashlib
+import json
 import re
 
 import pytest
@@ -170,6 +172,16 @@ class TestSwap:
         with pytest.raises(ValueError, match="7 is not a single"):
             swap_pairs(z, ((0, 7),))
 
+    def test_swap_rejects_pair_repeating_a_member(self):
+        # swapping 0 twice would leave Z unchanged
+        with pytest.raises(ValueError, match=re.escape("0 appears twice in the pairs ((0, 0),)")):
+            swap_pairs(Z4, ((0, 0),))
+
+    def test_swap_rejects_single_in_two_pairs(self):
+        # swapping 1 twice would return 0,1,2,3|4
+        with pytest.raises(ValueError, match=re.escape("1 appears twice in the pairs ((0, 1), (1, 2))")):
+            swap_pairs(Z12, ((0, 1), (1, 2)))
+
 
 class TestCells:
     def test_rank2_cell(self):
@@ -312,6 +324,16 @@ class TestFamilies:
                     members = sorted(a)
                     pairs = tuple(zip(members[::2], members[1::2]))
                     assert sym == swap_pairs(z, pairs), (str(z), members)
+
+    def test_members_equal_checked_symbols_through_rank_10(self):
+        # family() builds its members unchecked; the checked constructor
+        # must accept the same rows and give an equal, equally hashed symbol
+        for rank in range(11):
+            for z in special_symbols_of_rank(rank):
+                for _, sym in family(z):
+                    checked = Symbol(sym.top, sym.bottom)
+                    assert (checked.top, checked.bottom) == (sym.top, sym.bottom), str(sym)
+                    assert checked == sym and hash(checked) == hash(sym), str(sym)
 
     def test_families_disjoint_per_rank(self):
         for rank in range(1, 9):
@@ -523,6 +545,15 @@ class TestDistinguished:
             rep = distinguished(n)
             assert rep.count == len(rep.union)
             assert rep.count == sum(2**e.d for e in rep.entries)
+
+    def test_reports_through_rank_30_are_pinned(self):
+        # the ranks the cells-r28 benchmark covers, and two more
+        digest = hashlib.sha256()
+        for rank in range(31):
+            digest.update(json.dumps(rank_report(rank).to_json()).encode())
+        assert digest.hexdigest() == (
+            "4a079e3009eef529bc6f39ac6b6c8a1058f636f7f5040a5279adcc179bb672a7"
+        )
 
     def test_json_schema(self):
         payload = distinguished(1).to_json()

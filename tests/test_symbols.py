@@ -12,6 +12,7 @@ from distsym.symbols import (
     is_special,
     odd_defect_symbols,
     reduce_symbol,
+    symbol_sort_key,
     to_bipartition,
 )
 from distsym.wchar import bipartitions
@@ -134,6 +135,15 @@ class TestBipartitionCorrespondence:
                 assert sym.defect == 1
                 assert to_bipartition(sym) == (bp.alpha, bp.beta)
 
+    def test_from_bipartition_equals_checked_construction(self):
+        # from_bipartition builds its symbol unchecked
+        for n in range(9):
+            for bp in bipartitions(n):
+                sym = from_bipartition(bp.alpha, bp.beta)
+                checked = Symbol(sym.top, sym.bottom)
+                assert (checked.top, checked.bottom) == (sym.top, sym.bottom), str(sym)
+                assert checked == sym and hash(checked) == hash(sym), str(sym)
+
     def test_defect_one_enumeration_counts(self):
         for n in range(9):
             assert len(defect_one_symbols(n)) == len(bipartitions(n))
@@ -202,6 +212,11 @@ class TestOddDefectEnumeration:
         for n in range(7):
             via_map = {from_bipartition(bp.alpha, bp.beta) for bp in bipartitions(n)}
             assert via_map <= set(odd_defect_symbols(n))
+
+    def test_sort_key_is_rank_defect_rows(self):
+        for r in range(11):
+            for s in odd_defect_symbols(r):
+                assert symbol_sort_key(s) == (s.rank, s.defect, s.top, s.bottom), str(s)
 
     def test_cuspidal_members(self):
         assert cuspidal_symbol(1) in odd_defect_symbols(2)
