@@ -36,15 +36,15 @@ keeps the induced construction as an independent check through W_7.
 
 The transposed rule evaluates a virtual character sum_b c_b chi^b at every
 class without building any chi^b (virtual_character).  Write the rule's
-step for an r-cycle as chi_i(w) = sum_j M_ij chi_j(w'), with M read off
-_hook_moves.  Then sum_i c_i chi_i(w) = sum_j (M^T c)_j chi_j(w'): the
+step for an r-cycle as chi_i(w) = sum_j M_ij chi_j(w'), with row i of M
+read off _hook_row.  Then sum_i c_i chi_i(w) = sum_j (M^T c)_j chi_j(w'): the
 coefficient vector is pushed through the transposed steps, one cycle at a
 time in the table's cycle order (positive cycles largest first, then
 negative ones largest first), down to W_0, where the one entry left is the
 value at w.  Classes that share a cycle prefix share the pushed vector, and
 no row of the table is built: the W_16 table takes about 40 s and 950 MiB,
-while one virtual character of W_16 takes about 1 s and 60 MiB (CPython
-3.11, 2-core x86-64).
+while xi_8 as a virtual character of W_16 takes about 0.5 s and 30 MiB
+(CPython 3.11, 2-core x86-64).
 """
 
 from __future__ import annotations
@@ -86,6 +86,8 @@ class Bipartition:
 def bipartitions(n: int) -> tuple[Bipartition, ...]:
     """All bipartitions of n in the canonical order: |alpha| descending,
     then reverse-lexicographic within each coordinate."""
+    if n < 0:
+        raise ValueError("n must be non-negative")
     out = []
     for a in range(n, -1, -1):
         for alpha in partitions(a):
@@ -317,26 +319,35 @@ def sym_character(alpha: Partition, cycle_type: Partition) -> int:
 
 
 @lru_cache(maxsize=None)
-def _hook_moves(m: int, r: int, negative: bool) -> tuple[tuple[tuple, tuple], ...]:
-    """One step of the B_n rule for an r-cycle, as index lists.
+def _hook_rows(m: int, r: int) -> list:
+    """The rows of the B_n rule's step for an r-cycle on W_m, one per
+    irreducible in canonical order, each None until _hook_row builds it.
+    The step for a positive and for a negative r-cycle share these rows."""
+    return [None] * len(_class_index(m))
 
-    Per irreducible of W_m, in canonical order: the positions in
+
+def _hook_row(m: int, r: int, i: int) -> tuple[tuple, tuple, tuple, tuple]:
+    """Row i of _hook_rows(m, r), built and stored on first use.
+
+    For the i-th irreducible (alpha; beta) of W_m: the positions in
     bipartitions(m - r) of the irreducibles reached by removing a rim
-    r-hook from alpha or from beta, split into those entering with sign +1
-    and with sign -1.  A hook of height h has sign (-1)**h; one removed
-    from beta for a negative cycle carries one more factor -1.
+    r-hook from alpha, split by even and odd hook height, then those
+    reached by removing one from beta, split the same way: (a0, a1, b0,
+    b1).  A hook of height h has sign (-1)**h, and one removed from beta
+    for a negative cycle carries one more factor -1.  So a positive cycle
+    enters a0 + b0 with sign +1 and a1 + b1 with sign -1, and a negative
+    cycle a0 + b1 with +1 and a1 + b0 with -1.
     """
     index = _class_index(m - r)
-    out = []
-    for bp in bipartitions(m):
-        alpha, beta = bp.alpha.parts, bp.beta.parts
-        signed: tuple[list[int], list[int]] = ([], [])
-        for mu, h in _rim_hooks(alpha, r):
-            signed[h % 2].append(index[mu, beta])
-        for mu, h in _rim_hooks(beta, r):
-            signed[(h + negative) % 2].append(index[alpha, mu])
-        out.append((tuple(signed[0]), tuple(signed[1])))
-    return tuple(out)
+    bp = bipartitions(m)[i]
+    alpha, beta = bp.alpha.parts, bp.beta.parts
+    moves: tuple[list[int], ...] = ([], [], [], [])
+    for mu, h in _rim_hooks(alpha, r):
+        moves[h % 2].append(index[mu, beta])
+    for mu, h in _rim_hooks(beta, r):
+        moves[2 + h % 2].append(index[alpha, mu])
+    row = _hook_rows(m, r)[i] = tuple(map(tuple, moves))
+    return row
 
 
 @lru_cache(maxsize=None)
@@ -346,10 +357,26 @@ def _table(n: int) -> tuple[ClassFunction, ...]:
     A class's cycles are taken positive first, then negative, largest
     first.  The column of a class (every irreducible's value there)
     follows from the column of the class with its first cycle removed, so
-    columns are memoized per remaining cycle suffix.  The memo lives only
-    for this build.
+    columns are memoized per remaining cycle suffix.  Every column reads
+    every row of its step, so each step's rows are read once for its
+    cycle sign, into one list of plus and one of minus positions (summing
+    the four halves of each row per column made _table(12) about half
+    again as slow).  Both memos live only for this build.
     """
     columns: dict[tuple, tuple[int, ...]] = {((), ()): (1,)}
+    steps: dict[tuple, tuple[list, list]] = {}
+
+    def signed_rows(m: int, r: int, negative: bool) -> zip:
+        signed = steps.get((m, r, negative))
+        if signed is None:
+            signed = steps[m, r, negative] = ([], [])
+            for i, row in enumerate(_hook_rows(m, r)):
+                a0, a1, b0, b1 = row or _hook_row(m, r, i)
+                if negative:
+                    b0, b1 = b1, b0
+                signed[0].append(a0 + b0)
+                signed[1].append(a1 + b1)
+        return zip(*signed)
 
     def column(gamma: tuple[int, ...], delta: tuple[int, ...], m: int) -> tuple[int, ...]:
         col = columns.get((gamma, delta))
@@ -361,7 +388,7 @@ def _table(n: int) -> tuple[ClassFunction, ...]:
             get = prev.__getitem__
             col = tuple(
                 sum(map(get, plus)) - sum(map(get, minus))
-                for plus, minus in _hook_moves(m, r, negative)
+                for plus, minus in signed_rows(m, r, negative)
             )
             columns[gamma, delta] = col
         return col
@@ -389,11 +416,17 @@ def _evaluate(n: int, coefficients: tuple) -> tuple:
     transposed B_n rule.
 
     Consuming an r-cycle takes the vector over W_m to one over W_{m - r}
-    through the transpose of _hook_moves(m, r, negative).  The cycle
-    prefixes are walked depth first in the table's cycle order, so each
-    prefix's vector is computed once and only those along the current
-    prefix are held.  Memoized across calls: equal coefficient vectors,
-    such as the three xi routes' decompositions, are evaluated once.
+    through the transpose of the step for an r-cycle of that sign: each
+    nonzero entry is pushed along its row of _hook_rows(m, r), and only
+    rows that receive a nonzero entry are built.  The vectors are sparse
+    near the top (xi_10 is nonzero on 912 of the 24842 irreducibles of
+    W_20, and kappa_r and nu_r have r + 1 and p(r) terms), so a cold
+    evaluation of xi_5 builds 3210 of the 10452 rows through W_10.  The
+    cycle prefixes are walked depth first in the table's cycle order, so
+    each prefix's vector is computed once and only those along the
+    current prefix are held.  Memoized across calls: equal coefficient
+    vectors, such as the three xi routes' decompositions, are evaluated
+    once.
     """
     out = [0] * len(coefficients)
     index = _class_index(n)
@@ -402,11 +435,19 @@ def _evaluate(n: int, coefficients: tuple) -> tuple:
 
     def step(vec, m: int, r: int, negative: bool) -> list:
         pushed = [0] * len(_class_index(m - r))
-        for x, (plus, minus) in zip(vec, _hook_moves(m, r, negative)):
+        rows = _hook_rows(m, r)
+        for i, x in enumerate(vec):
             if x:
-                for j in plus:
+                a0, a1, b0, b1 = rows[i] or _hook_row(m, r, i)
+                if negative:
+                    b0, b1 = b1, b0
+                for j in a0:
                     pushed[j] += x
-                for j in minus:
+                for j in b0:
+                    pushed[j] += x
+                for j in a1:
+                    pushed[j] -= x
+                for j in b1:
                     pushed[j] -= x
         return pushed
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from distsym import wchar
 from distsym.partitions import Partition, partitions
 from distsym.wchar import (
     Bipartition,
@@ -23,6 +24,7 @@ from distsym.wchar import (
     virtual_character,
     w_irreducible,
 )
+from distsym.xi import xi
 
 
 def trivial_character(n: int) -> ClassFunction:
@@ -61,6 +63,16 @@ class TestClasses:
     def test_class_sizes_sum_to_group_order(self):
         for n in range(1, 9):
             assert sum(class_size(c) for c in bipartitions(n)) == group_order(n)
+
+    def test_negative_n_rejected(self):
+        for build, args in [
+            (bipartitions, (-1,)),
+            (character_table, (-1,)),
+            (ClassFunction.zero, (-3,)),
+            (virtual_character, (-2, {})),
+        ]:
+            with pytest.raises(ValueError, match="n must be non-negative"):
+                build(*args)
 
 
 # Independent route to the S_n table: permutation characters of Young
@@ -226,12 +238,15 @@ def lifted(part: Partition, twisted: bool) -> ClassFunction:
     return ClassFunction(part.size, values)
 
 
+def induced_irreducible(bp: Bipartition) -> ClassFunction:
+    return induction_product(lifted(bp.alpha, False), lifted(bp.beta, True))
+
+
 class TestMurnaghanNakayamaTable:
     def test_matches_induced_irreducibles_through_w7(self):
         for n in range(8):
             for bp, chi in character_table(n).items():
-                induced = induction_product(lifted(bp.alpha, False), lifted(bp.beta, True))
-                assert chi == induced, bp
+                assert chi == induced_irreducible(bp), bp
 
     def test_rows_are_w_irreducible(self):
         for bp, chi in character_table(4).items():
@@ -256,6 +271,84 @@ class TestMurnaghanNakayamaTable:
             sums = sum(row[i] * p for row, p in zip(rows, packed))
             assert sums == centralizer_order(c) << (bits * i), c
         assert sum(chi.degree**2 for chi in table.values()) == group_order(n)
+
+
+def reference_hook_moves(m: int, r: int, negative: bool) -> tuple[tuple[tuple, tuple], ...]:
+    """The step of the B_n rule for an r-cycle of one sign, built eagerly
+    for every irreducible of W_m: (plus, minus) position lists in
+    bipartitions(m - r), alpha moves before beta moves in each."""
+    index = wchar._class_index(m - r)
+    out = []
+    for bp in bipartitions(m):
+        alpha, beta = bp.alpha.parts, bp.beta.parts
+        signed: tuple[list[int], list[int]] = ([], [])
+        for mu, h in wchar._rim_hooks(alpha, r):
+            signed[h % 2].append(index[mu, beta])
+        for mu, h in wchar._rim_hooks(beta, r):
+            signed[(h + negative) % 2].append(index[alpha, mu])
+        out.append((tuple(signed[0]), tuple(signed[1])))
+    return tuple(out)
+
+
+def clear_wchar_caches() -> None:
+    for cache in (wchar._hook_rows, wchar._evaluate, wchar._table):
+        cache.cache_clear()
+
+
+def built_rows(max_m: int) -> tuple[int, int]:
+    """(rows built, rows in all) of the steps on W_m, m <= max_m."""
+    rows = [
+        row for m in range(1, max_m + 1) for r in range(1, m + 1) for row in wchar._hook_rows(m, r)
+    ]
+    return sum(row is not None for row in rows), len(rows)
+
+
+@pytest.fixture(scope="module")
+def induced_w7() -> tuple[ClassFunction, ...]:
+    return tuple(induced_irreducible(bp) for bp in bipartitions(7))
+
+
+class TestHookRows:
+    """Rows built on first read, shared by the steps of both cycle signs."""
+
+    def test_rows_read_for_each_sign_equal_the_eager_steps(self):
+        clear_wchar_caches()
+        for m in range(1, 10):
+            for r in range(1, m + 1):
+                rows = wchar._hook_rows(m, r)
+                read = [rows[i] or wchar._hook_row(m, r, i) for i in range(len(rows))]
+                positive = tuple((a0 + b0, a1 + b1) for a0, a1, b0, b1 in read)
+                negative = tuple((a0 + b1, a1 + b0) for a0, a1, b0, b1 in read)
+                assert positive == reference_hook_moves(m, r, False), (m, r)
+                assert negative == reference_hook_moves(m, r, True), (m, r)
+
+    @pytest.mark.parametrize("table_first", [False, True])
+    def test_evaluation_and_table_in_either_order(self, table_first, induced_w7):
+        bps = bipartitions(7)
+        coeffs = {bps[0]: 2, bps[5]: -1, bps[40]: 3, bps[-1]: 1}
+        want = ClassFunction.zero(7)
+        for bp, coeff in coeffs.items():
+            want = want + coeff * induced_w7[bps.index(bp)]
+        clear_wchar_caches()
+        if table_first:
+            table = character_table(7)
+            assert virtual_character(7, coeffs) == want
+        else:
+            assert virtual_character(7, coeffs) == want
+            built, total = built_rows(7)
+            assert 0 < built < total  # the table builds the rest
+            table = character_table(7)
+        assert tuple(table.values()) == induced_w7
+
+    def test_evaluation_builds_only_the_rows_it_reads(self):
+        clear_wchar_caches()
+        xi(5, "B")
+        built, total = built_rows(10)
+        assert total == 10452
+        assert 0 < built < total // 2
+        character_table(6)
+        built, total = built_rows(6)
+        assert built == total
 
 
 @st.composite
