@@ -9,9 +9,12 @@ prod_k (1-x^k)^-1 * prod_{k odd} (1-x^k)^-2, which must equal the count
 (an observation, checked here, not a theorem), the number of route B's
 signed skew pairs even_paired_pairs(n), whose bipartitions must be
 distinct (so route B's pairing <xi, xi> is that number) and must equal
-the count, and, as a cross-check, the virtual module xi_n by all three
-routes (xi_all raises unless they agree) with its self inner product,
-which must equal the count; with wall-clock timings."""
+the count, whether routes B and C give the same decomposition of xi_n
+(no character is evaluated for it), and, as a cross-check, the virtual
+module xi_n by all three routes (xi_all raises unless their
+decompositions agree, and route A checks its character on W_2n) with its
+self inner product, which must equal the count; with wall-clock
+timings."""
 
 import argparse
 import time
@@ -19,7 +22,7 @@ import time
 from distsym.cells import distinguished, even_strip_specials
 from distsym.symbols import cuspidal_symbol
 from distsym.wchar import inner_product
-from distsym.xi import even_paired_pairs, xi_all
+from distsym.xi import even_paired_pairs, xi, xi_all
 
 
 def product_formula(max_n: int) -> list[int]:
@@ -39,12 +42,12 @@ def main() -> None:
     parser.add_argument(
         "--skip-xi",
         action="store_true",
-        help="skip the xi cross-check: the three routes agree and <xi, xi> = count",
+        help="skip the xi cross-check on W_2n: the three routes agree and <xi, xi> = count",
     )
     args = parser.parse_args()
 
     header = f"{'n':>3} {'rank':>5} {'|S|':>5} {'count':>6} {'formula':>8} {'cuspidal':>9}"
-    header += f" {'B pairs':>8}"
+    header += f" {'B pairs':>8} {'B = C':>6}"
     if not args.skip_xi:
         header += f" {'<xi,xi>':>8}"
     header += f" {'seconds':>8}"
@@ -69,6 +72,9 @@ def main() -> None:
         if len(pairs) != report.count:
             raise SystemExit(f"n = {n}: {len(pairs)} even-paired pairs != count {report.count}")
         row += f" {len(pairs):>8}"
+        if xi(n, "B").decomposition != xi(n, "C").decomposition:
+            raise SystemExit(f"n = {n}: routes B and C give different decompositions")
+        row += f" {'yes':>6}"
         if not args.skip_xi:
             char = xi_all(n)["A"].character
             norm = inner_product(char, char)

@@ -86,38 +86,38 @@ def _cmd_chartable(args) -> int:
     return 0
 
 
-def _xi_payload(result) -> dict:
+def _xi_payload(result, names: dict) -> dict:
     return {
         "route": result.route,
-        "character": {
-            str(c): v for c, v in zip(bipartitions(2 * result.n), result.character.values)
-        },
-        "decomposition": {str(bp): coeff for bp, coeff in result.decomposition.items()},
+        "character": dict(zip(names.values(), result.character.values)),
+        "decomposition": {names[bp]: coeff for bp, coeff in result.decomposition.items()},
     }
 
 
 def _cmd_xi(args) -> int:
     n = args.n
     route = args.route.upper()
+    # every class and irreducible of W_2n, formatted once
+    names = {c: str(c) for c in bipartitions(2 * n)}
     if route == "ALL":
         results = xi_all(n)
         agreement = {"agree": True, "routes_compared": ["A", "B", "C"]}
-        shown = {name: _xi_payload(r) for name, r in results.items()}
+        shown = {name: _xi_payload(r, names) for name, r in results.items()}
         base = results["A"]
     else:
         base = xi_fn(n, route)
         agreement = {"agree": True, "routes_compared": [route]}
-        shown = {route: _xi_payload(base)}
+        shown = {route: _xi_payload(base, names)}
     if args.json:
         _emit_json({"n": n, "routes": shown, "agreement": agreement})
         return 0
     print(f"xi_{n} on W_{2 * n}  (routes: {', '.join(agreement['routes_compared'])}, agree: yes)")
     print("character:")
-    for c, v in zip(bipartitions(2 * n), base.character.values):
-        print(f"  {str(c):<16} {v}")
+    for name, v in zip(names.values(), base.character.values):
+        print(f"  {name:<16} {v}")
     print("decomposition:")
     for bp, coeff in base.decomposition.items():
-        print(f"  {'+' if coeff > 0 else '-'} {bp}")
+        print(f"  {'+' if coeff > 0 else '-'} {names[bp]}")
     return 0
 
 

@@ -41,17 +41,6 @@ class Partition:
         """The i-th part (0-based), zero beyond the last row."""
         return self.parts[i] if 0 <= i < len(self.parts) else 0
 
-    def multiplicities(self) -> dict[int, int]:
-        return dict(Counter(self.parts))
-
-    def transpose(self) -> "Partition":
-        """Column lengths of the Young diagram; an involution."""
-        if not self.parts:
-            return Partition()
-        return Partition(
-            tuple(sum(1 for p in self.parts if p > j) for j in range(self.parts[0]))
-        )
-
     def contains(self, other: "Partition") -> bool:
         """Row-wise containment after zero padding."""
         if other.length > self.length:

@@ -199,14 +199,10 @@ def _kappa_nu_checks(checks: list[Check]) -> None:
 
 
 def _routes_agree(n: int) -> bool:
-    """Whether routes A, B and C give equal characters and equal
-    decompositions; xi_all itself raises on either mismatch."""
+    """Whether routes A, B and C give equal decompositions; xi_all itself
+    raises on a mismatch."""
     results = xi_all(n)
-    base = results["A"]
-    return all(
-        r.character == base.character and r.decomposition == base.decomposition
-        for r in results.values()
-    )
+    return all(r.decomposition == results["A"].decomposition for r in results.values())
 
 
 def _xi_checks(checks: list[Check]) -> None:

@@ -73,11 +73,6 @@ class Bipartition:
         return f"{self.alpha};{self.beta}"
 
     @classmethod
-    def parse(cls, text: str) -> "Bipartition":
-        a, _, b = text.partition(";")
-        return cls(Partition.parse(a), Partition.parse(b))
-
-    @classmethod
     def of(cls, alpha: tuple[int, ...], beta: tuple[int, ...] = ()) -> "Bipartition":
         return cls(Partition(alpha), Partition(beta))
 
@@ -167,10 +162,6 @@ class ClassFunction:
             return self.values[_class_index(self.n)[c.alpha.parts, c.beta.parts]]
         except KeyError:
             raise ValueError(f"{c} is not a class of W_{self.n}") from None
-
-    @property
-    def degree(self):
-        return self.at(Bipartition.of((1,) * self.n))
 
     def _check_degree(self, other: "ClassFunction") -> None:
         if self.n != other.n:

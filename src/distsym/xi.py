@@ -14,9 +14,10 @@ independent routes that must agree exactly:
   C. the sum of the virtual cells attached to the even-strip special
      symbols of rank 2n.
 
-No route builds an irreducible character or the character table.  Routes B
-and C form their character from their decomposition by the transposed
-Murnaghan-Nakayama rule (wchar.virtual_character).  Route A decomposes its
+A route yields its decomposition only.  Its character (XiResult.character)
+is that decomposition evaluated by the transposed Murnaghan-Nakayama rule
+(wchar.virtual_character) when it is first read, so no route builds an
+irreducible character or the character table.  Route A decomposes its
 induction products from the stated decompositions kappa_terms x nu_terms:
 inducing chi^(lam; -) (x) chi^(mu; nu) multiplies s_lam s_mu on the first
 coordinate and keeps nu.  Each kappa term is a two-row lam = (p, q), so by
@@ -25,18 +26,25 @@ sum of s over the horizontal k-strips added to mu, by Pieri's rule
 (I. G. Macdonald, Symmetric Functions and Hall Polynomials, 2nd ed.,
 ch. I, sections 3 and 5).  This keeps route A independent of route B's
 skew-pair description.  Route A then checks that its decomposition
-evaluates to its induction-product character.
+evaluates to its induction-product character at every class of W_{2n}.
+
+What is compared, and where:
+  - xi_all compares the three routes' decompositions;
+  - route A checks its character against the induction products, through
+    n = 10 (W_20: the CLI's xi bound and CI's rank_scan.py --max-n 10);
+  - scripts/rank_scan.py checks that routes B and C give the same
+    decomposition on every row, through n = 21 (W_42) in CI.
 
 The stated terms kappa_terms(r) and nu_terms(r) are certified by character
 (kappa_nu_decomposition_check) only through r = 6 in tests/test_xi.py and
-r = 2 in `distsym verify`.  Characters are compared only through W_20
-(n = 10, the CLI's xi bound and CI's rank_scan.py --max-n 10); past W_20
-the routes agree by decomposition only.
+r = 2 in `distsym verify`.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from math import factorial
 from typing import Iterable
 
@@ -54,8 +62,9 @@ from .wchar import (
 
 
 class RouteDisagreement(Exception):
-    """Two constructions of xi_n differ: their characters at a class, or
-    (with at="irreducible") their coefficients at an irreducible."""
+    """Two constructions of xi_n differ: route A's induction-product
+    character and its decomposition's character at a class, or (with
+    at="irreducible") two routes' coefficients at an irreducible."""
 
     def __init__(
         self, n: int, route_a: str, route_b: str, cls: Bipartition, va, vb, at: str = "class"
@@ -100,7 +109,7 @@ def _closed_form(r: int, block) -> ClassFunction:
     for c in bipartitions(2 * r):
         v = 1
         for parts, negative in ((c.alpha, False), (c.beta, True)):
-            for value, mult in parts.multiplicities().items():
+            for value, mult in Counter(parts.parts).items():
                 v *= block(value, mult, negative)
         values.append(v)
     return ClassFunction(2 * r, values)
@@ -163,9 +172,11 @@ def even_paired_pairs(n: int) -> list[tuple[Bipartition, int]]:
 
 @dataclass
 class XiResult:
+    """xi_n by one route: its signed decomposition into the irreducibles
+    of W_{2n}, nonzero coefficients only."""
+
     n: int
     route: str
-    character: ClassFunction
     decomposition: dict[Bipartition, int]
 
     def __post_init__(self) -> None:
@@ -174,15 +185,10 @@ class XiResult:
                 raise CoefficientViolation(self.n, self.route, bp, coeff)
         self.decomposition = {bp: c for bp, c in self.decomposition.items() if c}
 
-
-def _require_equal_characters(
-    n: int, name_a: str, f: ClassFunction, name_b: str, g: ClassFunction
-) -> None:
-    """Raise RouteDisagreement at the first class where f and g differ."""
-    if f.values != g.values:
-        i = next(i for i, (x, y) in enumerate(zip(f.values, g.values)) if x != y)
-        cls = bipartitions(2 * n)[i]
-        raise RouteDisagreement(n, name_a, name_b, cls, f.values[i], g.values[i])
+    @cached_property
+    def character(self) -> ClassFunction:
+        """The decomposition evaluated at every class of W_{2n}, on first read."""
+        return virtual_character(2 * self.n, self.decomposition)
 
 
 def _route_a_decomposition(n: int) -> dict[Bipartition, int]:
@@ -211,20 +217,19 @@ def _xi_route_a(n: int) -> XiResult:
     char = ClassFunction.zero(2 * n)
     for r in range(n + 1):
         char = char + induction_product(kappa(r), nu(n - r))
-    result = XiResult(n, "A", char, _route_a_decomposition(n))
-    _require_equal_characters(
-        n, "A", char, "A decomposition", virtual_character(2 * n, result.decomposition)
-    )
+    result = XiResult(n, "A", _route_a_decomposition(n))
+    for c, x, y in zip(bipartitions(2 * n), char.values, result.character.values):
+        if x != y:
+            raise RouteDisagreement(n, "A", "A decomposition", c, x, y)
     return result
 
 
 def _signed_sum(n: int, route: str, terms: Iterable[tuple[Bipartition, int]]) -> XiResult:
-    """Add signed irreducibles into a decomposition, in insertion order,
-    and evaluate it to the character."""
+    """Add signed irreducibles into a decomposition, in insertion order."""
     decomp: dict[Bipartition, int] = {}
     for bp, sign in terms:
         decomp[bp] = decomp.get(bp, 0) + sign
-    return XiResult(n, route, virtual_character(2 * n, decomp), decomp)
+    return XiResult(n, route, decomp)
 
 
 def _xi_route_b(n: int) -> XiResult:
@@ -255,20 +260,16 @@ def xi(n: int, route: str = "A") -> XiResult:
 
 
 def xi_all(n: int) -> dict[str, XiResult]:
-    """All three routes; any disagreement is a hard error naming the first
-    differing class, or the first differing irreducible when the
-    characters agree and the decompositions do not, with no preference
-    among routes."""
+    """All three routes; a disagreement between their decompositions is a
+    hard error naming the first differing irreducible, with no preference
+    among routes.  Characters are not compared: a route's character is a
+    function of its decomposition."""
     results = {name: xi(n, name) for name in ("A", "B", "C")}
-    base = results["A"]
+    base = results["A"].decomposition
     for name in ("B", "C"):
-        other = results[name]
-        _require_equal_characters(n, "A", base.character, name, other.character)
-        if other.decomposition != base.decomposition:
-            bp = next(
-                bp for bp in bipartitions(2 * n)
-                if base.decomposition.get(bp, 0) != other.decomposition.get(bp, 0)
-            )
-            raise RouteDisagreement(n, "A", name, bp, base.decomposition.get(bp, 0),
-                                    other.decomposition.get(bp, 0), at="irreducible")
+        other = results[name].decomposition
+        if other != base:
+            bp = next(bp for bp in bipartitions(2 * n) if base.get(bp, 0) != other.get(bp, 0))
+            raise RouteDisagreement(n, "A", name, bp, base.get(bp, 0), other.get(bp, 0),
+                                    at="irreducible")
     return results

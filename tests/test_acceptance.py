@@ -27,6 +27,7 @@ from distsym.wchar import (
 )
 from distsym.xi import kappa, nu, xi, xi_all
 from test_partitions import compositions, horizontal_strip_shape
+from test_wchar import degree
 
 W2_CLASSES = [
     Bipartition.of((1, 1)),
@@ -106,7 +107,7 @@ def test_criterion_06_character_table_orthonormality():
     for n in range(1, 7):
         bps = bipartitions(n)
         chars = [w_irreducible(bp) for bp in bps]
-        total = sum(ch.degree ** 2 for ch in chars)
+        total = sum(degree(ch) ** 2 for ch in chars)
         ok = ok and total == group_order(n)
         for i, a in enumerate(chars):
             for j in range(i, len(chars)):

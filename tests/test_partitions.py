@@ -24,6 +24,11 @@ partitions_st = st.lists(st.integers(1, 6), max_size=5).map(
 )
 
 
+def transpose(p: Partition) -> Partition:
+    """Column lengths of the Young diagram of p; an involution."""
+    return Partition(tuple(sum(1 for x in p.parts if x > j) for j in range(p.part(0))))
+
+
 def compositions(total: int):
     """All tuples of positive integers with the given sum."""
     if total == 0:
@@ -87,16 +92,19 @@ class TestPartition:
         [((3, 1), (2, 1, 1)), ((), ()), ((1, 1, 1), (3,))],
     )
     def test_transpose_examples(self, parts, expected):
-        assert Partition(parts).transpose() == Partition(expected)
+        assert transpose(Partition(parts)) == Partition(expected)
 
     @given(partitions_st)
     def test_transpose_involution(self, p):
-        assert p.transpose().transpose() == p
+        assert transpose(transpose(p)) == p
 
     def test_transpose_involution_exhaustive(self):
         for n in range(13):
             for p in partitions(n):
-                assert p.transpose().transpose() == p
+                assert transpose(transpose(p)) == p
+                # the column lengths SkewShape counts are the transpose's parts
+                counts = SkewShape(p).column_counts()
+                assert tuple(counts[j] for j in range(1, p.part(0) + 1)) == transpose(p).parts
 
     def test_canonical_order(self):
         assert [p.parts for p in partitions(4)] == [

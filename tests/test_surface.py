@@ -3,9 +3,12 @@
 A public top-level name of a module in src/distsym counts as used when a
 Name or Attribute node in src/distsym (other than __init__.py), scripts/
 or perfbench/ refers to it, or a string constant in perfbench/ names it
-(the tracer resolves the functions it wraps by name).  Re-exports in
-__init__.py do not count, and neither do the tests: a helper only tests
-need belongs in the test that uses it.
+(the tracer resolves the functions it wraps by name).  A public method or
+property of a class in the package counts as used when those sources read
+it on the class itself (Class.name), or read an attribute of that name on
+anything else (an instance, whose class the syntax does not tell).
+Re-exports in __init__.py do not count, and neither do the tests: a
+helper only tests need belongs in the test that uses it.
 """
 
 import ast
@@ -48,11 +51,31 @@ def public_names() -> set[str]:
     return out
 
 
-def used_names() -> set[str]:
-    """Names referred to by the package, the scripts and the benchmark."""
+def public_methods() -> set[str]:
+    """Every public method and property of the package's classes, as
+    module.Class.name."""
+    out = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef):
+                out.update(
+                    f"{path.stem}.{node.name}.{f.name}"
+                    for f in node.body
+                    if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")
+                )
+    return out
+
+
+def _sources() -> tuple[list[Path], list[Path]]:
+    """The package (without __init__.py) and the scripts; the benchmark."""
     sources = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
     sources += list((ROOT / "scripts").glob("*.py"))
-    bench = list((ROOT / "perfbench").glob("*.py"))
+    return sources, list((ROOT / "perfbench").glob("*.py"))
+
+
+def used_names() -> set[str]:
+    """Names referred to by the package, the scripts and the benchmark."""
+    sources, bench = _sources()
     used = set()
     for tree in _trees(sources + bench):
         for node in ast.walk(tree):
@@ -67,12 +90,42 @@ def used_names() -> set[str]:
     return used
 
 
+def used_methods(classes: set[str]) -> set[str]:
+    """Class.name for every attribute read on a package class by name, and
+    *.name for every attribute read on anything else; string constants in
+    the benchmark count as the latter."""
+    sources, bench = _sources()
+    used = set()
+    for tree in _trees(sources + bench):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                owner = node.value.id if isinstance(node.value, ast.Name) else None
+                used.add(f"{owner if owner in classes else '*'}.{node.attr}")
+    for tree in _trees(bench):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used.add(f"*.{node.value}")
+    return used
+
+
+def unused_public() -> set[str]:
+    """Public names, methods and properties that nothing but the tests uses."""
+    names = used_names()
+    unused = {name for name in public_names() if name.split(".")[1] not in names}
+    methods = public_methods()
+    reads = used_methods({name.split(".")[1] for name in methods})
+    for name in methods:
+        _, cls, attr = name.split(".")
+        if f"{cls}.{attr}" not in reads and f"*.{attr}" not in reads:
+            unused.add(name)
+    return unused
+
+
 def test_every_unused_public_name_is_allowed():
-    used = used_names()
-    unused = {name for name in public_names() if name.split(".")[1] not in used}
+    unused = unused_public()
     assert sorted(unused - set(ALLOWED_UNUSED)) == []
     assert sorted(set(ALLOWED_UNUSED) - unused) == []
 
 
 def test_allowed_names_exist():
-    assert set(ALLOWED_UNUSED) <= public_names()
+    assert set(ALLOWED_UNUSED) <= public_names() | public_methods()

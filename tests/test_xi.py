@@ -209,6 +209,18 @@ class TestTableFree:
             char = results["A"].character
             assert inner_product(char, char) == len(results["A"].decomposition)
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_routes_b_and_c_decompose_without_evaluating(self, monkeypatch, n):
+        def refuse(*args):
+            raise AssertionError("a character was evaluated")
+
+        for module in (wchar, xi_mod):
+            monkeypatch.setattr(module, "virtual_character", refuse)
+        b, c = xi(n, "B"), xi(n, "C")
+        assert b.decomposition == c.decomposition
+        with pytest.raises(AssertionError, match="evaluated"):
+            b.character
+
     def test_decomposition_disagreement_names_the_irreducible(self, monkeypatch):
         real = xi_mod._ROUTES["C"]
         first = Bipartition.of((4,))
