@@ -134,13 +134,15 @@ def is_admissible(z: SpecialSymbol, arrangement: Arrangement) -> bool:
 def swap_pairs(z: SpecialSymbol, pairs: tuple[tuple[int, int], ...]) -> Symbol:
     """Row-swap the two members of each given pair of singles; everything
     else, including the isolated single, keeps its row.  A pair member
-    that is not a single of Z, or a single named twice (within one pair or
-    across two), is rejected."""
+    that is not a single of Z, an entry that does not have two members, or
+    a single named twice (within one pair or across two), is rejected."""
     singles = set(z.singles())
     top = set(z.top)
     bottom = set(z.bottom)
     seen = set()
     for pair in pairs:
+        if len(pair) != 2:
+            raise ValueError(f"{pair} does not have two members")
         for x in pair:
             if x not in singles:
                 raise ValueError(f"{x} is not a single of {z}")

@@ -29,7 +29,7 @@ from .xi import xi as xi_fn
 # chartable 12 prints the 1165 x 1165 table of W_12: about 8-9 s, 420 MiB
 # and 34 MB of JSON.
 CHARTABLE_MAX_N = 12
-# xi 10 evaluates xi on W_20: about 7.5 s and 130 MiB (xi 8: 1.3 s).
+# xi 10 evaluates xi on W_20: about 3-4 s and 110 MiB (xi 8: 1.0 s).
 XI_MAX_N = 10
 # cells --rank 42 reaches n = 21, the largest unipotent cuspidal case the
 # symbol side checks: about 5-6.5 s and 155 MiB (rank 30: 0.7-0.9 s).

@@ -215,6 +215,8 @@ def is_cuspidal(sym: Symbol) -> bool:
 
 def cuspidal_symbol(d: int) -> Symbol:
     """The symbol (0, 1, ..., 2d | -) of rank d*d + d and defect 2d + 1."""
+    if d < 0:
+        raise ValueError("d must be non-negative")
     return Symbol(tuple(range(2 * d + 1)), ())
 
 

@@ -189,10 +189,6 @@ class ClassFunction:
         nonzero = {str(c): v for c, v in zip(bipartitions(self.n), self.values) if v}
         return f"ClassFunction(n={self.n}, {nonzero})"
 
-    @classmethod
-    def zero(cls, n: int) -> "ClassFunction":
-        return cls(n, (0,) * len(_class_index(n)))
-
 
 def quadratic_character_value(c: Bipartition) -> int:
     """Value on (gamma; delta) of the sign-flip character: each negative

@@ -17,21 +17,41 @@ independent routes that must agree exactly:
 A route yields its decomposition only.  Its character (XiResult.character)
 is that decomposition evaluated by the transposed Murnaghan-Nakayama rule
 (wchar.virtual_character) when it is first read, so no route builds an
-irreducible character or the character table.  Route A decomposes its
-induction products from the stated decompositions kappa_terms x nu_terms:
-inducing chi^(lam; -) (x) chi^(mu; nu) multiplies s_lam s_mu on the first
-coordinate and keeps nu.  Each kappa term is a two-row lam = (p, q), so by
-Jacobi-Trudi s_(p,q) = h_p h_q - h_(p+1) h_(q-1), and each h_k s_mu is the
-sum of s over the horizontal k-strips added to mu, by Pieri's rule
-(I. G. Macdonald, Symmetric Functions and Hall Polynomials, 2nd ed.,
-ch. I, sections 3 and 5).  This keeps route A independent of route B's
-skew-pair description.  Route A then checks that its decomposition
-evaluates to its induction-product character at every class of W_{2n}.
+irreducible character or the character table.
+
+Route A's induction-product sum has a closed form of the same kind as
+kappa and nu, so no induction product is computed.  The induced value
+of kappa_r (x) nu_{n-r} at a class c of W_{2n} is the sum, over the splits
+of c's cycles into a piece of size 2r and the rest, of the split's weight
+times kappa_r on the piece and nu_{n-r} on the rest.  A split takes k of
+the m cycles of each block (cycles of one length and one sign), and its
+weight is the product of C(m, k) over the blocks (wchar._splits).  kappa
+and nu are multiplicative over blocks, so each term is a product over
+blocks of C(m, k) kappa(v, k) nu(v, m - k), an empty piece giving 1.  The
+splits whose kappa piece has odd size are left out of the sum over r;
+such a piece holds an odd part, where kappa is 0, so the sum over r is
+the sum over every split of c, and it factors over the blocks:
+
+  xi_n(c) = prod over blocks of sum_k C(m, k) kappa(v, k) nu(v, m - k),
+
+one pass of _closed_form with _xi_block.  tests/test_xi.py certifies it
+against wchar.induction_product through n = 8.
+
+Route A decomposes its induction products from the stated decompositions
+kappa_terms x nu_terms: inducing chi^(lam; -) (x) chi^(mu; nu) multiplies
+s_lam s_mu on the first coordinate and keeps nu.  Each kappa term is a
+two-row lam = (p, q), so by Jacobi-Trudi s_(p,q) = h_p h_q - h_(p+1)
+h_(q-1), and each h_k s_mu is the sum of s over the horizontal k-strips
+added to mu, by Pieri's rule (I. G. Macdonald, Symmetric Functions and
+Hall Polynomials, 2nd ed., ch. I, sections 3 and 5).  This keeps route A
+independent of route B's skew-pair description.  Route A then checks that
+its decomposition evaluates to its closed-form character at every class
+of W_{2n}.
 
 What is compared, and where:
   - xi_all compares the three routes' decompositions;
-  - route A checks its character against the induction products, through
-    n = 10 (W_20: the CLI's xi bound and CI's rank_scan.py --max-n 10);
+  - route A checks its decomposition's character against its closed form,
+    through n = 10 (W_20: the CLI's xi bound and CI's rank_scan.py --max-n 10);
   - scripts/rank_scan.py checks that routes B and C give the same
     decomposition on every row, through n = 21 (W_42) in CI.
 
@@ -45,7 +65,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from math import factorial
+from math import comb, factorial
 from typing import Iterable
 
 from .cells import even_strip_specials, make_cell
@@ -56,14 +76,13 @@ from .wchar import (
     ClassFunction,
     _class_index,
     bipartitions,
-    induction_product,
     virtual_character,
 )
 
 
 class RouteDisagreement(Exception):
-    """Two constructions of xi_n differ: route A's induction-product
-    character and its decomposition's character at a class, or (with
+    """Two constructions of xi_n differ: route A's closed-form character
+    and its decomposition's character at a class, or (with
     at="irreducible") two routes' coefficients at an irreducible."""
 
     def __init__(
@@ -89,7 +108,7 @@ class CoefficientViolation(Exception):
 
 
 def _kappa_block(value: int, mult: int, negative: bool) -> int:
-    return 0 if value % 2 else 2**mult
+    return 0 if value % 2 and mult else 2**mult
 
 
 def _nu_block(value: int, mult: int, negative: bool) -> int:
@@ -97,6 +116,16 @@ def _nu_block(value: int, mult: int, negative: bool) -> int:
         return 0
     base = -value if negative else value
     return base ** (mult // 2) * factorial(mult) // factorial(mult // 2)
+
+
+def _xi_block(value: int, mult: int, negative: bool) -> int:
+    """A block's factor of route A's character (see the module docstring):
+    the sum over k of C(mult, k) times the kappa value of k of its cycles
+    and the nu value of the other mult - k."""
+    return sum(
+        comb(mult, k) * _kappa_block(value, k, negative) * _nu_block(value, mult - k, negative)
+        for k in range(mult + 1)
+    )
 
 
 def _closed_form(r: int, block) -> ClassFunction:
@@ -162,6 +191,8 @@ def even_paired_pairs(n: int) -> list[tuple[Bipartition, int]]:
     skew difference an even-paired shape, with the sign (-1)**(|v|/2):
     beta by decreasing size, in partitions order within a size, and for
     each beta the alphas that even_paired_extensions generates directly."""
+    if n < 0:
+        raise ValueError("n must be non-negative")
     return [
         (Bipartition(Partition(alpha), beta), sign)
         for bsize in range(n, -1, -1)
@@ -214,9 +245,7 @@ def _route_a_decomposition(n: int) -> dict[Bipartition, int]:
 
 
 def _xi_route_a(n: int) -> XiResult:
-    char = ClassFunction.zero(2 * n)
-    for r in range(n + 1):
-        char = char + induction_product(kappa(r), nu(n - r))
+    char = _closed_form(n, _xi_block)
     result = XiResult(n, "A", _route_a_decomposition(n))
     for c, x, y in zip(bipartitions(2 * n), char.values, result.character.values):
         if x != y:

@@ -177,6 +177,12 @@ class TestSwap:
         with pytest.raises(ValueError, match=re.escape("0 appears twice in the pairs ((0, 0),)")):
             swap_pairs(Z4, ((0, 0),))
 
+    @pytest.mark.parametrize("pair", [(0,), (0, 1, 2), ()])
+    def test_swap_rejects_entry_without_two_members(self, pair):
+        # swapping the lone 0 of (0,) would return 0,1|2
+        with pytest.raises(ValueError, match=re.escape(f"{pair} does not have two members")):
+            swap_pairs(Z4, (pair,))
+
     def test_swap_rejects_single_in_two_pairs(self):
         # swapping 1 twice would return 0,1,2,3|4
         with pytest.raises(ValueError, match=re.escape("1 appears twice in the pairs ((0, 1), (1, 2))")):

@@ -25,6 +25,9 @@ ALLOWED_UNUSED = {
     "induced-construction cross-check of the B_n table",
     "partitions.is_even_paired_shape": "the definition route B's generator is "
     "cross-checked against",
+    "wchar.induction_product": "the generic induction that the induced-construction "
+    "test of the B_n table and the certificate of route A's block closed form "
+    "compare against",
     "symbols.reduce_symbol": "the normaliser that Symbol's error message points users to",
 }
 

@@ -195,6 +195,11 @@ class TestCuspidal:
         with pytest.raises(ValueError):
             is_cuspidal(Symbol.parse("3|3"))
 
+    def test_negative_d_rejected(self):
+        # d = -1 gave the empty symbol, of defect 0
+        with pytest.raises(ValueError, match="d must be non-negative"):
+            cuspidal_symbol(-1)
+
 
 class TestOddDefectEnumeration:
     def test_rank2_reference_list(self):

@@ -11,6 +11,7 @@ from distsym.wchar import (
     ClassFunction,
     bipartitions,
     decompose,
+    induction_product,
     inner_product,
 )
 from distsym.xi import (
@@ -123,7 +124,7 @@ class TestXi:
             xi(0, "A")
         with pytest.raises(ValueError):
             xi(1, "D")
-        for build in (kappa, nu, kappa_terms, nu_terms):
+        for build in (kappa, nu, kappa_terms, nu_terms, even_paired_pairs):
             with pytest.raises(ValueError, match="must be non-negative"):
                 build(-1)
 
@@ -190,6 +191,25 @@ class TestXi:
         assert exc.value.payload == {
             "n": 1, "route": "A", "irreducible": "2;-", "coefficient": "1/2"
         }
+
+
+class TestRouteAClosedForm:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_character_is_the_sum_of_induction_products(self, n):
+        # certifies the block closed form against the generic induction
+        want = induction_product(kappa(0), nu(n))
+        for r in range(1, n + 1):
+            want = want + induction_product(kappa(r), nu(n - r))
+        assert xi(n, "A").character == want
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_builds_without_kappa_nu_or_induction(self, monkeypatch, n):
+        def refuse(*args):
+            raise AssertionError("route A called kappa, nu or induction_product")
+
+        for name in ("kappa", "nu", "induction_product"):
+            monkeypatch.setattr(xi_mod, name, refuse, raising=False)
+        assert xi(n, "A").decomposition == dict(even_paired_pairs(n))
 
 
 class TestTableFree:
