@@ -1,28 +1,32 @@
 #!/usr/bin/env python3
 """Scan the distinguished-symbol pipeline over a range of ranks.
 
-For each n up to the bound (default 4): the size of the even-strip
-special-symbol set, the distinguished count sum(2^d), whether the
-cuspidal symbol shows up (asserting that exactly one cell carries it), the
-coefficient of x^n in
-prod_k (1-x^k)^-1 * prod_{k odd} (1-x^k)^-2, which must equal the count
-(an observation, checked here, not a theorem), the number of route B's
-signed skew pairs even_paired_pairs(n), whose bipartitions must be
-distinct (so route B's pairing <xi, xi> is that number) and must equal
-the count, whether route B's decomposition of xi_n, read off those
-pairs, equals route C's (no character is evaluated for it), and, as a
-cross-check, the virtual module xi_n by all three routes (xi_all raises
-unless their decompositions agree, and route A checks its character on
-W_2n) with its self inner product, which must equal the count; with
-wall-clock timings."""
+For each n up to the bound (default 4, at least 1): the size of the
+even-strip special-symbol set, the distinguished count sum(2^d), whether
+the cuspidal symbol shows up (asserting that exactly one cell carries it),
+the coefficient of x^n in prod_k (1-x^k)^-1 * prod_{k odd} (1-x^k)^-2,
+which must equal the count, and the number of route B's signed skew
+pairs even_paired_pairs(n), whose bipartitions must be distinct (so route
+B's pairing <xi, xi> is that number) and must equal the count.  On the W
+side the product formula is a theorem: it is the pairing <xi_n, xi_n>
+for every n (see the distsym.xi module docstring); that the count equals
+the pairing is what the scan checks.
+
+Every row then checks that the three routes give one decomposition of
+xi_n: route B's, read off the row's pairs, route A's and route C's; this
+evaluates no character.  Rows with n <= cli.XI_MAX_N also check
+route A's decomposition against its closed form at every class of W_2n
+(check_route_a) and print the self inner product of xi_n, which must
+equal the count; with wall-clock timings."""
 
 import argparse
 import time
 
 from distsym.cells import distinguished, even_strip_specials
+from distsym.cli import XI_MAX_N
 from distsym.symbols import cuspidal_symbol
 from distsym.wchar import inner_product
-from distsym.xi import even_paired_pairs, xi, xi_all
+from distsym.xi import check_route_a, even_paired_pairs, xi
 
 
 def product_formula(max_n: int) -> list[int]:
@@ -36,21 +40,21 @@ def product_formula(max_n: int) -> list[int]:
     return coeffs
 
 
+def positive(text: str) -> int:
+    """An argparse type: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def main() -> None:
     parser = argparse.ArgumentParser()
-    parser.add_argument("--max-n", type=int, default=4)
-    parser.add_argument(
-        "--skip-xi",
-        action="store_true",
-        help="skip the xi cross-check on W_2n: the three routes agree and <xi, xi> = count",
-    )
+    parser.add_argument("--max-n", type=positive, default=4)
     args = parser.parse_args()
 
     header = f"{'n':>3} {'rank':>5} {'|S|':>5} {'count':>6} {'formula':>8} {'cuspidal':>9}"
-    header += f" {'B pairs':>8} {'B = C':>6}"
-    if not args.skip_xi:
-        header += f" {'<xi,xi>':>8}"
-    header += f" {'seconds':>8}"
+    header += f" {'B pairs':>8} {'A = B = C':>10} {'<xi,xi>':>8} {'seconds':>8}"
     print(header)
     formula = product_formula(args.max_n)
     for n in range(1, args.max_n + 1):
@@ -73,15 +77,19 @@ def main() -> None:
             raise SystemExit(f"n = {n}: {len(pairs)} even-paired pairs != count {report.count}")
         row += f" {len(pairs):>8}"
         # the pairs are distinct, so dict(pairs) is route B's decomposition
-        if dict(pairs) != xi(n, "C").decomposition:
-            raise SystemExit(f"n = {n}: routes B and C give different decompositions")
-        row += f" {'yes':>6}"
-        if not args.skip_xi:
-            char = xi_all(n)["A"].character
-            norm = inner_product(char, char)
+        route_a = xi(n, "A")
+        for name, decomp in (("A", route_a.decomposition), ("C", xi(n, "C").decomposition)):
+            if decomp != dict(pairs):
+                raise SystemExit(f"n = {n}: routes B and {name} give different decompositions")
+        row += f" {'yes':>10}"
+        if n <= XI_MAX_N:
+            check_route_a(route_a)
+            norm = inner_product(route_a.character, route_a.character)
             if norm != report.count:
                 raise SystemExit(f"n = {n}: <xi, xi> = {norm} != count {report.count}")
             row += f" {norm:>8}"
+        else:
+            row += f" {'-':>8}"
         row += f" {time.monotonic() - start:>8.2f}"
         print(row)
 

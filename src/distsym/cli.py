@@ -21,7 +21,7 @@ from . import cells as cells_mod
 from . import oracle as oracle_mod
 from .verify import MODEL_VIOLATIONS, run_verification
 from .wchar import bipartitions, character_table
-from .xi import xi_all
+from .xi import check_route_a, xi_all
 from .xi import xi as xi_fn
 
 # Each bound is the largest size whose cold `python -m distsym.cli ... --json`
@@ -29,7 +29,9 @@ from .xi import xi as xi_fn
 # chartable 12 prints the 1165 x 1165 table of W_12: about 8-9 s, 420 MiB
 # and 34 MB of JSON.
 CHARTABLE_MAX_N = 12
-# xi 10 evaluates xi on W_20: about 3-4 s and 110 MiB (xi 8: 1.0 s).
+# xi 10 evaluates xi, and checks route A's closed form, on W_20: about
+# 3.4-4.7 s and 110 MiB (xi 8: 0.8 s).  The decompositions alone reach n = 21
+# (scripts/rank_scan.py), but the printed character needs every class.
 XI_MAX_N = 10
 # cells --rank 42 reaches n = 21, the largest unipotent cuspidal case the
 # symbol side checks: about 5-6.5 s and 155 MiB (rank 30: 0.7-0.9 s).
@@ -108,6 +110,9 @@ def _cmd_xi(args) -> int:
         base = xi_fn(n, route)
         agreement = {"agree": True, "routes_compared": [route]}
         shown = {route: _xi_payload(base, names)}
+    if route in ("A", "ALL"):
+        # the character printed for route A is the one this check certifies
+        check_route_a(base)
     if args.json:
         _emit_json({"n": n, "routes": shown, "agreement": agreement})
         return 0

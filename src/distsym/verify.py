@@ -15,6 +15,7 @@ from . import cells, oracle
 from .xi import (
     CoefficientViolation,
     RouteDisagreement,
+    check_route_a,
     kappa,
     kappa_nu_decomposition_check,
     nu,
@@ -200,8 +201,10 @@ def _kappa_nu_checks(checks: list[Check]) -> None:
 
 def _routes_agree(n: int) -> bool:
     """Whether routes A, B and C give equal decompositions; xi_all itself
-    raises on a mismatch."""
+    raises on a mismatch, and check_route_a when route A's decomposition
+    does not evaluate to its closed form."""
     results = xi_all(n)
+    check_route_a(results["A"])
     return all(r.decomposition == results["A"].decomposition for r in results.values())
 
 

@@ -44,46 +44,74 @@ two-row lam = (p, q), so by Jacobi-Trudi s_(p,q) = h_p h_q - h_(p+1)
 h_(q-1), and each h_k s_mu is the sum of s over the horizontal k-strips
 added to mu, by Pieri's rule (I. G. Macdonald, Symmetric Functions and
 Hall Polynomials, 2nd ed., ch. I, sections 3 and 5).  This keeps route A
-independent of route B's skew-pair description.  Route A then checks that
-its decomposition evaluates to its closed-form character at every class
-of W_{2n}.
+independent of route B's skew-pair description.  The terms are summed on
+raw part tuples and sorted into bipartitions(2n) order, so route A needs
+no class of W_{2n} and runs at every n, like routes B and C.
+
+The W side as a theorem.  The Frobenius characteristic ch of W_n = Z_2
+wr S_n (Macdonald, ch. I, Appendix B) sends chi^(alpha; beta) to
+s_alpha(x) s_beta(y), a positive k-cycle to p_k(x) + p_k(y) and a negative
+one to p_k(x) - p_k(y); it multiplies under induction and is an isometry
+for the Hall form, whose power-sum norms are the centralizer orders z_c.
+Summed over all sizes:
+
+  - sum_r ch(kappa_r) = exp(sum_k p_2k(x)/k) = H(x^2) = sum_r h_r[p_2], and
+    H(t) H(-t) = H(t^2) with Jacobi-Trudi gives h_r[p_2] = sum_i (-1)^i
+    s_(2r-i, i) (Macdonald I.8), so kappa_terms holds for every r;
+  - sum_m ch(nu_m) = exp(sum_k p_k(x) p_k(y)/k) = Omega(x, y) = sum_alpha
+    s_alpha(x) s_alpha(y), the Cauchy identity (I.4), so nu_terms holds for
+    every m;
+  - so ch(sum_n xi_n) = H(x^2) Omega(x, y).  The block closed form is its
+    power-sum expansion and route A's decomposition its Schur expansion,
+    so the two agree at every n.
+
+With p_m^+- = p_m(x) +- p_m(y), log ch(sum_n xi_n) is sum_k (p_2k^+ +
+p_2k^-)/(2k) + sum_m ((p_m^+)^2 - (p_m^-)^2)/(4m), one term per mode p_m^+-,
+and <(p_m^+-)^a, (p_m^+-)^a> = a! (2m)^a.  The Hall norm is a product over
+the modes, so, with t marking n, it can be taken mode by mode: for odd m
+the two modes p_m^+- together give (1 - t^m)^-1, and the two modes p_2k^+-
+give (1 - t^2k)^-1 exp(2 t^k / (k (1 - t^2k))).  The product of those
+exponentials is prod_(k odd) (1 - t^k)^-2, so
+
+  sum_n <xi_n, xi_n> t^n = prod_k (1 - t^k)^-1 prod_(k odd) (1 - t^k)^-2
+
+for every n.  tests/test_xi.py checks the blocks against these exponentials
+and sums the mode series exactly through n = 21.
 
 What is compared, and where:
-  - xi_all compares the three routes' decompositions;
-  - route A checks its decomposition's character against its closed form,
-    through n = 10 (W_20: the CLI's xi bound and CI's rank_scan.py --max-n 10);
-  - scripts/rank_scan.py checks that routes B and C give the same
-    decomposition on every row, through n = 21 (W_42) in CI.
+  - xi_all compares the three routes' decompositions, at every n;
+  - check_route_a compares route A's decomposition's character with its
+    closed form at every class of W_{2n}.  It runs where that character
+    is evaluated anyway: the CLI's xi command when it shows route A
+    (through its bound n = 10), verify's route-agreement row (n = 1..3)
+    and scripts/rank_scan.py (its rows through n = 10);
+  - scripts/rank_scan.py checks A = B = C by decomposition on every row,
+    through n = 21 (W_42) in CI.
 
-The stated terms kappa_terms(r) and nu_terms(r) are certified by character
-(kappa_nu_decomposition_check) only through r = 6 in tests/test_xi.py and
-r = 2 in `distsym verify`.
+The stated terms kappa_terms(r) and nu_terms(r) are also checked by
+character (kappa_nu_decomposition_check) through r = 6 in tests/test_xi.py
+and r = 2 in `distsym verify`.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import comb, factorial
 from typing import Iterable
 
 from .cells import even_strip_specials, make_cell
 from .partitions import Partition, even_paired_extensions, horizontal_strips, partitions
 from .symbols import to_bipartition
-from .wchar import (
-    Bipartition,
-    ClassFunction,
-    _class_index,
-    bipartitions,
-    virtual_character,
-)
+from .wchar import Bipartition, ClassFunction, bipartitions, virtual_character
 
 
 class RouteDisagreement(Exception):
     """Two constructions of xi_n differ: route A's closed-form character
-    and its decomposition's character at a class, or (with
-    at="irreducible") two routes' coefficients at an irreducible."""
+    and its decomposition's character at a class (check_route_a), or (with
+    at="irreducible", from xi_all) two routes' coefficients at an
+    irreducible."""
 
     def __init__(
         self, n: int, route_a: str, route_b: str, cls: Bipartition, va, vb, at: str = "class"
@@ -118,6 +146,7 @@ def _nu_block(value: int, mult: int, negative: bool) -> int:
     return base ** (mult // 2) * factorial(mult) // factorial(mult // 2)
 
 
+@lru_cache(maxsize=None)
 def _xi_block(value: int, mult: int, negative: bool) -> int:
     """A block's factor of route A's character (see the module docstring):
     the sum over k of C(mult, k) times the kappa value of k of its cycles
@@ -162,7 +191,7 @@ def nu(r: int) -> ClassFunction:
 
 def kappa_terms(r: int) -> dict[Bipartition, int]:
     """Stated decomposition of kappa_r: alternating two-row partitions
-    (i, 2r - i) with empty second coordinate."""
+    (2r - i, i), with sign (-1)**i, and empty second coordinate."""
     if r < 0:
         raise ValueError("r must be non-negative")
     out = {}
@@ -222,35 +251,52 @@ class XiResult:
         return virtual_character(2 * self.n, self.decomposition)
 
 
+def _canonical_key(alpha: tuple[int, ...], beta: tuple[int, ...]):
+    """Sorted in reverse, (alpha parts, beta parts) fall in bipartitions order."""
+    return sum(alpha), alpha, beta
+
+
 def _route_a_decomposition(n: int) -> dict[Bipartition, int]:
     """The decomposition of sum_r kappa_r (x) nu_(n-r) by Jacobi-Trudi and
     Pieri on the stated terms, in canonical bipartitions(2n) order.
 
     Every kappa term is a two-row (p, q; -); a term of another shape would
-    be decomposed wrongly, and route A's evaluation check would fail."""
-    acc = [0] * len(bipartitions(2 * n))
-    index = _class_index(2 * n)
+    be decomposed wrongly, and check_route_a would fail."""
+    acc: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
     for r in range(n + 1):
         nu_items = nu_terms(n - r).items()
         for lam, c in kappa_terms(r).items():
             p, q = (lam.alpha.parts + (0, 0))[:2]
             for mu, d in nu_items:
+                beta = mu.beta.parts
                 for a, b, sign in ((p, q, c * d), (p + 1, q - 1, -c * d)):
                     if b < 0:
                         continue
                     for inner in horizontal_strips(mu.alpha.parts, b, 1):
                         for outer in horizontal_strips(inner, a, 1):
-                            acc[index[outer, mu.beta.parts]] += sign
-    return {bp: c for bp, c in zip(bipartitions(2 * n), acc) if c}
+                            acc[outer, beta] = acc.get((outer, beta), 0) + sign
+    terms = sorted((k for k, c in acc.items() if c), key=lambda k: _canonical_key(*k),
+                   reverse=True)
+    return {Bipartition.of(alpha, beta): acc[alpha, beta] for alpha, beta in terms}
 
 
 def _xi_route_a(n: int) -> XiResult:
+    return XiResult(n, "A", _route_a_decomposition(n))
+
+
+def check_route_a(result: XiResult) -> None:
+    """Raise RouteDisagreement at the first class of W_{2n} where route A's
+    decomposition, evaluated, differs from its block closed form.
+
+    The closed form and the decomposition are two expansions of one
+    symmetric function (see the module docstring), so this checks the
+    code, not the theorem; it needs every class of W_{2n}, so it runs
+    only where that character is evaluated anyway."""
+    n = result.n
     char = _closed_form(n, _xi_block)
-    result = XiResult(n, "A", _route_a_decomposition(n))
     for c, x, y in zip(bipartitions(2 * n), char.values, result.character.values):
         if x != y:
             raise RouteDisagreement(n, "A", "A decomposition", c, x, y)
-    return result
 
 
 def _signed_sum(n: int, route: str, terms: Iterable[tuple[Bipartition, int]]) -> XiResult:
@@ -290,15 +336,19 @@ def xi(n: int, route: str = "A") -> XiResult:
 
 def xi_all(n: int) -> dict[str, XiResult]:
     """All three routes; a disagreement between their decompositions is a
-    hard error naming the first differing irreducible, with no preference
-    among routes.  Characters are not compared: a route's character is a
-    function of its decomposition."""
+    hard error naming the first differing irreducible in bipartitions(2n)
+    order, with no preference among routes.  Characters are not compared: a
+    route's character is a function of its decomposition, and no class of
+    W_{2n} is needed, so this runs at every n."""
     results = {name: xi(n, name) for name in ("A", "B", "C")}
     base = results["A"].decomposition
     for name in ("B", "C"):
         other = results[name].decomposition
         if other != base:
-            bp = next(bp for bp in bipartitions(2 * n) if base.get(bp, 0) != other.get(bp, 0))
+            bp = max(
+                (bp for bp in base.keys() | other.keys() if base.get(bp, 0) != other.get(bp, 0)),
+                key=lambda bp: _canonical_key(bp.alpha.parts, bp.beta.parts),
+            )
             raise RouteDisagreement(n, "A", name, bp, base.get(bp, 0), other.get(bp, 0),
                                     at="irreducible")
     return results

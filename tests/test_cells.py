@@ -502,8 +502,10 @@ class TestDistinguished:
         assert reference_constituents(entry.cell).count(cusp) == 1
 
     def test_counts_match_product_formula(self):
-        # observed, not proved: the count at n is the coefficient of x**n in
-        # prod_k (1 - x**k)**-1 * prod_{k odd} (1 - x**k)**-2
+        # the coefficient of x**n in prod_k (1 - x**k)**-1 * prod_{k odd}
+        # (1 - x**k)**-2 is <xi_n, xi_n>, a theorem on the W side (the
+        # distsym.xi docstring); that the distinguished count equals it is
+        # what this checks
         top = 15
         coeffs = [1] + [0] * top
         for k in range(1, top + 1):

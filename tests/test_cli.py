@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import json
 import os
 import subprocess
@@ -10,7 +11,10 @@ import pytest
 from distsym import cli, cells, oracle, verify
 from distsym.cli import build_parser, main
 from distsym.wchar import Bipartition
-from distsym.xi import RouteDisagreement
+from distsym.xi import RouteDisagreement, xi
+
+# distsym.xi is the function; the module has to come from importlib
+xi_mod = importlib.import_module("distsym.xi")
 
 
 def run_cli(capsys, *argv):
@@ -61,6 +65,48 @@ class TestXiCommand:
         _, first, _ = run_cli(capsys, "xi", "2", "--json")
         _, second, _ = run_cli(capsys, "xi", "2", "--json")
         assert first == second
+
+    def test_route_a_decomposition_is_checked(self, capsys, monkeypatch):
+        real = xi_mod._route_a_decomposition
+        trivial = Bipartition.of((4,))
+        value = xi(2, "A").character.values[0]
+        monkeypatch.setattr(
+            xi_mod,
+            "_route_a_decomposition",
+            lambda n: {bp: c for bp, c in real(n).items() if bp != trivial},
+        )
+        code, out, err = run_cli(capsys, "xi", "2", "--route", "A")
+        assert code == 1 and out == ""
+        assert json.loads(err) == {
+            "error": "RouteDisagreement", "n": 2, "routes": ["A", "A decomposition"],
+            "class": "4;-", "values": [str(value), str(value - 1)],
+        }
+        # with every route, xi_all compares the decompositions first
+        code, out, err = run_cli(capsys, "xi", "2")
+        assert code == 1 and out == ""
+        assert json.loads(err) == {
+            "error": "RouteDisagreement", "n": 2, "routes": ["A", "B"],
+            "irreducible": "4;-", "values": ["0", "1"],
+        }
+
+    def test_route_a_closed_form_is_checked_with_every_route(self, capsys, monkeypatch):
+        value = xi(2, "A").character.values[0]
+        monkeypatch.setattr(xi_mod, "_xi_block", lambda value, mult, negative: 0)
+        code, out, err = run_cli(capsys, "xi", "2", "--json")
+        assert code == 1 and out == ""
+        assert json.loads(err) == {
+            "error": "RouteDisagreement", "n": 2, "routes": ["A", "A decomposition"],
+            "class": "4;-", "values": ["0", str(value)],
+        }
+
+    def test_routes_b_and_c_are_not_checked_on_w2n(self, capsys, monkeypatch):
+        def refuse(result):
+            raise AssertionError("route A's check ran")
+
+        monkeypatch.setattr(cli, "check_route_a", refuse)
+        for route in ("B", "C"):
+            code, _, _ = run_cli(capsys, "xi", "2", "--route", route)
+            assert code == 0
 
 
 class TestCellsCommands:
@@ -152,6 +198,23 @@ class TestVerifyCommand:
             }
         ]
         assert checks[-1]["name"] == "rank-6 cuspidal flag"  # later sections still ran
+
+    def test_route_agreement_row_checks_route_a_on_w2n(self, capsys, monkeypatch):
+        monkeypatch.setattr(xi_mod, "_xi_block", lambda value, mult, negative: 0)
+        code, out, err = run_cli(capsys, "verify", "--json")
+        assert code == 1 and err == ""
+        failed = [c for c in json.loads(out)["checks"] if c["status"] == "fail"]
+        assert failed == [
+            {
+                "name": "xi checks",
+                "status": "fail",
+                "detail": "xi(1): routes A and A decomposition differ at class 2;-: 0 != 2",
+                "payload": {
+                    "n": 1, "routes": ["A", "A decomposition"], "class": "2;-",
+                    "values": ["0", "2"],
+                },
+            }
+        ]
 
     def test_family_model_violation_is_a_fail_row(self, capsys, monkeypatch):
         z = cells.even_strip_specials(1)[0]

@@ -1,6 +1,10 @@
 import dataclasses
 import importlib
+import importlib.util
+import random
 from fractions import Fraction
+from math import factorial
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +21,7 @@ from distsym.wchar import (
 from distsym.xi import (
     CoefficientViolation,
     RouteDisagreement,
+    check_route_a,
     even_paired_pairs,
     kappa,
     kappa_nu_decomposition_check,
@@ -29,6 +34,12 @@ from distsym.xi import (
 
 # distsym.xi is the function; the module has to come from importlib
 xi_mod = importlib.import_module("distsym.xi")
+
+_spec = importlib.util.spec_from_file_location(
+    "rank_scan", Path(__file__).resolve().parent.parent / "scripts" / "rank_scan.py"
+)
+rank_scan = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(rank_scan)
 
 
 def trivial_character(n: int) -> ClassFunction:
@@ -200,6 +211,7 @@ class TestRouteAClosedForm:
         want = induction_product(kappa(0), nu(n))
         for r in range(1, n + 1):
             want = want + induction_product(kappa(r), nu(n - r))
+        assert xi_mod._closed_form(n, xi_mod._xi_block) == want
         assert xi(n, "A").character == want
 
     @pytest.mark.parametrize("n", range(1, 7))
@@ -267,8 +279,10 @@ class TestTableFree:
             "_route_a_decomposition",
             lambda n: {bp: c for bp, c in real(n).items() if bp != trivial},
         )
+        # building route A no longer checks it; check_route_a does
+        result = xi(2, "A")
         with pytest.raises(RouteDisagreement) as exc:
-            xi(2, "A")
+            check_route_a(result)
         # dropping the trivial character lowers the value at every class by 1
         assert exc.value.payload == {
             "n": 2,
@@ -276,3 +290,133 @@ class TestTableFree:
             "class": str(bipartitions(4)[0]),
             "values": [str(value), str(value - 1)],
         }
+
+
+class TestEveryN:
+    def test_xi_all_needs_no_class_of_w2n(self, monkeypatch):
+        def refuse_past_w20(real):
+            def listed(n):
+                if n > 20:
+                    raise AssertionError(f"the classes of W_{n} were listed")
+                return real(n)
+
+            return listed
+
+        for module, name in ((wchar, "bipartitions"), (wchar, "_class_index"),
+                             (xi_mod, "bipartitions")):
+            monkeypatch.setattr(module, name, refuse_past_w20(getattr(module, name)))
+        formula = rank_scan.product_formula(12)
+        for n in (11, 12):
+            decomp = xi_all(n)["A"].decomposition
+            assert decomp == dict(even_paired_pairs(n))
+            assert len(decomp) == formula[n]
+        with pytest.raises(AssertionError, match="W_22"):
+            check_route_a(xi(11, "A"))
+
+    @pytest.mark.parametrize("n", range(13))
+    def test_canonical_key_gives_bipartitions_order(self, n):
+        keys = [(bp.alpha.parts, bp.beta.parts) for bp in bipartitions(n)]
+        shuffled = keys[:]
+        random.Random(n).shuffle(shuffled)
+        assert sorted(shuffled, key=lambda k: xi_mod._canonical_key(*k), reverse=True) == keys
+
+    def test_disagreement_names_the_first_irreducible_in_bipartitions_order(self, monkeypatch):
+        # route B lists 2,1;2,1 first and 6;- last of these; bipartitions order
+        # puts 6;- first
+        real = xi_mod._ROUTES["B"]
+        dropped = {Bipartition.of((2, 1), (2, 1)), Bipartition.of((5,), (1,)),
+                   Bipartition.of((6,))}
+
+        def fewer_terms(n):
+            result = real(n)
+            kept = {bp: c for bp, c in result.decomposition.items() if bp not in dropped}
+            return dataclasses.replace(result, decomposition=kept)
+
+        monkeypatch.setitem(xi_mod._ROUTES, "B", fewer_terms)
+        with pytest.raises(RouteDisagreement) as exc:
+            xi_all(3)
+        assert exc.value.payload == {
+            "n": 3, "routes": ["A", "B"], "irreducible": "6;-", "values": ["1", "0"]
+        }
+
+
+def _exp_of_quadratic(alpha, beta, top):
+    """Coefficients of p**0..p**top in exp(alpha p + beta p**2)."""
+    out = [Fraction(1)]
+    for a in range(1, top + 1):
+        out.append((alpha * out[a - 1] + 2 * beta * (out[a - 2] if a > 1 else 0)) / a)
+    return out
+
+
+def _mode(m, negative, linear=True, quadratic=True):
+    """The linear and quadratic coefficients of the mode p_m^+ (or p_m^-)
+    in log ch: p_2k^+-/(2k) from kappa, +-(p_m^+-)**2/(4m) from nu."""
+    alpha = Fraction(1, m) if linear and m % 2 == 0 else Fraction(0)
+    beta = Fraction(-1 if negative else 1, 4 * m) if quadratic else Fraction(0)
+    return alpha, beta
+
+
+def _series_exp(f, top):
+    """exp of a power series f with f[0] = 0, through t**top."""
+    g = [Fraction(1)] + [Fraction(0)] * top
+    for n in range(1, top + 1):
+        g[n] = sum(k * f[k] * g[n - k] for k in range(1, n + 1)) / n
+    return g
+
+
+def _series_mul(f, g, top):
+    return [sum(f[i] * g[n - i] for i in range(n + 1)) for n in range(top + 1)]
+
+
+def _geometric(m, top):
+    """(1 - t**m)**-1 through t**top."""
+    return [Fraction(1 if n % m == 0 else 0) for n in range(top + 1)]
+
+
+class TestCharacteristicMap:
+    """The W-side theorem of distsym.xi's docstring, checked exactly: the
+    characteristic of the sum over all sizes is exp of one quadratic per
+    mode p_m^+-, and the Hall norm is a product over the modes."""
+
+    @pytest.mark.parametrize(
+        "block,linear,quadratic",
+        [("_kappa_block", True, False), ("_nu_block", False, True), ("_xi_block", True, True)],
+    )
+    def test_blocks_are_the_power_sum_coefficients(self, block, linear, quadratic):
+        # xi's value on a class is z_c times its coefficient in ch, and a
+        # block of mult cycles of length v contributes mult! (2v)**mult to z_c
+        fn = getattr(xi_mod, block)
+        for v in range(1, 9):
+            for negative in (False, True):
+                coeffs = _exp_of_quadratic(*_mode(v, negative, linear, quadratic), 10)
+                for mult in range(11):
+                    want = factorial(mult) * (2 * v) ** mult * coeffs[mult]
+                    assert fn(v, mult, negative) == want, (v, mult, negative)
+
+    def test_norm_taken_mode_by_mode_is_the_product_formula(self):
+        top = 21
+        total = [Fraction(1)] + [Fraction(0)] * top
+        for m in range(1, 2 * top + 1):
+            mode = [Fraction(1)] + [Fraction(0)] * top
+            for negative in (False, True):
+                # <p**a, p**a> = a! (2m)**a; t marks n and p_m has degree m in
+                # W_2n, so p_m**a sits at t**(m a / 2) (a is even when m is odd)
+                coeffs = _exp_of_quadratic(*_mode(m, negative), 2 * top // m)
+                norm = [Fraction(0)] * (top + 1)
+                for a, f in enumerate(coeffs):
+                    if f:
+                        norm[m * a // 2] += f * f * factorial(a) * (2 * m) ** a
+                mode = _series_mul(mode, norm, top)
+            if m % 2:
+                assert mode == _geometric(m, top), m
+            else:
+                k = m // 2
+                # 2 t**k / (k (1 - t**2k)) = sum over odd j of (2/k) t**(k j)
+                log = [Fraction(2, k) if n % k == 0 and (n // k) % 2 else Fraction(0)
+                       for n in range(top + 1)]
+                assert mode == _series_mul(_geometric(m, top), _series_exp(log, top), top), m
+            total = _series_mul(total, mode, top)
+        assert total == rank_scan.product_formula(top)
+        for n in range(1, 5):
+            char = xi(n, "A").character
+            assert inner_product(char, char) == total[n]
