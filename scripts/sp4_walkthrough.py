@@ -6,7 +6,7 @@ by all three routes, shows the two cells at rank 2, and ends with the
 distinguished symbol list for Sp_4."""
 
 from distsym.cells import distinguished, even_strip_specials, fourier_constituents, make_cell
-from distsym.wchar import bipartitions, character_table
+from distsym.wchar import Bipartition, bipartitions, character_table
 from distsym.xi import xi_all
 
 
@@ -24,7 +24,8 @@ def main() -> None:
         vals = [res.character.at(c) for c in classes]
         print(f"  route {name}: character {vals}")
     decomp = results["A"].decomposition
-    terms = " ".join(f"{'+' if s > 0 else '-'}({bp})" for bp, s in decomp.items())
+    # a decomposition is keyed by raw part pairs; Bipartition names them
+    terms = " ".join(f"{'+' if s > 0 else '-'}({Bipartition.of(*k)})" for k, s in decomp.items())
     print(f"  decomposition: {terms}")
 
     print("\n== cells at rank 2 ==")

@@ -314,15 +314,13 @@ def fourier_constituents(cell: Cell) -> tuple[Symbol, ...]:
 
 @dataclass
 class CellEntry:
-    z: SpecialSymbol
-    d: int
     cell: Cell
     constituents: tuple[Symbol, ...]
 
     def to_json(self) -> dict:
         return {
-            "Z": str(self.z),
-            "d": self.d,
+            "Z": str(self.cell.z),
+            "d": self.cell.d,
             "terms": [
                 {"sign": sign, "symbol": str(sym)} for sign, sym in self.cell.terms
             ],
@@ -371,9 +369,9 @@ def rank_report(rank: int) -> DistinguishedReport:
         constituents = fourier_constituents(c)
         if not merged.isdisjoint(constituents):
             shared = next(s for s in constituents if s in merged)
-            earlier = next(e.z for e in entries if shared in e.constituents)
+            earlier = next(e.cell.z for e in entries if shared in e.constituents)
             raise FamilyModelViolation(z, frozenset(), f"{shared} is also carried by {earlier}")
-        entries.append(CellEntry(z, c.d, c, constituents))
+        entries.append(CellEntry(c, constituents))
         merged.update(constituents)
         count += 2**c.d
         if len(merged) != count:

@@ -92,15 +92,15 @@ def _xi_payload(result, names: dict) -> dict:
     return {
         "route": result.route,
         "character": dict(zip(names.values(), result.character.values)),
-        "decomposition": {names[bp]: coeff for bp, coeff in result.decomposition.items()},
+        "decomposition": {names[key]: coeff for key, coeff in result.decomposition.items()},
     }
 
 
 def _cmd_xi(args) -> int:
     n = args.n
     route = args.route.upper()
-    # every class and irreducible of W_2n, formatted once
-    names = {c: str(c) for c in bipartitions(2 * n)}
+    # every class and irreducible of W_2n, keyed by its raw pair, formatted once
+    names = {(c.alpha.parts, c.beta.parts): str(c) for c in bipartitions(2 * n)}
     if route == "ALL":
         results = xi_all(n)
         agreement = {"agree": True, "routes_compared": ["A", "B", "C"]}
@@ -121,8 +121,8 @@ def _cmd_xi(args) -> int:
     for name, v in zip(names.values(), base.character.values):
         print(f"  {name:<16} {v}")
     print("decomposition:")
-    for bp, coeff in base.decomposition.items():
-        print(f"  {'+' if coeff > 0 else '-'} {names[bp]}")
+    for key, coeff in base.decomposition.items():
+        print(f"  {'+' if coeff > 0 else '-'} {names[key]}")
     return 0
 
 

@@ -138,16 +138,15 @@ def from_bipartition(alpha: Partition, beta: Partition) -> Symbol:
     return Symbol._of_rows(top, bottom)
 
 
-def to_bipartition(sym: Symbol) -> tuple[Partition, Partition]:
-    """Inverse of from_bipartition; requires defect 1."""
+def to_bipartition(sym: Symbol) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Inverse of from_bipartition, as the raw pair (alpha parts, beta
+    parts) that keys an irreducible of W_n; requires defect 1."""
     if sym.defect != 1:
         raise ValueError(f"defect must be 1, got {sym.defect} for {sym}")
-    alpha = tuple(sym.top[i] - i for i in range(len(sym.top)))
-    beta = tuple(sym.bottom[i] - i for i in range(len(sym.bottom)))
-    return (
-        Partition(tuple(sorted((x for x in alpha if x), reverse=True))),
-        Partition(tuple(sorted((x for x in beta if x), reverse=True))),
-    )
+    # entry i of a strictly increasing row, less i, is weakly increasing and >= 0
+    alpha = tuple(x - i for i, x in enumerate(sym.top) if x != i)[::-1]
+    beta = tuple(x - i for i, x in enumerate(sym.bottom) if x != i)[::-1]
+    return alpha, beta
 
 
 def is_special(sym: Symbol) -> bool:

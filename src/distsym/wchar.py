@@ -10,6 +10,13 @@ A class function is dense: one value per class, in the canonical order of
 ``bipartitions(n)``.  One class-index map per n, keyed on raw
 (alpha parts, beta parts) tuples, gives each class its position.
 
+A class is named by a Bipartition (bipartitions, ClassFunction.at,
+character_table, w_irreducible).  Where a coefficient is attached to an
+irreducible (the input of virtual_character, the output of decompose),
+chi^(alpha;beta) is keyed by its raw pair (alpha parts, beta parts)
+instead, the key the class-index map already uses, so no Partition is
+built or taken apart on the way.
+
 The irreducible chi^(alpha;beta) is, by definition, the induced character
 Ind_{W_a x W_b}^{W_n} (lift(chi^alpha) x eps * lift(chi^beta)), where
 a = |alpha|, b = |beta|, lift pulls a symmetric-group character back along
@@ -55,7 +62,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
-from operator import add, mul, sub
+from operator import mul
 
 from .partitions import Partition, partitions
 
@@ -126,16 +133,17 @@ def _class_sizes(n: int) -> tuple[int, ...]:
     return tuple(class_size(c) for c in bipartitions(n))
 
 
-def _to_dense(n: int, values: Mapping[Bipartition, int]) -> tuple:
-    """Coefficients keyed on irreducibles of W_n as one value per position
-    of bipartitions(n); absent keys are 0, any other key raises ValueError."""
+def _to_dense(n: int, values: Mapping[tuple, int]) -> tuple:
+    """Coefficients keyed on the raw pairs of irreducibles of W_n as one
+    value per position of bipartitions(n); absent keys are 0, any other
+    key raises ValueError."""
     index = _class_index(n)
     dense = [0] * len(index)
-    for c, v in values.items():
-        i = index.get((c.alpha.parts, c.beta.parts)) if isinstance(c, Bipartition) else None
-        if i is None:
-            raise ValueError(f"{c!s} is not an irreducible of W_{n}")
-        dense[i] = v
+    for key, v in values.items():
+        try:
+            dense[index[key]] = v
+        except (KeyError, TypeError):
+            raise ValueError(f"{key!s} is not an irreducible of W_{n}") from None
     return tuple(dense)
 
 
@@ -158,25 +166,12 @@ class ClassFunction:
         self.values = values
 
     def at(self, c: Bipartition):
+        """The value at the class c; anything but a class of W_n, such as an
+        irreducible's raw pair, raises ValueError."""
         try:
             return self.values[_class_index(self.n)[c.alpha.parts, c.beta.parts]]
-        except KeyError:
+        except (KeyError, AttributeError):
             raise ValueError(f"{c} is not a class of W_{self.n}") from None
-
-    def _check_degree(self, other: "ClassFunction") -> None:
-        if self.n != other.n:
-            raise ValueError("degree mismatch")
-
-    def __add__(self, other: "ClassFunction") -> "ClassFunction":
-        self._check_degree(other)
-        return ClassFunction(self.n, map(add, self.values, other.values))
-
-    def __sub__(self, other: "ClassFunction") -> "ClassFunction":
-        self._check_degree(other)
-        return ClassFunction(self.n, map(sub, self.values, other.values))
-
-    def __rmul__(self, scalar) -> "ClassFunction":
-        return ClassFunction(self.n, (scalar * v for v in self.values))
 
     def __eq__(self, other) -> bool:
         return (
@@ -390,10 +385,11 @@ def w_irreducible(bp: Bipartition) -> ClassFunction:
     return _table(bp.n)[_class_index(bp.n)[bp.alpha.parts, bp.beta.parts]]
 
 
-def virtual_character(n: int, coefficients: Mapping[Bipartition, int]) -> ClassFunction:
+def virtual_character(n: int, coefficients: Mapping[tuple, int]) -> ClassFunction:
     """The class function sum_b c_b chi^b of W_n for a coefficient c_b per
-    irreducible (absent ones are 0), without building any chi^b.  A key
-    that is not an irreducible of W_n raises ValueError."""
+    irreducible, keyed by its raw pair (alpha parts, beta parts) (absent
+    ones are 0), without building any chi^b.  Any other key, a Bipartition
+    included, raises ValueError."""
     return ClassFunction(n, _evaluate(n, _to_dense(n, coefficients)))
 
 
@@ -463,14 +459,15 @@ def character_table(n: int) -> dict[Bipartition, ClassFunction]:
     return dict(zip(bipartitions(n), _table(n)))
 
 
-def decompose(f: ClassFunction) -> dict[Bipartition, int | Fraction]:
-    """Coefficients of f on the irreducible characters, nonzero ones only,
-    in one pass over the character table."""
+def decompose(f: ClassFunction) -> dict[tuple, int | Fraction]:
+    """Coefficients of f on the irreducible characters, keyed by their raw
+    pairs as virtual_character takes them, nonzero ones only, in one pass
+    over the character table."""
     weighted = tuple(map(mul, f.values, _class_sizes(f.n)))
     order = group_order(f.n)
     out = {}
-    for bp, chi in character_table(f.n).items():
+    for key, chi in zip(_class_index(f.n), _table(f.n)):
         coeff = _exact(sum(map(mul, weighted, chi.values)), order)
         if coeff:
-            out[bp] = coeff
+            out[key] = coeff
     return out

@@ -19,6 +19,13 @@ is that decomposition evaluated by the transposed Murnaghan-Nakayama rule
 (wchar.virtual_character) when it is first read, so no route builds an
 irreducible character or the character table.
 
+Wherever a coefficient is attached to an irreducible of W_n (kappa_terms,
+nu_terms, every route's decomposition, xi_all's comparison), the
+irreducible chi^(alpha; beta) is keyed by its raw pair (alpha parts, beta
+parts) of part tuples, as in wchar.virtual_character.  A Bipartition
+names a class of W_n; one is built for an irreducible only where its
+name leaves the package: the CLI, an error payload, verify's rows.
+
 Route A's induction-product sum has a closed form of the same kind as
 kappa and nu, so no induction product is computed.  The induced value
 of kappa_r (x) nu_{n-r} at a class c of W_{2n} is the sum, over the splits
@@ -45,7 +52,7 @@ h_(q-1), and each h_k s_mu is the sum of s over the horizontal k-strips
 added to mu, by Pieri's rule (I. G. Macdonald, Symmetric Functions and
 Hall Polynomials, 2nd ed., ch. I, sections 3 and 5).  This keeps route A
 independent of route B's skew-pair description.  The terms are summed on
-raw part tuples and sorted into bipartitions(2n) order, so route A needs
+their raw pairs and sorted into bipartitions(2n) order, so route A needs
 no class of W_{2n} and runs at every n, like routes B and C.
 
 The W side as a theorem.  The Frobenius characteristic ch of W_n = Z_2
@@ -102,7 +109,7 @@ from math import comb, factorial
 from typing import Iterable
 
 from .cells import even_strip_specials, make_cell
-from .partitions import Partition, even_paired_extensions, horizontal_strips, partitions
+from .partitions import even_paired_extensions, horizontal_strips, partitions
 from .symbols import to_bipartition
 from .wchar import Bipartition, ClassFunction, bipartitions, virtual_character
 
@@ -130,7 +137,8 @@ class RouteDisagreement(Exception):
 class CoefficientViolation(Exception):
     """A decomposition coefficient fell outside {-1, 0, +1}."""
 
-    def __init__(self, n: int, route: str, bp: Bipartition, coeff):
+    def __init__(self, n: int, route: str, key: tuple, coeff):
+        bp = Bipartition.of(*key)
         self.payload = {"n": n, "route": route, "irreducible": str(bp), "coefficient": str(coeff)}
         super().__init__(f"xi({n}) route {route}: coefficient {coeff} at {bp}")
 
@@ -189,21 +197,17 @@ def nu(r: int) -> ClassFunction:
     return _closed_form(r, _nu_block)
 
 
-def kappa_terms(r: int) -> dict[Bipartition, int]:
+def kappa_terms(r: int) -> dict[tuple, int]:
     """Stated decomposition of kappa_r: alternating two-row partitions
     (2r - i, i), with sign (-1)**i, and empty second coordinate."""
     if r < 0:
         raise ValueError("r must be non-negative")
-    out = {}
-    for i in range(r + 1):
-        parts = tuple(p for p in (2 * r - i, i) if p)
-        out[Bipartition.of(parts)] = (-1) ** i
-    return out
+    return {(tuple(p for p in (2 * r - i, i) if p), ()): (-1) ** i for i in range(r + 1)}
 
 
-def nu_terms(m: int) -> dict[Bipartition, int]:
+def nu_terms(m: int) -> dict[tuple, int]:
     """Stated decomposition of nu_m: (alpha; alpha) over partitions of m."""
-    return {Bipartition(a, a): 1 for a in partitions(m)}
+    return {(a.parts, a.parts): 1 for a in partitions(m)}
 
 
 def kappa_nu_decomposition_check(r: int) -> bool:
@@ -215,7 +219,7 @@ def kappa_nu_decomposition_check(r: int) -> bool:
     )
 
 
-def even_paired_pairs(n: int) -> list[tuple[Bipartition, int]]:
+def even_paired_pairs(n: int) -> list[tuple[tuple, int]]:
     """All (alpha; beta) of total size 2n with beta inside alpha and the
     skew difference an even-paired shape, with the sign (-1)**(|v|/2):
     beta by decreasing size, in partitions order within a size, and for
@@ -223,7 +227,7 @@ def even_paired_pairs(n: int) -> list[tuple[Bipartition, int]]:
     if n < 0:
         raise ValueError("n must be non-negative")
     return [
-        (Bipartition(Partition(alpha), beta), sign)
+        ((alpha, beta.parts), sign)
         for bsize in range(n, -1, -1)
         for beta in partitions(bsize)
         for alpha, sign in even_paired_extensions(beta.parts, 2 * (n - bsize))
@@ -233,17 +237,17 @@ def even_paired_pairs(n: int) -> list[tuple[Bipartition, int]]:
 @dataclass
 class XiResult:
     """xi_n by one route: its signed decomposition into the irreducibles
-    of W_{2n}, nonzero coefficients only."""
+    of W_{2n}, each keyed by its raw pair, nonzero coefficients only."""
 
     n: int
     route: str
-    decomposition: dict[Bipartition, int]
+    decomposition: dict[tuple, int]
 
     def __post_init__(self) -> None:
-        for bp, coeff in self.decomposition.items():
+        for key, coeff in self.decomposition.items():
             if coeff not in (-1, 0, 1):
-                raise CoefficientViolation(self.n, self.route, bp, coeff)
-        self.decomposition = {bp: c for bp, c in self.decomposition.items() if c}
+                raise CoefficientViolation(self.n, self.route, key, coeff)
+        self.decomposition = {key: c for key, c in self.decomposition.items() if c}
 
     @cached_property
     def character(self) -> ClassFunction:
@@ -256,7 +260,7 @@ def _canonical_key(alpha: tuple[int, ...], beta: tuple[int, ...]):
     return sum(alpha), alpha, beta
 
 
-def _route_a_decomposition(n: int) -> dict[Bipartition, int]:
+def _route_a_decomposition(n: int) -> dict[tuple, int]:
     """The decomposition of sum_r kappa_r (x) nu_(n-r) by Jacobi-Trudi and
     Pieri on the stated terms, in canonical bipartitions(2n) order.
 
@@ -265,19 +269,18 @@ def _route_a_decomposition(n: int) -> dict[Bipartition, int]:
     acc: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
     for r in range(n + 1):
         nu_items = nu_terms(n - r).items()
-        for lam, c in kappa_terms(r).items():
-            p, q = (lam.alpha.parts + (0, 0))[:2]
-            for mu, d in nu_items:
-                beta = mu.beta.parts
+        for (lam, _), c in kappa_terms(r).items():
+            p, q = (lam + (0, 0))[:2]
+            for (mu, beta), d in nu_items:
                 for a, b, sign in ((p, q, c * d), (p + 1, q - 1, -c * d)):
                     if b < 0:
                         continue
-                    for inner in horizontal_strips(mu.alpha.parts, b, 1):
+                    for inner in horizontal_strips(mu, b, 1):
                         for outer in horizontal_strips(inner, a, 1):
                             acc[outer, beta] = acc.get((outer, beta), 0) + sign
     terms = sorted((k for k, c in acc.items() if c), key=lambda k: _canonical_key(*k),
                    reverse=True)
-    return {Bipartition.of(alpha, beta): acc[alpha, beta] for alpha, beta in terms}
+    return {k: acc[k] for k in terms}
 
 
 def _xi_route_a(n: int) -> XiResult:
@@ -299,11 +302,11 @@ def check_route_a(result: XiResult) -> None:
             raise RouteDisagreement(n, "A", "A decomposition", c, x, y)
 
 
-def _signed_sum(n: int, route: str, terms: Iterable[tuple[Bipartition, int]]) -> XiResult:
+def _signed_sum(n: int, route: str, terms: Iterable[tuple[tuple, int]]) -> XiResult:
     """Add signed irreducibles into a decomposition, in insertion order."""
-    decomp: dict[Bipartition, int] = {}
-    for bp, sign in terms:
-        decomp[bp] = decomp.get(bp, 0) + sign
+    decomp: dict[tuple, int] = {}
+    for key, sign in terms:
+        decomp[key] = decomp.get(key, 0) + sign
     return XiResult(n, route, decomp)
 
 
@@ -313,7 +316,7 @@ def _xi_route_b(n: int) -> XiResult:
 
 def _xi_route_c(n: int) -> XiResult:
     terms = (
-        (Bipartition(*to_bipartition(sym)), sign)
+        (to_bipartition(sym), sign)
         for z in even_strip_specials(n)
         for sign, sym in make_cell(z).terms
     )
@@ -345,10 +348,10 @@ def xi_all(n: int) -> dict[str, XiResult]:
     for name in ("B", "C"):
         other = results[name].decomposition
         if other != base:
-            bp = max(
-                (bp for bp in base.keys() | other.keys() if base.get(bp, 0) != other.get(bp, 0)),
-                key=lambda bp: _canonical_key(bp.alpha.parts, bp.beta.parts),
+            key = max(
+                (k for k in base.keys() | other.keys() if base.get(k, 0) != other.get(k, 0)),
+                key=lambda k: _canonical_key(*k),
             )
-            raise RouteDisagreement(n, "A", name, bp, base.get(bp, 0), other.get(bp, 0),
-                                    at="irreducible")
+            raise RouteDisagreement(n, "A", name, Bipartition.of(*key), base.get(key, 0),
+                                    other.get(key, 0), at="irreducible")
     return results

@@ -68,12 +68,12 @@ class TestXiCommand:
 
     def test_route_a_decomposition_is_checked(self, capsys, monkeypatch):
         real = xi_mod._route_a_decomposition
-        trivial = Bipartition.of((4,))
+        trivial = ((4,), ())
         value = xi(2, "A").character.values[0]
         monkeypatch.setattr(
             xi_mod,
             "_route_a_decomposition",
-            lambda n: {bp: c for bp, c in real(n).items() if bp != trivial},
+            lambda n: {key: c for key, c in real(n).items() if key != trivial},
         )
         code, out, err = run_cli(capsys, "xi", "2", "--route", "A")
         assert code == 1 and out == ""
@@ -242,20 +242,22 @@ class TestVerifyCommand:
         assert "FAIL  cells checks  [family model violation at Z=0,2|1" in out
 
     def test_route_agreement_row_compares_decompositions(self, capsys, monkeypatch):
-        real = verify.xi_all
+        # the row's xi_all compares the decompositions, so a route that drops
+        # a term ends the xi section with a FAIL row that names the term
+        real = xi_mod._ROUTES["C"]
 
         def dropped_term(n):
-            results = real(n)
+            result = real(n)
             if n == 2:
-                c = results["C"]
-                fewer = dict(list(c.decomposition.items())[1:])
-                results["C"] = dataclasses.replace(c, decomposition=fewer)
-            return results
+                fewer = dict(list(result.decomposition.items())[1:])
+                result = dataclasses.replace(result, decomposition=fewer)
+            return result
 
-        monkeypatch.setattr(verify, "xi_all", dropped_term)
+        monkeypatch.setitem(xi_mod._ROUTES, "C", dropped_term)
         code, out, _ = run_cli(capsys, "verify")
         assert code == 1
-        assert "FAIL  xi route agreement n=1..3  [computed False, expected True]" in out
+        row = "FAIL  xi checks  [xi(2): routes A and C differ at irreducible 1,1;1,1: 1 != 0]"
+        assert row in out
 
 
 class TestUsageErrors:

@@ -1,4 +1,5 @@
-"""Golden output for each --json schema, one small input each.
+"""Golden output for each --json schema, one small input each, and for
+scripts/sp4_walkthrough.py.
 
 Each command runs in a fresh interpreter with PYTHONHASHSEED=0, because
 some verify details still print Python sets, and its stdout must equal the
@@ -25,12 +26,21 @@ COMMANDS = {
 }
 
 
+def _stdout(*argv: str) -> bytes:
+    """The stdout of a fresh interpreter run, which must exit 0 silently."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONHASHSEED": "0"}
+    proc = subprocess.run([sys.executable, *argv], env=env, capture_output=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    return proc.stdout
+
+
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_json_output_matches_golden(name):
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONHASHSEED": "0"}
-    proc = subprocess.run(
-        [sys.executable, "-m", "distsym.cli", *COMMANDS[name]],
-        env=env, capture_output=True, timeout=120,
-    )
-    assert (proc.returncode, proc.stderr) == (0, b"")
-    assert proc.stdout == (GOLDEN / f"{name}.json").read_bytes()
+    stdout = _stdout("-m", "distsym.cli", *COMMANDS[name])
+    assert stdout == (GOLDEN / f"{name}.json").read_bytes()
+
+
+def test_sp4_walkthrough_matches_golden():
+    # the walkthrough prints decomposition terms and cells by name
+    stdout = _stdout(str(ROOT / "scripts" / "sp4_walkthrough.py"))
+    assert stdout == (GOLDEN / "sp4_walkthrough.txt").read_bytes()

@@ -120,8 +120,7 @@ class TestBipartitionCorrespondence:
         assert str(sym) == expected
 
     def test_to_bipartition(self):
-        alpha, beta = to_bipartition(Symbol.parse("0,2|1"))
-        assert alpha == Partition((1,)) and beta == Partition((1,))
+        assert to_bipartition(Symbol.parse("0,2|1")) == ((1,), (1,))
 
     def test_to_bipartition_needs_defect_one(self):
         with pytest.raises(ValueError):
@@ -133,7 +132,7 @@ class TestBipartitionCorrespondence:
                 sym = from_bipartition(bp.alpha, bp.beta)
                 assert sym.rank == n
                 assert sym.defect == 1
-                assert to_bipartition(sym) == (bp.alpha, bp.beta)
+                assert to_bipartition(sym) == (bp.alpha.parts, bp.beta.parts)
 
     def test_from_bipartition_equals_checked_construction(self):
         # from_bipartition builds its symbol unchecked
