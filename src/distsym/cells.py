@@ -8,6 +8,11 @@ image is a set of 2**d symbols from the 2**(2d)-member family of Z; the
 union over the even-strip special symbols of rank 2n is the
 distinguished-symbol list for the rank-2n symplectic group.
 
+A Cell is its term signs and swap masks (bitmasks over the singles); its
+term symbols are built only on first read of Cell.terms.  The Fourier
+step reads the signs alone, so the distinguished-symbol pipeline builds
+symbols for the constituents and for no term.
+
 The Fourier model used here indexes the family by even subsets A of the
 singles, pairing them by intersection parity.  It reproduces the worked
 rank-2 cell exactly and three of the four constituents tabulated for the
@@ -19,7 +24,7 @@ than resolved silently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable
 
 from .partitions import Partition, even_subsets, horizontal_strips, partitions
@@ -60,14 +65,25 @@ class Arrangement:
 
 @dataclass(frozen=True)
 class Cell:
+    """A virtual cell as its term signs and swap masks: term t has sign
+    signs[t] and is Z with the singles at the set bits of masks[t] moved
+    to the other row (bit i is the i-th smallest single).  The terms as
+    (sign, Symbol) pairs are built on first read."""
+
     z: SpecialSymbol
     arrangement: Arrangement
     sign_pairs: tuple[tuple[int, int], ...]
-    terms: tuple[tuple[int, Symbol], ...]
+    signs: tuple[int, ...]
+    masks: tuple[int, ...]
 
     @property
     def d(self) -> int:
         return len(self.arrangement.pairs)
+
+    @cached_property
+    def terms(self) -> tuple[tuple[int, Symbol], ...]:
+        """The signed term symbols, on first read."""
+        return tuple(zip(self.signs, _flipped(self.z, self.masks)))
 
 
 def standard_arrangement(z: SpecialSymbol) -> Arrangement:
@@ -210,14 +226,16 @@ def make_cell(
     pairs = arrangement.pairs
     signs = [1]
     swapped = [0]
-    for pair, pair_mask in zip(pairs, _pair_masks(z.singles(), pairs)):
+    singles = z.singles()
+    for pair, pair_mask in zip(pairs, _pair_masks(singles, pairs)):
         flip = -1 if pair in sign_set else 1
         signs += [flip * s for s in signs]
         swapped += [b | pair_mask for b in swapped]
-    syms = _flipped(z, swapped)
-    if len(set(syms)) != len(syms):
+    # masks m and m ^ full flip Z to one symbol: orientation ignores row order
+    full = (1 << len(singles)) - 1
+    if len({min(m, m ^ full) for m in swapped}) != len(swapped):
         raise ValueError(f"cell terms for {z} are not distinct")
-    return Cell(z, arrangement, tuple(sorted(sign_set)), tuple(zip(signs, syms)))
+    return Cell(z, arrangement, tuple(sorted(sign_set)), tuple(signs), tuple(swapped))
 
 
 @lru_cache(maxsize=None)
@@ -279,10 +297,10 @@ def fourier_constituents(cell: Cell) -> tuple[Symbol, ...]:
     """
     z = cell.z
     full = 2**cell.d
-    if len(cell.terms) != full:
-        raise ValueError(f"d = {cell.d} needs {full} terms, got {len(cell.terms)}")
+    if len(cell.signs) != full:
+        raise ValueError(f"d = {cell.d} needs {full} terms, got {len(cell.signs)}")
     # in place: f[u] becomes sum over t of sign_t * (-1)**popcount(u & t)
-    f = [sign for sign, _ in cell.terms]
+    f = list(cell.signs)
     h = 1
     while h < full:
         for i in range(0, full, 2 * h):

@@ -271,7 +271,9 @@ def horizontal_strips(mu: tuple[int, ...], k: int, step: int) -> tuple[tuple[int
                 out.append(tuple(p for p in lam if p))
             return
         room = left if i == 0 else min(left, rows[i - 1] - rows[i])
-        for add in range(0, room + 1, step):
+        # the rows below take at most rows[i] boxes in all (their rooms telescope)
+        least = max(0, left - rows[i])
+        for add in range(-(-least // step) * step, room + 1, step):
             rec(i + 1, left - add, lam + (rows[i] + add,))
 
     rec(0, k, ())

@@ -15,13 +15,13 @@ from . import cells, oracle
 from .xi import (
     CoefficientViolation,
     RouteDisagreement,
+    XiResult,
     check_route_a,
     kappa,
     kappa_nu_decomposition_check,
     nu,
     xi_all,
 )
-from .xi import xi as xi_fn
 from .partitions import (
     Partition,
     SkewShape,
@@ -199,24 +199,26 @@ def _kappa_nu_checks(checks: list[Check]) -> None:
         _expect(checks, f"kappa_{r}/nu_{r} decompositions", kappa_nu_decomposition_check(r), True)
 
 
-def _routes_agree(n: int) -> bool:
-    """True when routes A, B and C give equal decompositions and route A's
-    evaluates to its closed form: xi_all raises on any mismatch of the
-    decompositions, and check_route_a on one of route A's character."""
-    check_route_a(xi_all(n)["A"])
+def _routes_agree(results: dict[str, XiResult]) -> bool:
+    """True when route A's decomposition evaluates to its closed form;
+    xi_all, which built the results, has already raised on any mismatch of
+    the three routes' decompositions, and check_route_a raises on this one."""
+    check_route_a(results["A"])
     return True
 
 
 def _xi_checks(checks: list[Check]) -> None:
-    results = xi_all(1)
-    char = results["A"].character
+    # xi_all builds each (n, route) once; every row below reads these
+    results = {1: xi_all(1)}
+    char = results[1]["A"].character
     _expect(checks, "xi_1 character table", [char.at(c) for c in W2_CLASSES], XI1_REFERENCE)
     # named by Bipartition, as the reference terms are
-    decomp = {Bipartition.of(*key): c for key, c in results["A"].decomposition.items()}
+    decomp = {Bipartition.of(*key): c for key, c in results[1]["A"].decomposition.items()}
     _expect(checks, "xi_1 decomposition", decomp, XI1_TERMS)
-    _expect(checks, "xi route agreement n=1..3", all(_routes_agree(n) for n in (1, 2, 3)), True)
+    results.update((n, xi_all(n)) for n in (2, 3))
+    _expect(checks, "xi route agreement n=1..3", all(map(_routes_agree, results.values())), True)
 
-    decomp = {Bipartition.of(*key): c for key, c in xi_fn(3, "B").decomposition.items()}
+    decomp = {Bipartition.of(*key): c for key, c in results[3]["B"].decomposition.items()}
     displayed_ok = all(decomp.get(bp) == sgn for bp, sgn in XI3_DISPLAYED.items())
     extra = {bp: c for bp, c in decomp.items() if bp not in XI3_DISPLAYED}
     if displayed_ok and extra == XI3_EXTRA:
@@ -240,7 +242,7 @@ def _xi_checks(checks: list[Check]) -> None:
         )
 
     for n, expected in [(1, 3), (2, 7), (3, 16)]:
-        char = xi_fn(n, "A").character
+        char = results[n]["A"].character
         _expect(checks, f"<xi_{n}, xi_{n}>", inner_product(char, char), expected)
 
 

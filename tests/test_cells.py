@@ -103,10 +103,9 @@ def outcome(fn, cell):
 
 def flip_term(cell, t):
     """The cell with the sign of term t reversed."""
-    terms = list(cell.terms)
-    sign, sym = terms[t]
-    terms[t] = (-sign, sym)
-    return dataclasses.replace(cell, terms=tuple(terms))
+    signs = list(cell.signs)
+    signs[t] = -signs[t]
+    return dataclasses.replace(cell, signs=tuple(signs))
 
 
 class TestArrangements:
@@ -258,6 +257,25 @@ class TestCells:
                     psi = tuple(p for i, p in enumerate(pairs) if t >> i & 1)
                     assert sym == swap_pairs(z, psi), (str(z), t)
 
+    def test_terms_are_flipped_masks_built_once_through_rank_12(self):
+        for n in range(1, 7):
+            for z in even_strip_specials(n):
+                c = make_cell(z)
+                assert c.terms == tuple(zip(c.signs, cells._flipped(z, c.masks))), str(z)
+                assert c.terms is c.terms
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_mask_distinctness_is_symbol_distinctness(self, data):
+        # make_cell's check: masks m and m ^ full flip Z to one symbol
+        z = data.draw(st.sampled_from([z for n in range(1, 7) for z in even_strip_specials(n)]))
+        full = (1 << len(z.singles())) - 1
+        drawn = data.draw(st.lists(st.integers(0, full), min_size=1, max_size=8))
+        # repeats and complements of drawn masks are the ones that collide
+        again = data.draw(st.lists(st.tuples(st.sampled_from(drawn), st.booleans()), max_size=4))
+        masks = data.draw(st.permutations(drawn + [m ^ full if c else m for m, c in again]))
+        assert len({min(m, m ^ full) for m in masks}) == len(set(cells._flipped(z, masks)))
+
 
 class TestEnumeration:
     def test_rank2(self):
@@ -398,9 +416,9 @@ class TestFourier:
 
     def test_term_count_checked(self):
         c = make_cell(Z12)
-        for terms in (c.terms[:-1], c.terms + c.terms[:1]):
+        for signs in (c.signs[:-1], c.signs + c.signs[:1]):
             with pytest.raises(ValueError, match="d = 2 needs 4 terms"):
-                fourier_constituents(dataclasses.replace(c, terms=terms))
+                fourier_constituents(dataclasses.replace(c, signs=signs))
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -419,8 +437,7 @@ class TestFourier:
             st.sampled_from((1, -1)),
         )
         signs = data.draw(st.one_of(arbitrary, character, integers))
-        terms = tuple((s, sym) for s, (_, sym) in zip(signs, c.terms))
-        cell = dataclasses.replace(c, terms=terms)
+        cell = dataclasses.replace(c, signs=tuple(signs))
         expected = outcome(reference_constituents, cell)
         assert outcome(fourier_constituents, cell) == expected
 
@@ -543,6 +560,20 @@ class TestDistinguished:
             "family_index": [],
             "multiplicity": "union size 5 != 6",
         }
+
+    def test_count_path_builds_only_the_constituents(self, monkeypatch):
+        # each cell flips Z once per constituent and builds no term symbol
+        flipped = []
+        original = cells._flipped
+
+        def counted(z, masks):
+            masks = list(masks)
+            flipped.extend(masks)
+            return original(z, masks)
+
+        monkeypatch.setattr(cells, "_flipped", counted)
+        total = sum(rank_report(2 * n).count for n in range(1, 9))
+        assert len(flipped) == total
 
     def test_count_is_union_size(self):
         for n in (1, 2, 3, 4):

@@ -259,6 +259,18 @@ class TestVerifyCommand:
         row = "FAIL  xi checks  [xi(2): routes A and C differ at irreducible 1,1;1,1: 1 != 0]"
         assert row in out
 
+    def test_each_route_is_built_once_per_n(self, monkeypatch):
+        # the xi rows need routes A, B and C at n = 1..3: nine builds in all
+        built = []
+        for name, real in list(xi_mod._ROUTES.items()):
+            def counted(n, name=name, real=real):
+                built.append((n, name))
+                return real(n)
+
+            monkeypatch.setitem(xi_mod._ROUTES, name, counted)
+        assert verify.run_verification().ok
+        assert sorted(built) == [(n, r) for n in (1, 2, 3) for r in "ABC"]
+
 
 class TestUsageErrors:
     def test_unknown_command(self, capsys):

@@ -337,6 +337,28 @@ class TestStripExtensions:
                     assert len(set(got)) == len(got), (beta, size)
                     assert set(got) == self.naive_strip_extensions(beta, size, step), (beta, size)
 
+    @pytest.mark.parametrize("step", [1, 2])
+    def test_horizontal_strips_match_brute_force_in_order(self, step):
+        # every partition of |mu| + k that contains mu, kept when lam / mu is
+        # a horizontal strip with rows in multiples of step, in the order of
+        # lam's rows read top to bottom over the len(mu) + 1 rows a strip can use
+        for mu_size in range(10):
+            for mu in partitions(mu_size):
+                rows = mu.parts + (0,)
+                for k in range(9):
+                    want = []
+                    for lam in partitions(mu_size + k):
+                        if lam.length > len(rows):
+                            continue
+                        lam_rows = lam.parts + (0,) * (len(rows) - lam.length)
+                        adds = [x - y for x, y in zip(lam_rows, rows)]
+                        if all(a >= 0 and a % step == 0 for a in adds) and all(
+                            x <= y for x, y in zip(lam_rows[1:], rows)
+                        ):
+                            want.append(lam_rows)
+                    want = [tuple(p for p in lam if p) for lam in sorted(want)]
+                    assert list(horizontal_strips(mu.parts, k, step)) == want, (mu, k)
+
     def test_even_paired_extensions_match_definition(self):
         # every alpha over beta whose skew shape is even-paired, by brute
         # force over partitions, with the sign (-1)**(|v|/2) from hv_split
