@@ -9,9 +9,24 @@ union over the even-strip special symbols of rank 2n is the
 distinguished-symbol list for the rank-2n symplectic group.
 
 A Cell is its term signs and swap masks (bitmasks over the singles); its
-term symbols are built only on first read of Cell.terms.  The Fourier
-step reads the signs alone, so the distinguished-symbol pipeline builds
-symbols for the constituents and for no term.
+term symbols are built only on first read of Cell.terms.  Both depend on Z
+only through the cell's index pattern: the number of singles, each pair
+as two single indices, and which pairs flip the sign.  So does the Fourier
+step, given the isolated index too.  Two caches hold that work once per
+pattern: _term_plan (signs, masks and the term-distinctness check) and
+_kept_masks (the Walsh-Hadamard transform, the {0, 1} guard, the one-peak
+check and the kept family masks).  The standard arrangement of an
+even-strip special is always ((0, 1), (2, 3), ...) in single indices with
+the last single isolated, so its pattern is d and its odd-difference
+pairs.  Rank 2n <= 28 allows d <= 4 (2d + 1 singles need rank at least
+d*d + d); every sign choice occurs for d <= 3 and 7 of 16 at d = 4, so 22
+patterns cover the 3258 specials of n = 1..14.
+
+The distinguished-symbol pipeline never builds a term symbol, and builds
+no symbol at all until a report is read: rank_report keeps each family
+member as its oriented (defect, top, bottom) row, which at one rank sorts
+as symbol_sort_key sorts the symbols, and CellEntry.constituents and
+DistinguishedReport.union build their symbols on first read.
 
 The Fourier model used here indexes the family by even subsets A of the
 singles, pairing them by intersection parity.  It reproduces the worked
@@ -23,12 +38,17 @@ than resolved silently.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable
+from typing import Iterable, Iterator, NoReturn
 
-from .partitions import Partition, even_subsets, horizontal_strips, partitions
-from .symbols import SpecialSymbol, Symbol, cuspidal_symbol, from_bipartition, symbol_sort_key
+from .partitions import even_subsets, horizontal_strips, partitions
+from .symbols import SpecialSymbol, Symbol, _bipartition_rows, cuspidal_symbol
+
+# A symbol as its oriented rows, (defect, top, bottom): at one rank these
+# tuples sort as symbol_sort_key sorts the symbols.
+Row = tuple[int, tuple[int, ...], tuple[int, ...]]
 
 
 class FamilyModelViolation(Exception):
@@ -124,27 +144,33 @@ def is_admissible(z: SpecialSymbol, arrangement: Arrangement) -> bool:
     with no doubled entry strictly between; removing it must leave an
     admissible arrangement of the shrunken symbol.  Zero pairs are
     admissible.
+
+    Removing a pair only deletes singles, so it never blocks another pair:
+    the members of a removable pair stay adjacent, and the doubles do not
+    change.  So if some order removes every pair, that order
+    less the first pair removed here still works for the rest, and the
+    loop below, which removes any removable pair, needs no backtracking.
     """
     singles = z.singles()
     if arrangement.members() != singles:
         raise ValueError(f"{arrangement} does not partition the singles of {z}")
     doubles = z.doubles()
-
-    def rec(active: tuple[int, ...], pairs: frozenset) -> bool:
-        if not pairs:
-            return True
-        for p in pairs:
-            a, b = p
+    active = list(singles)
+    pending = list(arrangement.pairs)
+    while pending:
+        for a, b in pending:
             i = active.index(a)
-            if i + 1 >= len(active) or active[i + 1] != b:
-                continue
-            if any(a < x < b for x in doubles):
-                continue
-            if rec(tuple(x for x in active if x not in p), pairs - {p}):
-                return True
-        return False
-
-    return rec(singles, frozenset(arrangement.pairs))
+            if (
+                i + 1 < len(active)
+                and active[i + 1] == b
+                and bisect_right(doubles, a) == bisect_left(doubles, b)
+            ):
+                break
+        else:
+            return False
+        pending.remove((a, b))
+        del active[i : i + 2]
+    return True
 
 
 def swap_pairs(z: SpecialSymbol, pairs: tuple[tuple[int, int], ...]) -> Symbol:
@@ -174,21 +200,14 @@ def swap_pairs(z: SpecialSymbol, pairs: tuple[tuple[int, int], ...]) -> Symbol:
     return Symbol(tuple(sorted(top)), tuple(sorted(bottom)))
 
 
-def _pair_masks(singles: tuple[int, ...], pairs: tuple[tuple[int, int], ...]) -> list[int]:
-    """Each pair as a bitmask over the singles (bit i is the i-th smallest)."""
-    bit = {x: 1 << i for i, x in enumerate(singles)}
-    return [bit[x] | bit[y] for x, y in pairs]
-
-
-def _flipped(z: SpecialSymbol, masks: Iterable[int]) -> list[Symbol]:
-    """Z with the singles at the set bits of each mask moved to the other
-    row; bit i stands for the i-th smallest single."""
+def _flipped_rows(z: SpecialSymbol, masks: Iterable[int]) -> Iterator[Row]:
+    """The oriented rows of Z with the singles at the set bits of each mask
+    moved to the other row; bit i stands for the i-th smallest single."""
     singles = z.singles()
     doubles = z.doubles()
     in_top = set(z.top)
     top = sum(1 << i for i, x in enumerate(singles) if x in in_top)
     bits = [(1 << i, x) for i, x in enumerate(singles)]
-    out = []
     for mask in masks:
         new_top = top ^ mask
         top_row = list(doubles)
@@ -197,9 +216,37 @@ def _flipped(z: SpecialSymbol, masks: Iterable[int]) -> list[Symbol]:
             (top_row if new_top & bit else bottom_row).append(x)
         top_row.sort()
         bottom_row.sort()
-        # Z's doubles plus disjoint singles of Z: increasing, and reduced as Z is
-        out.append(Symbol._of_rows(tuple(top_row), tuple(bottom_row)))
-    return out
+        t, b = tuple(top_row), tuple(bottom_row)
+        if len(b) > len(t) or (len(b) == len(t) and b < t):
+            t, b = b, t
+        yield len(t) - len(b), t, b
+
+
+def _symbols(rows: Iterable[Row]) -> tuple[Symbol, ...]:
+    """The symbols of rows from _flipped_rows, unchecked: Z's doubles plus
+    disjoint singles of Z are increasing, and reduced as Z is."""
+    return tuple(Symbol._of_rows(top, bottom) for _, top, bottom in rows)
+
+
+def _row(sym: Symbol) -> Row:
+    """A symbol as its oriented row."""
+    return len(sym.top) - len(sym.bottom), sym.top, sym.bottom
+
+
+def _flipped(z: SpecialSymbol, masks: Iterable[int]) -> tuple[Symbol, ...]:
+    """Z with the singles at the set bits of each mask moved to the other
+    row, as symbols."""
+    return _symbols(_flipped_rows(z, masks))
+
+
+def _index_pattern(
+    z: SpecialSymbol, arrangement: Arrangement
+) -> tuple[tuple[tuple[int, int], ...], int]:
+    """The arrangement's pairs and isolated single as indices into the
+    sorted singles of Z."""
+    index = {x: i for i, x in enumerate(z.singles())}
+    pairs = tuple((index[a], index[b]) for a, b in arrangement.pairs)
+    return pairs, index[arrangement.isolated]
 
 
 def make_cell(
@@ -223,19 +270,31 @@ def make_cell(
     sign_set = {tuple(sorted(p)) for p in sign_pairs}
     if not sign_set <= set(arrangement.pairs):
         raise ValueError("sign_pairs must be a subset of the arrangement's pairs")
-    pairs = arrangement.pairs
-    signs = [1]
-    swapped = [0]
-    singles = z.singles()
-    for pair, pair_mask in zip(pairs, _pair_masks(singles, pairs)):
-        flip = -1 if pair in sign_set else 1
-        signs += [flip * s for s in signs]
-        swapped += [b | pair_mask for b in swapped]
-    # masks m and m ^ full flip Z to one symbol: orientation ignores row order
-    full = (1 << len(singles)) - 1
-    if len({min(m, m ^ full) for m in swapped}) != len(swapped):
+    pairs, _ = _index_pattern(z, arrangement)
+    flips = tuple(p in sign_set for p in arrangement.pairs)
+    signs, masks, distinct = _term_plan(len(z.singles()), pairs, flips)
+    if not distinct:
         raise ValueError(f"cell terms for {z} are not distinct")
-    return Cell(z, arrangement, tuple(sorted(sign_set)), tuple(signs), tuple(swapped))
+    return Cell(z, arrangement, tuple(sorted(sign_set)), signs, masks)
+
+
+@lru_cache(maxsize=None)
+def _term_plan(
+    m: int, pairs: tuple[tuple[int, int], ...], flips: tuple[bool, ...]
+) -> tuple[tuple[int, ...], tuple[int, ...], bool]:
+    """The term signs and swap masks of a cell over m singles whose pairs
+    sit at the given single indices, pair j flipping the sign when
+    flips[j]; and whether the terms are distinct symbols."""
+    signs = [1]
+    masks = [0]
+    for (i, j), flip in zip(pairs, flips):
+        sign = -1 if flip else 1
+        signs += [sign * s for s in signs]
+        masks += [b | 1 << i | 1 << j for b in masks]
+    # masks b and b ^ full flip Z to one symbol: orientation ignores row order
+    full = (1 << m) - 1
+    distinct = len({min(b, b ^ full) for b in masks}) == len(masks)
+    return tuple(signs), tuple(masks), distinct
 
 
 @lru_cache(maxsize=None)
@@ -244,13 +303,14 @@ def even_strip_specials(n: int) -> tuple[SpecialSymbol, ...]:
     horizontal strip, generated beta-first."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    out = []
-    for bsize in range(n, -1, -1):
-        strip = 2 * n - 2 * bsize
-        for beta in partitions(bsize):
-            for alpha in horizontal_strips(beta.parts, strip, 2):
-                out.append(SpecialSymbol(from_bipartition(Partition(alpha), beta)))
-    return tuple(sorted(out, key=lambda z: symbol_sort_key(z.symbol)))
+    rows = [
+        _bipartition_rows(alpha, beta.parts)
+        for bsize in range(n, -1, -1)
+        for beta in partitions(bsize)
+        for alpha in horizontal_strips(beta.parts, 2 * n - 2 * bsize, 2)
+    ]
+    # one rank and defect 1, so symbol_sort_key order is row order
+    return tuple(SpecialSymbol(Symbol._of_rows(top, bottom)) for top, bottom in sorted(rows))
 
 
 def family(z: SpecialSymbol) -> tuple[tuple[frozenset, Symbol], ...]:
@@ -272,7 +332,13 @@ def _syndrome(a: int, pair_masks: list[int]) -> int:
 
 
 def fourier_constituents(cell: Cell) -> tuple[Symbol, ...]:
-    """The family members carried by a cell under the even-subset pairing.
+    """The family members carried by a cell under the even-subset pairing,
+    as symbols, ordered by symbol_sort_key."""
+    return _symbols(_constituent_rows(cell))
+
+
+def _constituent_rows(cell: Cell) -> tuple[Row, ...]:
+    """The family members carried by a cell, as sorted oriented rows.
 
     Bit i of a mask stands for the i-th smallest single of Z.  The family
     member at an even mask A is Z with the singles in A moved to the other
@@ -291,24 +357,65 @@ def fourier_constituents(cell: Cell) -> tuple[Symbol, ...]:
     one member when it is 1, the isolated single fixing the parity).
 
     Multiplicities must land in {0, 1}, and exactly 2**d members survive,
-    which is exactly one syndrome with F = 2**d; a Symbol is built only for
+    which is exactly one syndrome with F = 2**d; rows are built only for
     its members.  A violation reports the first even mask A in the order
     of family(Z).
     """
-    z = cell.z
     full = 2**cell.d
     if len(cell.signs) != full:
         raise ValueError(f"d = {cell.d} needs {full} terms, got {len(cell.signs)}")
-    # in place: f[u] becomes sum over t of sign_t * (-1)**popcount(u & t)
-    f = list(cell.signs)
+    pairs, isolated = _index_pattern(cell.z, cell.arrangement)
+    kept = _kept_masks(pairs, isolated, tuple(cell.signs))
+    if kept is None:
+        _raise_violation(cell.z, pairs, cell.signs)
+    return tuple(sorted(_flipped_rows(cell.z, kept)))
+
+
+def _walsh_hadamard(signs: Iterable[int]) -> list[int]:
+    """f[u] = sum over t of signs[t] * (-1)**popcount(u & t)."""
+    f = list(signs)
     h = 1
-    while h < full:
-        for i in range(0, full, 2 * h):
+    while h < len(f):
+        for i in range(0, len(f), 2 * h):
             for j in range(i, i + h):
                 f[j], f[j + h] = f[j] + f[j + h], f[j] - f[j + h]
         h *= 2
+    return f
+
+
+@lru_cache(maxsize=None)
+def _kept_masks(
+    pairs: tuple[tuple[int, int], ...], isolated: int, signs: tuple[int, ...]
+) -> tuple[int, ...] | None:
+    """The 2**d even masks of the one syndrome where the transform of the
+    signs peaks, for pairs and isolated single at the given single
+    indices; None if a multiplicity leaves {0, 1} or the peak is not
+    unique (_raise_violation then says where)."""
+    full = len(signs)
+    f = _walsh_hadamard(signs)
+    if any(num not in (0, full) for num in f):
+        return None
+    peaks = [u for u, num in enumerate(f) if num]
+    if len(peaks) != 1:
+        return None
+    kept = [0]
+    for j, (a, b) in enumerate(pairs):
+        # one member (the lower or the higher index) if syndrome bit j is set
+        options = (1 << a, 1 << b) if peaks[0] >> j & 1 else (0, 1 << a | 1 << b)
+        kept = [k | o for k in kept for o in options]
+    return tuple(k | 1 << isolated if k.bit_count() & 1 else k for k in kept)
+
+
+def _raise_violation(
+    z: SpecialSymbol, pairs: tuple[tuple[int, int], ...], signs: Iterable[int]
+) -> NoReturn:
+    """Raise the FamilyModelViolation of signs that _kept_masks rejects:
+    the first multiplicity outside {0, 1} in family(Z) order, else the
+    constituent count."""
+    f = _walsh_hadamard(signs)
+    full = len(f)
     singles = z.singles()
-    pair_masks = _pair_masks(singles, cell.arrangement.pairs)
+    pair_masks = [1 << a | 1 << b for a, b in pairs]
     if any(num not in (0, full) for num in f):
         # every syndrome is reached, so this finds the first violating A
         for a, mask in zip(even_subsets(singles), _even_masks(len(singles))):
@@ -317,23 +424,21 @@ def fourier_constituents(cell: Cell) -> tuple[Symbol, ...]:
                 raise FamilyModelViolation(z, a, f"{num}/{full}")
             if num // full not in (0, 1):
                 raise FamilyModelViolation(z, a, num // full)
-    peaks = [u for u, num in enumerate(f) if num]
-    if len(peaks) != 1:
-        raise FamilyModelViolation(z, frozenset(), f"{len(peaks) * full} constituents")
-    kept = [0]
-    for j, p in enumerate(pair_masks):
-        # one member (the low bit or the high bit) if syndrome bit j is set
-        options = (p & -p, p & (p - 1)) if peaks[0] >> j & 1 else (0, p)
-        kept = [k | o for k in kept for o in options]
-    isolated = 1 << singles.index(cell.arrangement.isolated)
-    kept = [k | isolated if k.bit_count() & 1 else k for k in kept]
-    return tuple(sorted(_flipped(z, kept), key=symbol_sort_key))
+    peaks = sum(1 for num in f if num)
+    raise FamilyModelViolation(z, frozenset(), f"{peaks * full} constituents")
 
 
 @dataclass
 class CellEntry:
+    """A cell and the family members it carries, held as sorted oriented
+    rows; the constituent symbols are built on first read."""
+
     cell: Cell
-    constituents: tuple[Symbol, ...]
+    rows: tuple[Row, ...]
+
+    @cached_property
+    def constituents(self) -> tuple[Symbol, ...]:
+        return _symbols(self.rows)
 
     def to_json(self) -> dict:
         return {
@@ -348,11 +453,20 @@ class CellEntry:
 
 @dataclass
 class DistinguishedReport:
+    """The report at one rank; the union is held as sorted oriented rows,
+    and on first read it takes its symbols from the entries'
+    constituents."""
+
     rank: int
     entries: list[CellEntry]
-    union: tuple[Symbol, ...]
+    union_rows: tuple[Row, ...]
     count: int
     cuspidal_present: bool
+
+    @cached_property
+    def union(self) -> tuple[Symbol, ...]:
+        symbol = {r: s for e in self.entries for r, s in zip(e.rows, e.constituents)}
+        return tuple(symbol[r] for r in self.union_rows)
 
     def to_json(self) -> dict:
         return {
@@ -373,7 +487,8 @@ def rank_report(rank: int) -> DistinguishedReport:
     or adds other than 2**d symbols raises, naming its Z.  The cuspidal
     flag records whether the symbol (0..2d | -) is among the constituents,
     which must happen whenever rank = d*d + d.  Odd ranks give an empty
-    report; rank 0 gives the cuspidal 0|-.
+    report; rank 0 gives the cuspidal 0|-.  All of this runs on oriented
+    rows, which at one rank sort as symbol_sort_key sorts the symbols.
     """
     if rank < 0:
         raise ValueError("rank must be non-negative")
@@ -384,20 +499,20 @@ def rank_report(rank: int) -> DistinguishedReport:
     specials = () if rank % 2 else even_strip_specials(rank // 2)
     for z in specials:
         c = make_cell(z)
-        constituents = fourier_constituents(c)
-        if not merged.isdisjoint(constituents):
-            shared = next(s for s in constituents if s in merged)
-            earlier = next(e.cell.z for e in entries if shared in e.constituents)
-            raise FamilyModelViolation(z, frozenset(), f"{shared} is also carried by {earlier}")
-        entries.append(CellEntry(c, constituents))
-        merged.update(constituents)
+        rows = _constituent_rows(c)
+        if not merged.isdisjoint(rows):
+            shared = next(r for r in rows if r in merged)
+            earlier = next(e.cell.z for e in entries if shared in e.rows)
+            (symbol,) = _symbols((shared,))
+            raise FamilyModelViolation(z, frozenset(), f"{symbol} is also carried by {earlier}")
+        entries.append(CellEntry(c, rows))
+        merged.update(rows)
         count += 2**c.d
         if len(merged) != count:
             raise FamilyModelViolation(z, frozenset(), f"union size {len(merged)} != {count}")
-    union = tuple(sorted(merged, key=symbol_sort_key))
     cusp_d = next((d for d in range(rank + 1) if d * d + d == rank), None)
-    present = cusp_d is not None and cuspidal_symbol(cusp_d) in merged
-    return DistinguishedReport(rank, entries, union, count, present)
+    present = cusp_d is not None and _row(cuspidal_symbol(cusp_d)) in merged
+    return DistinguishedReport(rank, entries, tuple(sorted(merged)), count, present)
 
 
 def distinguished(n: int) -> DistinguishedReport:

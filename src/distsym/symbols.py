@@ -28,12 +28,11 @@ class Symbol:
     reduce_symbol() to normalize raw rows.
 
     The private _of_rows() is the one unchecked route: it only orients the
-    rows.  Two callers use it, because their rows are valid by
-    construction: cells._flipped, whose rows are the doubles of a checked,
-    reduced special symbol plus a subset of its singles (disjoint from the
-    doubles), and from_bipartition, whose rows are parts of checked
-    Partitions shifted by their positions and minimally padded, so 0 never
-    lies in both.
+    rows.  Its callers' rows are valid by construction: cells._flipped_rows
+    gives the doubles of a checked, reduced special symbol plus a subset of
+    its singles (disjoint from the doubles), and _bipartition_rows gives
+    partition parts shifted by their positions and minimally padded, so 0
+    never lies in both.
     """
 
     top: tuple[int, ...]
@@ -127,15 +126,24 @@ def from_bipartition(alpha: Partition, beta: Partition) -> Symbol:
     longer than the second, minimally; entry i (1-based) then gains i-1.
     The resulting symbol has rank |alpha| + |beta| and defect 1.
     """
-    m = max(alpha.length - 1, beta.length, 0)
-    a = sorted(alpha.parts) if alpha.parts else []
-    b = sorted(beta.parts) if beta.parts else []
-    a = [0] * (m + 1 - len(a)) + a
-    b = [0] * (m - len(b)) + b
-    top = tuple(a[i] + i for i in range(m + 1))
-    bottom = tuple(b[i] + i for i in range(m))
-    # checked Partitions give increasing rows; the padding leaves a 0 in one row at most
-    return Symbol._of_rows(top, bottom)
+    return Symbol._of_rows(*_bipartition_rows(alpha.parts, beta.parts))
+
+
+def _bipartition_rows(
+    alpha: tuple[int, ...], beta: tuple[int, ...]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """from_bipartition's rows from raw part tuples (positive, weakly
+    decreasing).  The rows are strictly increasing, the first is the
+    longer, and the minimal padding leaves a 0 in one row at most."""
+    m = max(len(alpha) - 1, len(beta), 0)
+    return _shifted(alpha, m + 1), _shifted(beta, m)
+
+
+def _shifted(parts: tuple[int, ...], length: int) -> tuple[int, ...]:
+    """The parts ascending, zero-padded in front to the length, entry i
+    plus i."""
+    pad = length - len(parts)
+    return tuple(range(pad)) + tuple(p + i for i, p in enumerate(reversed(parts), pad))
 
 
 def to_bipartition(sym: Symbol) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -143,10 +151,13 @@ def to_bipartition(sym: Symbol) -> tuple[tuple[int, ...], tuple[int, ...]]:
     parts) that keys an irreducible of W_n; requires defect 1."""
     if sym.defect != 1:
         raise ValueError(f"defect must be 1, got {sym.defect} for {sym}")
+    return _row_parts(sym.top), _row_parts(sym.bottom)
+
+
+def _row_parts(row: tuple[int, ...]) -> tuple[int, ...]:
+    """The partition whose shifted row (as in from_bipartition) is row."""
     # entry i of a strictly increasing row, less i, is weakly increasing and >= 0
-    alpha = tuple(x - i for i, x in enumerate(sym.top) if x != i)[::-1]
-    beta = tuple(x - i for i, x in enumerate(sym.bottom) if x != i)[::-1]
-    return alpha, beta
+    return tuple(x - i for i, x in enumerate(row) if x != i)[::-1]
 
 
 def is_special(sym: Symbol) -> bool:

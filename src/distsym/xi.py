@@ -106,11 +106,11 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import comb, factorial
-from typing import Iterable
+from typing import Iterable, Iterator
 
-from .cells import even_strip_specials, make_cell
+from .cells import _flipped_rows, even_strip_specials, make_cell
 from .partitions import even_paired_extensions, horizontal_strips, partitions
-from .symbols import to_bipartition
+from .symbols import _row_parts
 from .wchar import Bipartition, ClassFunction, bipartitions, virtual_character
 
 
@@ -315,12 +315,17 @@ def _xi_route_b(n: int) -> XiResult:
 
 
 def _xi_route_c(n: int) -> XiResult:
-    terms = (
-        (to_bipartition(sym), sign)
-        for z in even_strip_specials(n)
-        for sign, sym in make_cell(z).terms
-    )
-    return _signed_sum(n, "C", terms)
+    return _signed_sum(n, "C", _cell_terms(n))
+
+
+def _cell_terms(n: int) -> Iterator[tuple[tuple, int]]:
+    """Every cell term as its raw (alpha parts, beta parts) and its sign,
+    read off the term's oriented rows: a standard cell swaps columnwise
+    pairs, so each term keeps Z's defect 1 and its longer row is alpha's."""
+    for z in even_strip_specials(n):
+        cell = make_cell(z)
+        for sign, (_, top, bottom) in zip(cell.signs, _flipped_rows(z, cell.masks)):
+            yield (_row_parts(top), _row_parts(bottom)), sign
 
 
 _ROUTES = {"A": _xi_route_a, "B": _xi_route_b, "C": _xi_route_c}

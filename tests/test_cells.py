@@ -108,6 +108,46 @@ def flip_term(cell, t):
     return dataclasses.replace(cell, signs=tuple(signs))
 
 
+def backtracking_admissible(z, arrangement):
+    """The recursive definition of admissibility, searched by backtracking:
+    the reference for the greedy loop of is_admissible."""
+    doubles = z.doubles()
+
+    def rec(active, pairs):
+        if not pairs:
+            return True
+        for a, b in pairs:
+            i = active.index(a)
+            if i + 1 >= len(active) or active[i + 1] != b:
+                continue
+            if any(a < x < b for x in doubles):
+                continue
+            rest = tuple(p for p in pairs if p != (a, b))
+            if rec(tuple(x for x in active if x not in (a, b)), rest):
+                return True
+        return False
+
+    return rec(z.singles(), arrangement.pairs)
+
+
+def all_arrangements(singles):
+    """Every arrangement of the singles: an isolated one and a perfect
+    matching of the rest."""
+
+    def matchings(items):
+        if not items:
+            yield ()
+            return
+        first, rest = items[0], items[1:]
+        for k, other in enumerate(rest):
+            for m in matchings(rest[:k] + rest[k + 1 :]):
+                yield ((first, other),) + m
+
+    for iso in singles:
+        for m in matchings(tuple(x for x in singles if x != iso)):
+            yield Arrangement(m, iso)
+
+
 class TestArrangements:
     def test_standard_arrangement_examples(self):
         arr = standard_arrangement(Z12)
@@ -147,6 +187,33 @@ class TestArrangements:
         for n in range(0, 5):
             for z in even_strip_specials(n):
                 assert is_admissible(z, standard_arrangement(z)), str(z)
+
+    def test_greedy_admissibility_matches_backtracking(self):
+        # every arrangement of every special symbol of rank <= 14 with at
+        # most 7 singles
+        seen = {True: 0, False: 0}
+        seven = with_doubles = 0
+        for rank in range(15):
+            for z in special_symbols_of_rank(rank):
+                if len(z.singles()) > 7:
+                    continue
+                seven += len(z.singles()) == 7
+                with_doubles += bool(z.doubles())
+                for arr in all_arrangements(z.singles()):
+                    expected = backtracking_admissible(z, arr)
+                    assert is_admissible(z, arr) == expected, (str(z), arr)
+                    seen[expected] += 1
+        assert seven >= 5 and with_doubles > 100 and min(seen.values()) > 1000
+
+    def test_standard_pattern_through_rank_42(self):
+        # in single indices the standard arrangement is ((0, 1), (2, 3), ...)
+        # with the last single isolated, so a cell's pattern is d and its
+        # sign pairs
+        for n in range(22):
+            for z in even_strip_specials(n):
+                pairs = tuple((2 * j, 2 * j + 1) for j in range(z.d))
+                pattern = cells._index_pattern(z, standard_arrangement(z))
+                assert pattern == (pairs, 2 * z.d), str(z)
 
 
 class TestSwap:
@@ -245,8 +312,26 @@ class TestCells:
         assert [(s, str(sym)) for s, sym in c.terms] == [(1, "0,5|2"), (1, "0,2|5")]
 
     def test_inadmissible_arrangement_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape("is not admissible for 0,2|1")):
             make_cell(Z4, Arrangement(((0, 2),), 1))
+
+    def test_sign_pairs_outside_the_arrangement_rejected(self):
+        with pytest.raises(ValueError, match="sign_pairs must be a subset"):
+            make_cell(Z12, sign_pairs=((1, 2),))
+
+    def test_repeated_terms_rejected(self, monkeypatch):
+        # a pair named twice swaps the same singles in three terms
+        monkeypatch.setattr(cells, "is_admissible", lambda z, arrangement: True)
+        with pytest.raises(ValueError, match=re.escape("cell terms for 0,2|1 are not distinct")):
+            make_cell(Z4, Arrangement(((0, 1), (0, 1)), 2))
+
+    def test_term_plans_cover_rank_28_with_22_patterns(self):
+        cells._term_plan.cache_clear()
+        cells._kept_masks.cache_clear()
+        for n in range(1, 15):
+            distinguished(n)
+        assert cells._term_plan.cache_info().currsize == 22
+        assert cells._kept_masks.cache_info().currsize == 22
 
     def test_terms_are_swapped_pairs_through_rank_20(self):
         for n in range(1, 11):
@@ -414,6 +499,16 @@ class TestFourier:
                     expected = outcome(reference_constituents, flipped)
                     assert outcome(fourier_constituents, flipped) == expected
 
+    def test_arbitrary_signs_raise_after_a_good_plan_is_cached(self):
+        c = make_cell(Z12)
+        good = fourier_constituents(c)
+        bad = dataclasses.replace(c, signs=(1, 1, 1, -1))
+        expected = {"special_symbol": str(Z12), "family_index": [], "multiplicity": "2/4"}
+        assert outcome(reference_constituents, bad) == expected
+        for _ in range(2):
+            assert outcome(fourier_constituents, bad) == expected
+            assert fourier_constituents(c) == good
+
     def test_term_count_checked(self):
         c = make_cell(Z12)
         for signs in (c.signs[:-1], c.signs + c.signs[:1]):
@@ -529,11 +624,11 @@ class TestDistinguished:
 
     def test_overlap_names_the_cell_that_meets_an_earlier_family(self, monkeypatch):
         # 6|- claims 0,1,4|2,3, a constituent of the earlier 0,2,4|1,3
-        original = cells.fourier_constituents
-        shared = (Symbol.parse("0,1,4|2,3"),)
+        original = cells._constituent_rows
+        shared = (cells._row(Symbol.parse("0,1,4|2,3")),)
         monkeypatch.setattr(
             cells,
-            "fourier_constituents",
+            "_constituent_rows",
             lambda cell: shared if str(cell.z) == "6|-" else original(cell),
         )
         with pytest.raises(FamilyModelViolation) as err:
@@ -546,13 +641,13 @@ class TestDistinguished:
 
     def test_short_cell_is_named_by_the_count_check(self, monkeypatch):
         # 0,2,4|1,3 repeats one of its four constituents
-        original = cells.fourier_constituents
+        original = cells._constituent_rows
 
         def repeated(cell):
             out = original(cell)
             return out[:1] + out[:-1] if str(cell.z) == "0,2,4|1,3" else out
 
-        monkeypatch.setattr(cells, "fourier_constituents", repeated)
+        monkeypatch.setattr(cells, "_constituent_rows", repeated)
         with pytest.raises(FamilyModelViolation) as err:
             rank_report(6)
         assert err.value.payload == {
@@ -562,18 +657,27 @@ class TestDistinguished:
         }
 
     def test_count_path_builds_only_the_constituents(self, monkeypatch):
-        # each cell flips Z once per constituent and builds no term symbol
+        # each cell flips Z once per constituent and builds no term row
         flipped = []
-        original = cells._flipped
+        original = cells._flipped_rows
 
         def counted(z, masks):
             masks = list(masks)
             flipped.extend(masks)
             return original(z, masks)
 
-        monkeypatch.setattr(cells, "_flipped", counted)
+        monkeypatch.setattr(cells, "_flipped_rows", counted)
         total = sum(rank_report(2 * n).count for n in range(1, 9))
         assert len(flipped) == total
+
+    def test_row_order_is_symbol_order_through_rank_20(self):
+        for rank in range(21):
+            rep = rank_report(rank)
+            assert list(rep.union) == sorted(rep.union, key=symbol_sort_key)
+            assert rep.union is rep.union
+            for e in rep.entries:
+                assert e.constituents == fourier_constituents(e.cell)
+                assert list(e.constituents) == sorted(e.constituents, key=symbol_sort_key)
 
     def test_count_is_union_size(self):
         for n in (1, 2, 3, 4):

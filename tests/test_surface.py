@@ -29,6 +29,12 @@ ALLOWED_UNUSED = {
     "test of the B_n table and the certificate of route A's block closed form "
     "compare against",
     "symbols.reduce_symbol": "the normaliser that Symbol's error message points users to",
+    "symbols.from_bipartition": "the documented bipartition-to-symbol map; even_strip_specials "
+    "builds the same rows from raw parts through its row builder, and the tests check "
+    "that builder through it",
+    "symbols.to_bipartition": "the inverse map with its defect-1 check; route C reads the "
+    "same raw parts off its term rows, and the cell tests key their reference "
+    "decompositions through it",
 }
 
 

@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 from distsym import wchar
-from distsym.cells import even_strip_specials
+from distsym import symbols
+from distsym.cells import even_strip_specials, make_cell
 from distsym.partitions import Partition, SkewShape, hv_split, is_even_paired_shape, partitions
 from distsym.wchar import (
     Bipartition,
@@ -345,6 +346,26 @@ class TestRawPairs:
         formula = rank_scan.product_formula(5)
         for n in range(1, 6):
             assert len(xi(n, route).decomposition) == formula[n]
+
+    def test_route_c_reads_raw_parts_off_the_term_rows(self, monkeypatch):
+        # the reference: each term's Symbol taken apart by to_bipartition
+        for n in range(1, 9):
+            expected = [
+                (symbols.to_bipartition(sym), sign)
+                for z in even_strip_specials(n)
+                for sign, sym in make_cell(z).terms
+            ]
+            assert list(xi_mod._cell_terms(n)) == expected
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("route C built a symbol")
+
+        monkeypatch.setattr(symbols.Symbol, "_of_rows", refuse)
+        monkeypatch.setattr(symbols.Symbol, "__post_init__", refuse)
+        monkeypatch.setattr(symbols, "to_bipartition", refuse)
+        formula = rank_scan.product_formula(8)
+        for n in range(1, 9):
+            assert len(xi(n, "C").decomposition) == formula[n]
 
     @pytest.mark.parametrize("n", range(1, 5))
     def test_decompose_inverts_virtual_character(self, n):
