@@ -20,13 +20,8 @@ even-strip special is always ((0, 1), (2, 3), ...) in single indices with
 the last single isolated, so its pattern is d and its odd-difference
 pairs.  Rank 2n <= 28 allows d <= 4 (2d + 1 singles need rank at least
 d*d + d); every sign choice occurs for d <= 3 and 7 of 16 at d = 4, so 22
-patterns cover the 3258 specials of n = 1..14.
-
-The distinguished-symbol pipeline never builds a term symbol, and builds
-no symbol at all until a report is read: rank_report keeps each family
-member as its oriented (defect, top, bottom) row, which at one rank sorts
-as symbol_sort_key sorts the symbols, and CellEntry.constituents and
-DistinguishedReport.union build their symbols on first read.
+patterns cover the 3258 specials of n = 1..14.  The distinguished-symbol
+pipeline builds no term symbol, only the constituents.
 
 The Fourier model used here indexes the family by even subsets A of the
 singles, pairing them by intersection parity.  It reproduces the worked
@@ -41,14 +36,10 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, NoReturn
+from typing import Iterable, NoReturn
 
 from .partitions import even_subsets, horizontal_strips, partitions
 from .symbols import SpecialSymbol, Symbol, _bipartition_rows, cuspidal_symbol
-
-# A symbol as its oriented rows, (defect, top, bottom): at one rank these
-# tuples sort as symbol_sort_key sorts the symbols.
-Row = tuple[int, tuple[int, ...], tuple[int, ...]]
 
 
 class FamilyModelViolation(Exception):
@@ -200,14 +191,15 @@ def swap_pairs(z: SpecialSymbol, pairs: tuple[tuple[int, int], ...]) -> Symbol:
     return Symbol(tuple(sorted(top)), tuple(sorted(bottom)))
 
 
-def _flipped_rows(z: SpecialSymbol, masks: Iterable[int]) -> Iterator[Row]:
-    """The oriented rows of Z with the singles at the set bits of each mask
-    moved to the other row; bit i stands for the i-th smallest single."""
+def _flipped(z: SpecialSymbol, masks: Iterable[int]) -> list[Symbol]:
+    """Z with the singles at the set bits of each mask moved to the other
+    row; bit i stands for the i-th smallest single."""
     singles = z.singles()
     doubles = z.doubles()
     in_top = set(z.top)
     top = sum(1 << i for i, x in enumerate(singles) if x in in_top)
     bits = [(1 << i, x) for i, x in enumerate(singles)]
+    out = []
     for mask in masks:
         new_top = top ^ mask
         top_row = list(doubles)
@@ -216,27 +208,9 @@ def _flipped_rows(z: SpecialSymbol, masks: Iterable[int]) -> Iterator[Row]:
             (top_row if new_top & bit else bottom_row).append(x)
         top_row.sort()
         bottom_row.sort()
-        t, b = tuple(top_row), tuple(bottom_row)
-        if len(b) > len(t) or (len(b) == len(t) and b < t):
-            t, b = b, t
-        yield len(t) - len(b), t, b
-
-
-def _symbols(rows: Iterable[Row]) -> tuple[Symbol, ...]:
-    """The symbols of rows from _flipped_rows, unchecked: Z's doubles plus
-    disjoint singles of Z are increasing, and reduced as Z is."""
-    return tuple(Symbol._of_rows(top, bottom) for _, top, bottom in rows)
-
-
-def _row(sym: Symbol) -> Row:
-    """A symbol as its oriented row."""
-    return len(sym.top) - len(sym.bottom), sym.top, sym.bottom
-
-
-def _flipped(z: SpecialSymbol, masks: Iterable[int]) -> tuple[Symbol, ...]:
-    """Z with the singles at the set bits of each mask moved to the other
-    row, as symbols."""
-    return _symbols(_flipped_rows(z, masks))
+        # Z's doubles plus disjoint singles of Z: increasing, and reduced as Z is
+        out.append(Symbol._of_rows(tuple(top_row), tuple(bottom_row)))
+    return out
 
 
 def _index_pattern(
@@ -309,7 +283,7 @@ def even_strip_specials(n: int) -> tuple[SpecialSymbol, ...]:
         for beta in partitions(bsize)
         for alpha in horizontal_strips(beta.parts, 2 * n - 2 * bsize, 2)
     ]
-    # one rank and defect 1, so symbol_sort_key order is row order
+    # one rank and defect 1, so (top, bottom) order is symbol order
     return tuple(SpecialSymbol(Symbol._of_rows(top, bottom)) for top, bottom in sorted(rows))
 
 
@@ -333,12 +307,7 @@ def _syndrome(a: int, pair_masks: list[int]) -> int:
 
 def fourier_constituents(cell: Cell) -> tuple[Symbol, ...]:
     """The family members carried by a cell under the even-subset pairing,
-    as symbols, ordered by symbol_sort_key."""
-    return _symbols(_constituent_rows(cell))
-
-
-def _constituent_rows(cell: Cell) -> tuple[Row, ...]:
-    """The family members carried by a cell, as sorted oriented rows.
+    sorted (one rank, so by defect, then rows).
 
     Bit i of a mask stands for the i-th smallest single of Z.  The family
     member at an even mask A is Z with the singles in A moved to the other
@@ -357,8 +326,8 @@ def _constituent_rows(cell: Cell) -> tuple[Row, ...]:
     one member when it is 1, the isolated single fixing the parity).
 
     Multiplicities must land in {0, 1}, and exactly 2**d members survive,
-    which is exactly one syndrome with F = 2**d; rows are built only for
-    its members.  A violation reports the first even mask A in the order
+    which is exactly one syndrome with F = 2**d; symbols are built only
+    for its members.  A violation reports the first even mask A in the order
     of family(Z).
     """
     full = 2**cell.d
@@ -368,7 +337,7 @@ def _constituent_rows(cell: Cell) -> tuple[Row, ...]:
     kept = _kept_masks(pairs, isolated, tuple(cell.signs))
     if kept is None:
         _raise_violation(cell.z, pairs, cell.signs)
-    return tuple(sorted(_flipped_rows(cell.z, kept)))
+    return tuple(sorted(_flipped(cell.z, kept)))
 
 
 def _walsh_hadamard(signs: Iterable[int]) -> list[int]:
@@ -430,15 +399,10 @@ def _raise_violation(
 
 @dataclass
 class CellEntry:
-    """A cell and the family members it carries, held as sorted oriented
-    rows; the constituent symbols are built on first read."""
+    """A cell and the family members it carries, sorted."""
 
     cell: Cell
-    rows: tuple[Row, ...]
-
-    @cached_property
-    def constituents(self) -> tuple[Symbol, ...]:
-        return _symbols(self.rows)
+    constituents: tuple[Symbol, ...]
 
     def to_json(self) -> dict:
         return {
@@ -453,20 +417,13 @@ class CellEntry:
 
 @dataclass
 class DistinguishedReport:
-    """The report at one rank; the union is held as sorted oriented rows,
-    and on first read it takes its symbols from the entries'
-    constituents."""
+    """The report at one rank; the union is sorted."""
 
     rank: int
     entries: list[CellEntry]
-    union_rows: tuple[Row, ...]
+    union: tuple[Symbol, ...]
     count: int
     cuspidal_present: bool
-
-    @cached_property
-    def union(self) -> tuple[Symbol, ...]:
-        symbol = {r: s for e in self.entries for r, s in zip(e.rows, e.constituents)}
-        return tuple(symbol[r] for r in self.union_rows)
 
     def to_json(self) -> dict:
         return {
@@ -487,8 +444,7 @@ def rank_report(rank: int) -> DistinguishedReport:
     or adds other than 2**d symbols raises, naming its Z.  The cuspidal
     flag records whether the symbol (0..2d | -) is among the constituents,
     which must happen whenever rank = d*d + d.  Odd ranks give an empty
-    report; rank 0 gives the cuspidal 0|-.  All of this runs on oriented
-    rows, which at one rank sort as symbol_sort_key sorts the symbols.
+    report; rank 0 gives the cuspidal 0|-.
     """
     if rank < 0:
         raise ValueError("rank must be non-negative")
@@ -499,19 +455,18 @@ def rank_report(rank: int) -> DistinguishedReport:
     specials = () if rank % 2 else even_strip_specials(rank // 2)
     for z in specials:
         c = make_cell(z)
-        rows = _constituent_rows(c)
-        if not merged.isdisjoint(rows):
-            shared = next(r for r in rows if r in merged)
-            earlier = next(e.cell.z for e in entries if shared in e.rows)
-            (symbol,) = _symbols((shared,))
-            raise FamilyModelViolation(z, frozenset(), f"{symbol} is also carried by {earlier}")
-        entries.append(CellEntry(c, rows))
-        merged.update(rows)
+        constituents = fourier_constituents(c)
+        if not merged.isdisjoint(constituents):
+            shared = next(s for s in constituents if s in merged)
+            earlier = next(e.cell.z for e in entries if shared in e.constituents)
+            raise FamilyModelViolation(z, frozenset(), f"{shared} is also carried by {earlier}")
+        entries.append(CellEntry(c, constituents))
+        merged.update(constituents)
         count += 2**c.d
         if len(merged) != count:
             raise FamilyModelViolation(z, frozenset(), f"union size {len(merged)} != {count}")
     cusp_d = next((d for d in range(rank + 1) if d * d + d == rank), None)
-    present = cusp_d is not None and _row(cuspidal_symbol(cusp_d)) in merged
+    present = cusp_d is not None and cuspidal_symbol(cusp_d) in merged
     return DistinguishedReport(rank, entries, tuple(sorted(merged)), count, present)
 
 

@@ -34,7 +34,7 @@ CHARTABLE_MAX_N = 12
 # (scripts/rank_scan.py), but the printed character needs every class.
 XI_MAX_N = 10
 # cells --rank 42 reaches n = 21, the largest unipotent cuspidal case the
-# symbol side checks: about 5-6.5 s and 155 MiB (rank 30: 0.7-0.9 s).
+# symbol side checks: about 3.7-4.6 s and 152 MiB (rank 30: 0.4-0.5 s).
 # distinguished --n n reports rank 2n, so it shares this bound.
 CELLS_MAX_RANK = 42
 # For --max-n N the oracle's subgroup-orders claim streams all of W_{2N}

@@ -18,29 +18,32 @@ from typing import Iterable, Iterator
 from .partitions import Partition
 
 
-@dataclass(frozen=True)
-class Symbol:
-    """A reduced symbol in canonical orientation.
+class Symbol(tuple):
+    """A reduced symbol in canonical orientation, stored as the tuple
+    (defect, top, bottom).
 
     The longer row is stored first; for rows of equal length the
     lexicographically smaller one comes first.  Construction requires the
     rows to be strictly increasing and already reduced; use
     reduce_symbol() to normalize raw rows.
 
+    Hashing, equality and order are the tuple's, so symbols of one rank
+    sort by (defect, top, bottom) with no key.  A Symbol equals the plain
+    tuple of its items; nothing in the package compares the two.
+
     The private _of_rows() is the one unchecked route: it only orients the
-    rows.  Its callers' rows are valid by construction: cells._flipped_rows
+    rows.  Its callers' rows are valid by construction: cells._flipped
     gives the doubles of a checked, reduced special symbol plus a subset of
     its singles (disjoint from the doubles), and _bipartition_rows gives
     partition parts shifted by their positions and minimally padded, so 0
     never lies in both.
     """
 
-    top: tuple[int, ...]
-    bottom: tuple[int, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        top = tuple(map(operator.index, self.top))
-        bottom = tuple(map(operator.index, self.bottom))
+    def __new__(cls, top: Iterable[int], bottom: Iterable[int] = ()) -> "Symbol":
+        top = tuple(map(operator.index, top))
+        bottom = tuple(map(operator.index, bottom))
         for row in (top, bottom):
             if row and min(row) < 0:
                 raise ValueError(f"negative entry in row {row!r}")
@@ -48,10 +51,7 @@ class Symbol:
                 raise ValueError(f"row must be strictly increasing: {row!r}")
         if top and bottom and top[0] == 0 and bottom[0] == 0:
             raise ValueError("symbol is not reduced; use reduce_symbol()")
-        if len(bottom) > len(top) or (len(bottom) == len(top) and bottom < top):
-            top, bottom = bottom, top
-        object.__setattr__(self, "top", top)
-        object.__setattr__(self, "bottom", bottom)
+        return cls._of_rows(top, bottom)
 
     @classmethod
     def _of_rows(cls, top: tuple[int, ...], bottom: tuple[int, ...]) -> "Symbol":
@@ -59,20 +59,24 @@ class Symbol:
         increasing and reduced: only the orientation is set."""
         if len(bottom) > len(top) or (len(bottom) == len(top) and bottom < top):
             top, bottom = bottom, top
-        sym = object.__new__(cls)
-        object.__setattr__(sym, "top", top)
-        object.__setattr__(sym, "bottom", bottom)
-        return sym
+        return tuple.__new__(cls, (len(top) - len(bottom), top, bottom))
+
+    # copy and pickle rebuild a Symbol by calling __new__ with these
+    def __getnewargs__(self) -> tuple:
+        return self[1], self[2]
+
+    def __repr__(self) -> str:
+        return f"Symbol(top={self[1]!r}, bottom={self[2]!r})"
+
+    defect = property(operator.itemgetter(0))
+    top = property(operator.itemgetter(1))
+    bottom = property(operator.itemgetter(2))
 
     @property
     def rank(self) -> int:
         total = sum(self.top) + sum(self.bottom)
         t = len(self.top) + len(self.bottom) - 1
         return total - (t * t) // 4
-
-    @property
-    def defect(self) -> int:
-        return abs(len(self.top) - len(self.bottom))
 
     def __str__(self) -> str:
         def fmt(row: tuple[int, ...]) -> str:
@@ -91,14 +95,6 @@ class Symbol:
             return tuple(int(t) for t in part.split(","))
 
         return cls(row(top), row(bottom))
-
-
-def symbol_sort_key(s: Symbol) -> tuple:
-    """(rank, defect, top, bottom), computed from the rows inline; the
-    canonical orientation makes the defect len(top) - len(bottom)."""
-    top, bottom = s.top, s.bottom
-    t = len(top) + len(bottom) - 1
-    return (sum(top) + sum(bottom) - (t * t) // 4, len(top) - len(bottom), top, bottom)
 
 
 def reduce_symbol(top: Iterable[int], bottom: Iterable[int]) -> Symbol:
@@ -280,4 +276,4 @@ def odd_defect_symbols(rank: int) -> tuple[Symbol, ...]:
                         out.append(Symbol(top, bottom))
             b += 1
         d += 2
-    return tuple(sorted(set(out), key=symbol_sort_key))
+    return tuple(sorted(set(out)))

@@ -108,7 +108,7 @@ from functools import cached_property, lru_cache
 from math import comb, factorial
 from typing import Iterable, Iterator
 
-from .cells import _flipped_rows, even_strip_specials, make_cell
+from .cells import even_strip_specials, make_cell
 from .partitions import even_paired_extensions, horizontal_strips, partitions
 from .symbols import _row_parts
 from .wchar import Bipartition, ClassFunction, bipartitions, virtual_character
@@ -320,11 +320,10 @@ def _xi_route_c(n: int) -> XiResult:
 
 def _cell_terms(n: int) -> Iterator[tuple[tuple, int]]:
     """Every cell term as its raw (alpha parts, beta parts) and its sign,
-    read off the term's oriented rows: a standard cell swaps columnwise
+    read off the term symbol's rows: a standard cell swaps columnwise
     pairs, so each term keeps Z's defect 1 and its longer row is alpha's."""
     for z in even_strip_specials(n):
-        cell = make_cell(z)
-        for sign, (_, top, bottom) in zip(cell.signs, _flipped_rows(z, cell.masks)):
+        for sign, (_, top, bottom) in make_cell(z).terms:
             yield (_row_parts(top), _row_parts(bottom)), sign
 
 

@@ -29,11 +29,11 @@ from distsym.symbols import (
     cuspidal_symbol,
     from_bipartition,
     is_special,
-    symbol_sort_key,
     to_bipartition,
 )
 from distsym.wchar import bipartitions, inner_product, virtual_character
 from distsym.xi import xi
+from test_symbols import symbol_key
 
 Z4 = SpecialSymbol(Symbol.parse("0,2|1"))
 Z12 = SpecialSymbol(Symbol.parse("0,2,4|1,3"))
@@ -48,7 +48,7 @@ def special_symbols_of_rank(rank):
         sym = from_bipartition(bp.alpha, bp.beta)
         if is_special(sym):
             out.append(SpecialSymbol(sym))
-    return tuple(sorted(out, key=lambda z: symbol_sort_key(z.symbol)))
+    return tuple(sorted(out, key=lambda z: symbol_key(z.symbol)))
 
 
 def cell_character(cell):
@@ -80,7 +80,7 @@ def reference_constituents(cell):
             constituents.append(sym)
     if len(constituents) != 2**d:
         raise FamilyModelViolation(z, frozenset(), f"{len(constituents)} constituents")
-    return tuple(sorted(constituents, key=symbol_sort_key))
+    return tuple(sorted(constituents, key=symbol_key))
 
 
 @functools.cache
@@ -624,11 +624,11 @@ class TestDistinguished:
 
     def test_overlap_names_the_cell_that_meets_an_earlier_family(self, monkeypatch):
         # 6|- claims 0,1,4|2,3, a constituent of the earlier 0,2,4|1,3
-        original = cells._constituent_rows
-        shared = (cells._row(Symbol.parse("0,1,4|2,3")),)
+        original = cells.fourier_constituents
+        shared = (Symbol.parse("0,1,4|2,3"),)
         monkeypatch.setattr(
             cells,
-            "_constituent_rows",
+            "fourier_constituents",
             lambda cell: shared if str(cell.z) == "6|-" else original(cell),
         )
         with pytest.raises(FamilyModelViolation) as err:
@@ -641,13 +641,13 @@ class TestDistinguished:
 
     def test_short_cell_is_named_by_the_count_check(self, monkeypatch):
         # 0,2,4|1,3 repeats one of its four constituents
-        original = cells._constituent_rows
+        original = cells.fourier_constituents
 
         def repeated(cell):
             out = original(cell)
             return out[:1] + out[:-1] if str(cell.z) == "0,2,4|1,3" else out
 
-        monkeypatch.setattr(cells, "_constituent_rows", repeated)
+        monkeypatch.setattr(cells, "fourier_constituents", repeated)
         with pytest.raises(FamilyModelViolation) as err:
             rank_report(6)
         assert err.value.payload == {
@@ -657,27 +657,26 @@ class TestDistinguished:
         }
 
     def test_count_path_builds_only_the_constituents(self, monkeypatch):
-        # each cell flips Z once per constituent and builds no term row
+        # each cell flips Z once per constituent and builds no term symbol
         flipped = []
-        original = cells._flipped_rows
+        original = cells._flipped
 
         def counted(z, masks):
             masks = list(masks)
             flipped.extend(masks)
             return original(z, masks)
 
-        monkeypatch.setattr(cells, "_flipped_rows", counted)
+        monkeypatch.setattr(cells, "_flipped", counted)
         total = sum(rank_report(2 * n).count for n in range(1, 9))
         assert len(flipped) == total
 
     def test_row_order_is_symbol_order_through_rank_20(self):
         for rank in range(21):
             rep = rank_report(rank)
-            assert list(rep.union) == sorted(rep.union, key=symbol_sort_key)
-            assert rep.union is rep.union
+            assert list(rep.union) == sorted(rep.union, key=symbol_key)
             for e in rep.entries:
                 assert e.constituents == fourier_constituents(e.cell)
-                assert list(e.constituents) == sorted(e.constituents, key=symbol_sort_key)
+                assert list(e.constituents) == sorted(e.constituents, key=symbol_key)
 
     def test_count_is_union_size(self):
         for n in (1, 2, 3, 4):

@@ -141,8 +141,8 @@ class TestCellsCommands:
     def test_overlapping_families_fail_loudly(self, capsys, monkeypatch):
         # every cell claims the constituents of the first one, so the second
         # cell is the first to meet an earlier family
-        shared = cells._constituent_rows(cells.make_cell(cells.even_strip_specials(2)[0]))
-        monkeypatch.setattr(cells, "_constituent_rows", lambda cell: shared)
+        shared = cells.fourier_constituents(cells.make_cell(cells.even_strip_specials(2)[0]))
+        monkeypatch.setattr(cells, "fourier_constituents", lambda cell: shared)
         code, out, err = run_cli(capsys, "cells", "--rank", "4")
         assert code == 1 and out == ""
         assert json.loads(err) == {
@@ -223,7 +223,7 @@ class TestVerifyCommand:
             raise cells.FamilyModelViolation(z, (0,), 2)
 
         expected = [(c.name, c.status) for c in verify.run_verification().checks]
-        monkeypatch.setattr(cells, "_constituent_rows", overlap)
+        monkeypatch.setattr(cells, "fourier_constituents", overlap)
         code, out, err = run_cli(capsys, "verify", "--json")
         assert code == 1 and err == ""
         checks = json.loads(out)["checks"]

@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,10 +14,14 @@ from distsym.symbols import (
     is_special,
     odd_defect_symbols,
     reduce_symbol,
-    symbol_sort_key,
     to_bipartition,
 )
 from distsym.wchar import bipartitions
+
+
+def symbol_key(s: Symbol) -> tuple:
+    """The reference order of symbols: rank, defect, then the rows."""
+    return (s.rank, s.defect, s.top, s.bottom)
 
 
 def defect_one_symbols(rank: int) -> tuple[Symbol, ...]:
@@ -68,6 +74,23 @@ class TestSymbolBasics:
     def test_str_parse(self):
         for text in ("0,2,4|1,3", "6|-", "-|-", "0,1,2|-"):
             assert str(Symbol.parse(text)) == text
+
+    def test_symbol_is_its_oriented_row_tuple(self):
+        for r in range(9):
+            syms = odd_defect_symbols(r)
+            for s in syms:
+                for same in (
+                    Symbol(s.top, s.bottom),
+                    Symbol.parse(str(s)),
+                    Symbol._of_rows(s.bottom, s.top),
+                    pickle.loads(pickle.dumps(s)),
+                ):
+                    # a plain tuple of the items would compare equal too
+                    assert type(same) is Symbol, str(s)
+                    assert same == s and hash(same) == hash(s), str(s)
+                assert s.defect == len(s.top) - len(s.bottom)
+                assert tuple(s) == (s.defect, s.top, s.bottom)
+            assert sorted(syms[::-1]) == sorted(syms, key=symbol_key)
 
 
 class TestReduce:
@@ -218,9 +241,10 @@ class TestOddDefectEnumeration:
             assert via_map <= set(odd_defect_symbols(n))
 
     def test_sort_key_is_rank_defect_rows(self):
+        # within one rank the symbols' own order is the reference order
         for r in range(11):
-            for s in odd_defect_symbols(r):
-                assert symbol_sort_key(s) == (s.rank, s.defect, s.top, s.bottom), str(s)
+            syms = odd_defect_symbols(r)
+            assert list(syms) == sorted(syms, key=symbol_key)
 
     def test_cuspidal_members(self):
         assert cuspidal_symbol(1) in odd_defect_symbols(2)
