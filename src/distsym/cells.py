@@ -9,19 +9,22 @@ union over the even-strip special symbols of rank 2n is the
 distinguished-symbol list for the rank-2n symplectic group.
 
 A Cell is its term signs and swap masks (bitmasks over the singles); its
-term symbols are built only on first read of Cell.terms.  Both depend on Z
-only through the cell's index pattern: the number of singles, each pair
-as two single indices, and which pairs flip the sign.  So does the Fourier
-step, given the isolated index too.  Two caches hold that work once per
-pattern: _term_plan (signs, masks and the term-distinctness check) and
-_kept_masks (the Walsh-Hadamard transform, the {0, 1} guard, the one-peak
-check and the kept family masks).  The standard arrangement of an
-even-strip special is always ((0, 1), (2, 3), ...) in single indices with
-the last single isolated, so its pattern is d and its odd-difference
-pairs.  Rank 2n <= 28 allows d <= 4 (2d + 1 singles need rank at least
-d*d + d); every sign choice occurs for d <= 3 and 7 of 16 at d = 4, so 22
-patterns cover the 3258 specials of n = 1..14.  The distinguished-symbol
-pipeline builds no term symbol, only the constituents.
+term symbols are built only on first read of Cell.terms, and its term
+rows (Cell.term_rows, what route C and the JSON report read) build none.
+The signs and masks depend on Z only through the cell's index pattern:
+the number of singles, each pair as two single indices, and which pairs
+flip the sign.  So does the Fourier step, given the isolated index too.
+Two caches hold that work once per pattern: _term_plan (signs, masks and
+the term-distinctness check) and _kept_masks (the Walsh-Hadamard
+transform, the {0, 1} guard, the one-peak check and the kept family
+masks).  The standard arrangement of an even-strip special is always
+((0, 1), (2, 3), ...) in single indices with the last single isolated,
+so its pattern is d and its odd-difference pairs.  Rank 2n <= 28 allows
+d <= 4 (2d + 1 singles need rank at least d*d + d); every sign choice
+occurs for d <= 3 and 7 of 16 at d = 4, so 22 patterns cover the 3258
+specials of n = 1..14.  The distinguished-symbol pipeline builds no term
+symbol, only the constituents, and its JSON prints the terms from their
+rows and each constituent once.
 
 The Fourier model used here indexes the family by even subsets A of the
 singles, pairing them by intersection parity.  It reproduces the worked
@@ -36,10 +39,16 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, NoReturn
+from typing import Iterable, Iterator, NoReturn
 
 from .partitions import even_subsets, horizontal_strips, partitions
-from .symbols import SpecialSymbol, Symbol, _bipartition_rows, cuspidal_symbol
+from .symbols import (
+    SpecialSymbol,
+    Symbol,
+    _bipartition_rows,
+    _rows_text,
+    cuspidal_symbol,
+)
 
 
 class FamilyModelViolation(Exception):
@@ -79,7 +88,8 @@ class Cell:
     """A virtual cell as its term signs and swap masks: term t has sign
     signs[t] and is Z with the singles at the set bits of masks[t] moved
     to the other row (bit i is the i-th smallest single).  The terms as
-    (sign, Symbol) pairs are built on first read."""
+    (sign, Symbol) pairs are built on first read; term_rows() gives their
+    rows alone."""
 
     z: SpecialSymbol
     arrangement: Arrangement
@@ -95,6 +105,14 @@ class Cell:
     def terms(self) -> tuple[tuple[int, Symbol], ...]:
         """The signed term symbols, on first read."""
         return tuple(zip(self.signs, _flipped(self.z, self.masks)))
+
+    def term_rows(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+        """Each term symbol's (top, bottom) rows, in term order, with no
+        Symbol built.  They need no orienting: the singles of a special
+        symbol alternate between its rows, so an admissible arrangement
+        pairs a top single with a bottom one, and every term keeps Z's row
+        lengths and defect 1."""
+        return list(_flipped_rows(self.z, self.masks))
 
 
 def standard_arrangement(z: SpecialSymbol) -> Arrangement:
@@ -192,14 +210,20 @@ def swap_pairs(z: SpecialSymbol, pairs: tuple[tuple[int, int], ...]) -> Symbol:
 
 
 def _flipped(z: SpecialSymbol, masks: Iterable[int]) -> list[Symbol]:
-    """Z with the singles at the set bits of each mask moved to the other
-    row; bit i stands for the i-th smallest single."""
+    """The symbols of _flipped_rows."""
+    return [Symbol._of_rows(top, bottom) for top, bottom in _flipped_rows(z, masks)]
+
+
+def _flipped_rows(
+    z: SpecialSymbol, masks: Iterable[int]
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Z's rows with the singles at the set bits of each mask moved to the
+    other row, not yet oriented; bit i stands for the i-th smallest single."""
     singles = z.singles()
     doubles = z.doubles()
     in_top = set(z.top)
     top = sum(1 << i for i, x in enumerate(singles) if x in in_top)
     bits = [(1 << i, x) for i, x in enumerate(singles)]
-    out = []
     for mask in masks:
         new_top = top ^ mask
         top_row = list(doubles)
@@ -209,8 +233,7 @@ def _flipped(z: SpecialSymbol, masks: Iterable[int]) -> list[Symbol]:
         top_row.sort()
         bottom_row.sort()
         # Z's doubles plus disjoint singles of Z: increasing, and reduced as Z is
-        out.append(Symbol._of_rows(tuple(top_row), tuple(bottom_row)))
-    return out
+        yield tuple(top_row), tuple(bottom_row)
 
 
 def _index_pattern(
@@ -405,11 +428,13 @@ class CellEntry:
     constituents: tuple[Symbol, ...]
 
     def to_json(self) -> dict:
+        cell = self.cell
         return {
-            "Z": str(self.cell.z),
-            "d": self.cell.d,
+            "Z": str(cell.z),
+            "d": cell.d,
             "terms": [
-                {"sign": sign, "symbol": str(sym)} for sign, sym in self.cell.terms
+                {"sign": sign, "symbol": _rows_text(*rows)}
+                for sign, rows in zip(cell.signs, cell.term_rows())
             ],
             "constituents": [str(s) for s in self.constituents],
         }
@@ -426,10 +451,17 @@ class DistinguishedReport:
     cuspidal_present: bool
 
     def to_json(self) -> dict:
+        cells = [e.to_json() for e in self.entries]
+        # each constituent is printed once: the union reuses its cell's string
+        names = {
+            s: name
+            for e, c in zip(self.entries, cells)
+            for s, name in zip(e.constituents, c["constituents"])
+        }
         return {
             "rank": self.rank,
-            "cells": [e.to_json() for e in self.entries],
-            "union": [str(s) for s in self.union],
+            "cells": cells,
+            "union": [names[s] for s in self.union],
             "count": self.count,
             "cuspidal_present": self.cuspidal_present,
         }

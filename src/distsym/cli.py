@@ -4,8 +4,8 @@ Subcommands: chartable, xi, cells, distinguished, oracle, verify.  Output
 defaults to plain text tables; --json switches to the documented schemas.
 All numbers print exactly (integers, or a/b for rationals).  Every size
 argument has a fixed upper bound, checked while the arguments are parsed,
-so no accepted call does more work than `chartable 12`; a size out of
-range exits 2 before any computation.
+so every accepted call ends in seconds (`xi 10`, the costliest, in about
+4-5 s); a size out of range exits 2 before any computation.
 
 Exit codes: 0 success, 1 internal model violation (the offending object is
 serialized to stderr), 2 usage errors.
@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 from . import cells as cells_mod
 from . import oracle as oracle_mod
@@ -24,23 +25,26 @@ from .wchar import bipartitions, character_table
 from .xi import check_route_a, xi_all
 from .xi import xi as xi_fn
 
-# Each bound is the largest size whose cold `python -m distsym.cli ... --json`
-# run costs no more than `chartable 12` (2-core x86-64, CPython 3.11.7).
-# chartable 12 prints the 1165 x 1165 table of W_12: about 8-9 s, 420 MiB
-# and 34 MB of JSON.
+# Each bound was set as the largest size whose cold
+# `python -m distsym.cli ... --json` run cost no more than `chartable 12` did
+# then, 8-9 s.  Costs are CLI wall time with interpreter start (2-core
+# x86-64, CPython 3.11.7).  chartable 12 prints the 1165 x 1165 table of
+# W_12: about 3.3-4 s, 330 MiB and 34 MB of JSON (the table about 1.7 s, the
+# JSON encoding about 1.9 s).
 CHARTABLE_MAX_N = 12
 # xi 10 evaluates xi, and checks route A's closed form, on W_20: about
-# 3.4-4.7 s and 110 MiB (xi 8: 0.8 s).  The decompositions alone reach n = 21
-# (scripts/rank_scan.py), but the printed character needs every class.
+# 4-4.9 s and 110 MiB (xi 8: 0.8 s), now the costliest accepted call.  The
+# decompositions alone reach n = 21 (scripts/rank_scan.py), but the printed
+# character needs every class.
 XI_MAX_N = 10
 # cells --rank 42 reaches n = 21, the largest unipotent cuspidal case the
-# symbol side checks: about 3.7-4.6 s and 152 MiB (rank 30: 0.4-0.5 s).
+# symbol side checks: about 3.2-3.7 s and 144 MiB (rank 30: 0.5 s).
 # distinguished --n n reports rank 2n, so it shares this bound.
 CELLS_MAX_RANK = 42
 # For --max-n N the oracle's subgroup-orders claim streams all of W_{2N}
-# once: W_6 (46080 elements) takes about 0.35 s, so --max-n 3 --include-w6
-# runs in about 0.5 s (CPython 3.11), while W_8 (about 1e7 elements) would
-# run for over a minute by extrapolation.
+# once: W_6 (46080 elements) takes about 0.3 s, so --max-n 3 --include-w6
+# runs in about 0.3-0.4 s, while W_8 (about 1e7 elements) would run for
+# over a minute by extrapolation.
 ORACLE_MAX_N = 3
 
 
@@ -65,26 +69,22 @@ def _emit_json(payload: dict) -> None:
 
 def _cmd_chartable(args) -> int:
     n = args.n
-    classes = bipartitions(n)
-    table = character_table(n)
+    # each class formatted once; the table's rows run over the same
+    # bipartitions, in the same order, so these name the rows too
+    names = [str(c) for c in bipartitions(n)]
+    chars = [char.values for char in character_table(n).values()]
     if args.json:
         payload = {
             "n": n,
-            "classes": [str(c) for c in classes],
-            "rows": {
-                str(bp): {str(c): v for c, v in zip(classes, char.values)}
-                for bp, char in table.items()
-            },
+            "classes": names,
+            "rows": {name: dict(zip(names, values)) for name, values in zip(names, chars)},
         }
         _emit_json(payload)
         return 0
-    keys = [str(c) for c in classes]
-    width = max(len(k) for k in keys) + 2
-    head = max(len(str(bp)) for bp in table) + 2
-    print(" " * head + "".join(k.rjust(width) for k in keys))
-    for bp, char in table.items():
-        row = "".join(str(v).rjust(width) for v in char.values)
-        print(str(bp).ljust(head) + row)
+    width = max(len(k) for k in names) + 2
+    print(" " * width + "".join(k.rjust(width) for k in names))
+    for name, values in zip(names, chars):
+        print(name.ljust(width) + "".join(str(v).rjust(width) for v in values))
     return 0
 
 
@@ -177,7 +177,11 @@ def _cmd_verify(args) -> int:
     return 0 if report.ok else 1
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process.  parse_args leaves it unchanged and
+    returns a fresh namespace, and each handler looks up its helpers when
+    it runs, so every call of main can share it."""
     parser = argparse.ArgumentParser(
         prog="distsym",
         description="Exact character arithmetic and distinguished Lusztig symbols "

@@ -32,7 +32,7 @@ class Symbol(tuple):
     tuple of its items; nothing in the package compares the two.
 
     The private _of_rows() is the one unchecked route: it only orients the
-    rows.  Its callers' rows are valid by construction: cells._flipped
+    rows.  Its callers' rows are valid by construction: cells._flipped_rows
     gives the doubles of a checked, reduced special symbol plus a subset of
     its singles (disjoint from the doubles), and _bipartition_rows gives
     partition parts shifted by their positions and minimally padded, so 0
@@ -79,10 +79,7 @@ class Symbol(tuple):
         return total - (t * t) // 4
 
     def __str__(self) -> str:
-        def fmt(row: tuple[int, ...]) -> str:
-            return ",".join(str(x) for x in row) if row else "-"
-
-        return f"{fmt(self.top)}|{fmt(self.bottom)}"
+        return _rows_text(self[1], self[2])
 
     @classmethod
     def parse(cls, text: str) -> "Symbol":
@@ -95,6 +92,14 @@ class Symbol(tuple):
             return tuple(int(t) for t in part.split(","))
 
         return cls(row(top), row(bottom))
+
+
+def _rows_text(top: tuple[int, ...], bottom: tuple[int, ...]) -> str:
+    """The printed form of oriented rows, top|bottom, a row's entries
+    joined by commas and an empty row shown as -.  Symbol.__str__ prints
+    through this, and so do the cell terms, which are printed from their
+    rows with no Symbol built."""
+    return f"{','.join(map(str, top)) or '-'}|{','.join(map(str, bottom)) or '-'}"
 
 
 def reduce_symbol(top: Iterable[int], bottom: Iterable[int]) -> Symbol:
@@ -153,7 +158,7 @@ def to_bipartition(sym: Symbol) -> tuple[tuple[int, ...], tuple[int, ...]]:
 def _row_parts(row: tuple[int, ...]) -> tuple[int, ...]:
     """The partition whose shifted row (as in from_bipartition) is row."""
     # entry i of a strictly increasing row, less i, is weakly increasing and >= 0
-    return tuple(x - i for i, x in enumerate(row) if x != i)[::-1]
+    return tuple([x - i for i, x in enumerate(row) if x != i][::-1])
 
 
 def is_special(sym: Symbol) -> bool:

@@ -320,10 +320,12 @@ def _xi_route_c(n: int) -> XiResult:
 
 def _cell_terms(n: int) -> Iterator[tuple[tuple, int]]:
     """Every cell term as its raw (alpha parts, beta parts) and its sign,
-    read off the term symbol's rows: a standard cell swaps columnwise
-    pairs, so each term keeps Z's defect 1 and its longer row is alpha's."""
+    read off the term's rows with no Symbol built: a standard cell swaps
+    columnwise pairs, so each term keeps Z's defect 1 and its longer row is
+    alpha's."""
     for z in even_strip_specials(n):
-        for sign, (_, top, bottom) in make_cell(z).terms:
+        cell = make_cell(z)
+        for sign, (top, bottom) in zip(cell.signs, cell.term_rows()):
             yield (_row_parts(top), _row_parts(bottom)), sign
 
 

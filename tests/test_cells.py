@@ -26,6 +26,7 @@ from distsym.cells import (
 from distsym.symbols import (
     SpecialSymbol,
     Symbol,
+    _rows_text,
     cuspidal_symbol,
     from_bipartition,
     is_special,
@@ -349,6 +350,25 @@ class TestCells:
                 assert c.terms == tuple(zip(c.signs, cells._flipped(z, c.masks))), str(z)
                 assert c.terms is c.terms
 
+    def test_term_rows_are_the_term_symbols_rows(self):
+        # term_rows does not orient its rows, so this checks that they come
+        # out oriented: the standard cells through rank 20, and every
+        # admissible arrangement of every special symbol through rank 12
+        # (up to 7 singles)
+        arranged = [
+            make_cell(z, arr, ())
+            for rank in range(13)
+            for z in special_symbols_of_rank(rank)
+            for arr in all_arrangements(z.singles())
+            if is_admissible(z, arr)
+        ]
+        assert max(c.d for c in arranged) == 3
+        standard = [make_cell(z) for n in range(1, 11) for z in even_strip_specials(n)]
+        for c in standard + arranged:
+            rows = c.term_rows()
+            assert rows == [(sym.top, sym.bottom) for _, sym in c.terms], (str(c.z), c.arrangement)
+            assert [_rows_text(*r) for r in rows] == [str(sym) for _, sym in c.terms]
+
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_mask_distinctness_is_symbol_distinctness(self, data):
@@ -669,6 +689,33 @@ class TestDistinguished:
         monkeypatch.setattr(cells, "_flipped", counted)
         total = sum(rank_report(2 * n).count for n in range(1, 9))
         assert len(flipped) == total
+
+    def test_report_json_builds_and_prints_each_constituent_once(self, monkeypatch):
+        # the terms print from their rows and the union reuses its cells'
+        # strings: one Symbol and one str per constituent, one str per Z,
+        # and one Symbol for the cuspidal flag's lookup at ranks d*d + d
+        built, printed = [], []
+        of_rows, to_str = Symbol._of_rows, Symbol.__str__
+
+        def counted_of_rows(cls, top, bottom):
+            built.append((top, bottom))
+            return of_rows(top, bottom)
+
+        def counted_str(self):
+            printed.append(self)
+            return to_str(self)
+
+        for n in range(1, 9):
+            even_strip_specials(n)  # built and cached before counting
+            with monkeypatch.context() as m:
+                m.setattr(Symbol, "_of_rows", classmethod(counted_of_rows))
+                m.setattr(Symbol, "__str__", counted_str)
+                payload = rank_report(2 * n).to_json()
+            cuspidal = n in (1, 3, 6)
+            assert len(built) == payload["count"] + cuspidal, n
+            assert len(printed) == payload["count"] + len(payload["cells"]), n
+            built.clear()
+            printed.clear()
 
     def test_row_order_is_symbol_order_through_rank_20(self):
         for rank in range(21):

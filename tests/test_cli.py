@@ -10,7 +10,7 @@ import pytest
 
 from distsym import cli, cells, oracle, verify
 from distsym.cli import build_parser, main
-from distsym.wchar import Bipartition
+from distsym.wchar import Bipartition, bipartitions
 from distsym.xi import RouteDisagreement, xi
 
 # distsym.xi is the function; the module has to come from importlib
@@ -37,6 +37,24 @@ class TestChartable:
         code, out, _ = run_cli(capsys, "chartable", "1")
         assert code == 0
         assert "1;-" in out and "-;1" in out
+
+    def test_each_class_is_formatted_once(self, capsys, monkeypatch):
+        # one string per class serves the class list, the row keys and
+        # every row's columns (65 + 65 + 65 * 65 calls otherwise)
+        formatted = []
+        original = Bipartition.__str__
+
+        def counted(self):
+            formatted.append(self)
+            return original(self)
+
+        bipartitions(6)  # built before counting
+        monkeypatch.setattr(Bipartition, "__str__", counted)
+        for fmt in (["--json"], []):
+            code, _, _ = run_cli(capsys, "chartable", "6", *fmt)
+            assert code == 0
+            assert len(formatted) == len(bipartitions(6)) == 65
+            formatted.clear()
 
 
 class TestXiCommand:
@@ -270,6 +288,40 @@ class TestVerifyCommand:
             monkeypatch.setitem(xi_mod._ROUTES, name, counted)
         assert verify.run_verification().ok
         assert sorted(built) == [(n, r) for n in (1, 2, 3) for r in "ABC"]
+
+
+class TestParserReuse:
+    def test_reused_parser_carries_no_state(self, capsys, monkeypatch):
+        assert build_parser() is build_parser()
+        shared = cells.fourier_constituents(cells.make_cell(cells.even_strip_specials(2)[0]))
+
+        def call(argv, overlap):
+            with monkeypatch.context() as m:
+                if overlap:
+                    # every cell claims the first one's constituents, as in
+                    # test_overlapping_families_fail_loudly
+                    m.setattr(cells, "fourier_constituents", lambda cell: shared)
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+            out, err = capsys.readouterr()
+            return code, out, err
+
+        sequence = [
+            (["xi", "2", "--route", "B", "--json"], False),
+            (["xi", "0"], False),  # a usage error
+            (["cells", "--rank", "4"], True),  # a model violation
+            (["xi", "2", "--route", "B", "--json"], False),
+        ]
+        builds = build_parser.cache_info().misses
+        reused = [call(argv, overlap) for argv, overlap in sequence]
+        assert build_parser.cache_info().misses == builds
+        assert [code for code, _, _ in reused] == [0, 2, 1, 0]
+        assert reused[0] == reused[3]
+        # the same calls, each with a parser of its own
+        monkeypatch.setattr(cli, "build_parser", build_parser.__wrapped__)
+        assert [call(argv, overlap) for argv, overlap in sequence] == reused
 
 
 class TestUsageErrors:

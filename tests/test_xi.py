@@ -358,10 +358,12 @@ class TestRawPairs:
             assert list(xi_mod._cell_terms(n)) == expected
 
         def refuse(*args, **kwargs):
-            raise AssertionError("route C checked a symbol or called to_bipartition")
+            raise AssertionError("route C built a symbol or called to_bipartition")
 
-        # the term symbols come unchecked from Cell.terms
+        # route C builds no Symbol: its specials are cached by the reference
+        # above, and it reads each term's rows, not the term's symbol
         monkeypatch.setattr(symbols.Symbol, "__new__", refuse)
+        monkeypatch.setattr(symbols.Symbol, "_of_rows", refuse)
         monkeypatch.setattr(symbols, "to_bipartition", refuse)
         formula = rank_scan.product_formula(8)
         for n in range(1, 9):
