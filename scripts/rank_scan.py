@@ -3,7 +3,7 @@
 
 For each n up to the bound (default 4, at least 1): the size of the
 even-strip special-symbol set, the distinguished count sum(2^d), whether
-the cuspidal symbol shows up (asserting that exactly one cell carries it),
+the cuspidal symbol shows up (as it must exactly when 2n = d(d+1), in one cell),
 the coefficient of x^n in prod_k (1-x^k)^-1 * prod_{k odd} (1-x^k)^-2,
 which must equal the count, and the number of route B's signed skew
 pairs even_paired_pairs(n), whose bipartitions must be distinct (so route
@@ -63,8 +63,11 @@ def main() -> None:
         report = distinguished(n)
         if report.count != formula[n]:
             raise SystemExit(f"n = {n}: count {report.count} != product formula {formula[n]}")
+        cusp_d = next((d for d in range(n + 1) if d * d + d == 2 * n), None)
+        if report.cuspidal_present != (cusp_d is not None):
+            raise SystemExit(f"n = {n}: cuspidal flag {report.cuspidal_present} is wrong")
         if report.cuspidal_present:
-            cusp = cuspidal_symbol(next(d for d in range(n + 1) if d * d + d == 2 * n))
+            cusp = cuspidal_symbol(cusp_d)
             carriers = [e for e in report.entries if cusp in e.constituents]
             if len(carriers) != 1:
                 raise SystemExit(f"n = {n}: the cuspidal {cusp} is in {len(carriers)} cells")

@@ -6,6 +6,7 @@ by all three routes, shows the two cells at rank 2, and ends with the
 distinguished symbol list for Sp_4."""
 
 from distsym.cells import distinguished, even_strip_specials, fourier_constituents, make_cell
+from distsym.symbols import Symbol
 from distsym.wchar import Bipartition, bipartitions, character_table
 from distsym.xi import xi_all
 
@@ -24,14 +25,14 @@ def main() -> None:
         vals = [res.character.at(c) for c in classes]
         print(f"  route {name}: character {vals}")
     decomp = results["A"].decomposition
-    # a decomposition is keyed by raw part pairs; Bipartition names them
-    terms = " ".join(f"{'+' if s > 0 else '-'}({Bipartition.of(*k)})" for k, s in decomp.items())
+    terms = " ".join(f"{'+' if s > 0 else '-'}({Bipartition(*k)})" for k, s in decomp.items())
     print(f"  decomposition: {terms}")
 
     print("\n== cells at rank 2 ==")
     for z in even_strip_specials(1):
         cell = make_cell(z)
-        terms = " ".join(f"{'+' if s > 0 else '-'}R({sym})" for s, sym in cell.terms)
+        signed_rows = zip(cell.signs, cell.term_rows())
+        terms = " ".join(f"{'+' if s > 0 else '-'}R({Symbol(*r)})" for s, r in signed_rows)
         cons = " + ".join(f"rho({s})" for s in fourier_constituents(cell))
         print(f"  Z = {z} (d = {cell.d}):  {terms}  =  {cons}")
 

@@ -9,8 +9,8 @@ union over the even-strip special symbols of rank 2n is the
 distinguished-symbol list for the rank-2n symplectic group.
 
 A Cell is its term signs and swap masks (bitmasks over the singles); its
-term symbols are built only on first read of Cell.terms, and its term
-rows (Cell.term_rows, what route C and the JSON report read) build none.
+term rows (Cell.term_rows, what route C, the JSON report and every
+printed term read) build no term symbol.
 The signs and masks depend on Z only through the cell's index pattern:
 the number of singles, each pair as two single indices, and which pairs
 flip the sign.  So does the Fourier step, given the isolated index too.
@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterable, Iterator, NoReturn
 
 from .partitions import even_subsets, horizontal_strips, partitions
@@ -87,9 +87,8 @@ class Arrangement:
 class Cell:
     """A virtual cell as its term signs and swap masks: term t has sign
     signs[t] and is Z with the singles at the set bits of masks[t] moved
-    to the other row (bit i is the i-th smallest single).  The terms as
-    (sign, Symbol) pairs are built on first read; term_rows() gives their
-    rows alone."""
+    to the other row (bit i is the i-th smallest single); term_rows()
+    gives the terms' rows."""
 
     z: SpecialSymbol
     arrangement: Arrangement
@@ -100,11 +99,6 @@ class Cell:
     @property
     def d(self) -> int:
         return len(self.arrangement.pairs)
-
-    @cached_property
-    def terms(self) -> tuple[tuple[int, Symbol], ...]:
-        """The signed term symbols, on first read."""
-        return tuple(zip(self.signs, _flipped(self.z, self.masks)))
 
     def term_rows(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
         """Each term symbol's (top, bottom) rows, in term order, with no
@@ -301,10 +295,10 @@ def even_strip_specials(n: int) -> tuple[SpecialSymbol, ...]:
     if n < 0:
         raise ValueError("n must be non-negative")
     rows = [
-        _bipartition_rows(alpha, beta.parts)
+        _bipartition_rows(alpha, beta)
         for bsize in range(n, -1, -1)
         for beta in partitions(bsize)
-        for alpha in horizontal_strips(beta.parts, 2 * n - 2 * bsize, 2)
+        for alpha in horizontal_strips(beta, 2 * n - 2 * bsize, 2)
     ]
     # one rank and defect 1, so (top, bottom) order is symbol order
     return tuple(SpecialSymbol(Symbol._of_rows(top, bottom)) for top, bottom in sorted(rows))

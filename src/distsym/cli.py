@@ -99,8 +99,8 @@ def _xi_payload(result, names: dict) -> dict:
 def _cmd_xi(args) -> int:
     n = args.n
     route = args.route.upper()
-    # every class and irreducible of W_2n, keyed by its raw pair, formatted once
-    names = {(c.alpha.parts, c.beta.parts): str(c) for c in bipartitions(2 * n)}
+    # every class and irreducible of W_2n, formatted once
+    names = {c: str(c) for c in bipartitions(2 * n)}
     if route == "ALL":
         results = xi_all(n)
         agreement = {"agree": True, "routes_compared": ["A", "B", "C"]}

@@ -12,43 +12,41 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterator
+from typing import Iterable, Iterator
 
 
-@dataclass(frozen=True)
-class Partition:
-    """A partition of a non-negative integer."""
+class Partition(tuple):
+    """A partition as the tuple of its parts, which it equals, hashes and
+    sorts as (the empty one is falsy).  The constructor checks the parts;
+    partitions() builds through the unchecked _of_parts()."""
 
-    parts: tuple[int, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        parts = tuple(map(operator.index, self.parts))
-        object.__setattr__(self, "parts", parts)
+    def __new__(cls, parts: Iterable[int] = ()) -> "Partition":
+        parts = tuple(map(operator.index, parts))
         if any(p < 1 for p in parts):
             raise ValueError(f"parts must be positive integers: {parts!r}")
-        if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
+        if any(map(operator.lt, parts, parts[1:])):
             raise ValueError(f"parts must be weakly decreasing: {parts!r}")
+        return cls._of_parts(parts)
 
-    @property
-    def size(self) -> int:
-        return sum(self.parts)
+    @classmethod
+    def _of_parts(cls, parts: tuple[int, ...]) -> "Partition":
+        return tuple.__new__(cls, parts)
 
-    @property
-    def length(self) -> int:
-        return len(self.parts)
+    def __repr__(self) -> str:
+        return f"Partition(parts={tuple(self)!r})"
 
     def part(self, i: int) -> int:
         """The i-th part (0-based), zero beyond the last row."""
-        return self.parts[i] if 0 <= i < len(self.parts) else 0
+        return self[i] if 0 <= i < len(self) else 0
 
     def contains(self, other: "Partition") -> bool:
         """Row-wise containment after zero padding."""
-        if other.length > self.length:
-            return False
-        return all(other.parts[i] <= self.parts[i] for i in range(other.length))
+        return len(other) <= len(self) and all(map(operator.le, other, self))
 
     def __str__(self) -> str:
-        return ",".join(str(p) for p in self.parts) if self.parts else "-"
+        return ",".join(map(str, self)) or "-"
 
     @classmethod
     def parse(cls, text: str) -> "Partition":
@@ -64,12 +62,12 @@ def partitions(n: int, max_part: int | None = None) -> tuple[Partition, ...]:
     if n < 0:
         raise ValueError("n must be non-negative")
     if n == 0:
-        return (Partition(),)
+        return (Partition._of_parts(()),)
     cap = n if max_part is None else min(max_part, n)
     out: list[Partition] = []
     for first in range(cap, 0, -1):
         for rest in partitions(n - first, first):
-            out.append(Partition((first, *rest.parts)))
+            out.append(Partition._of_parts((first, *rest)))
     return tuple(out)
 
 
@@ -89,25 +87,23 @@ class SkewShape:
 
     @property
     def size(self) -> int:
-        return self.outer.size - self.inner.size
+        return sum(self.outer) - sum(self.inner)
 
     def row_lengths(self) -> tuple[int, ...]:
         """Boxes per row, aligned with the rows of the outer partition."""
-        return tuple(
-            self.outer.part(i) - self.inner.part(i) for i in range(self.outer.length)
-        )
+        return tuple(o - self.inner.part(i) for i, o in enumerate(self.outer))
 
     def boxes(self) -> tuple[tuple[int, int], ...]:
         """All boxes in reading order: rows top to bottom, right to left."""
         out = []
-        for i in range(self.outer.length):
+        for i in range(len(self.outer)):
             for c in range(self.outer.part(i), self.inner.part(i), -1):
                 out.append((i + 1, c))
         return tuple(out)
 
     def column_counts(self) -> Counter:
         counts: Counter = Counter()
-        for i in range(self.outer.length):
+        for i in range(len(self.outer)):
             for c in range(self.inner.part(i) + 1, self.outer.part(i) + 1):
                 counts[c] += 1
         return counts
@@ -143,7 +139,7 @@ def hv_split(shape: SkewShape) -> tuple[tuple[int, ...], tuple[int, ...]]:
         raise ValueError(f"{shape} has a column with more than two boxes")
     h_rows = []
     v_rows = []
-    for i in range(shape.outer.length):
+    for i in range(len(shape.outer)):
         h = v = 0
         for c in range(shape.inner.part(i) + 1, shape.outer.part(i) + 1):
             if counts[c] == 1:

@@ -127,7 +127,7 @@ def from_bipartition(alpha: Partition, beta: Partition) -> Symbol:
     longer than the second, minimally; entry i (1-based) then gains i-1.
     The resulting symbol has rank |alpha| + |beta| and defect 1.
     """
-    return Symbol._of_rows(*_bipartition_rows(alpha.parts, beta.parts))
+    return Symbol._of_rows(*_bipartition_rows(alpha, beta))
 
 
 def _bipartition_rows(

@@ -74,43 +74,43 @@ class VerificationReport:
 
 # The five classes of W_2 in the order used by the reference table.
 W2_CLASSES = [
-    Bipartition.of((1, 1)),
-    Bipartition.of((2,)),
-    Bipartition.of((1,), (1,)),
-    Bipartition.of((), (2,)),
-    Bipartition.of((), (1, 1)),
+    Bipartition((1, 1)),
+    Bipartition((2,)),
+    Bipartition((1,), (1,)),
+    Bipartition((), (2,)),
+    Bipartition((), (1, 1)),
 ]
 
 XI1_REFERENCE = [2, 2, 0, 2, -2]
 
 XI1_TERMS = {
-    Bipartition.of((2,)): 1,
-    Bipartition.of((1, 1)): -1,
-    Bipartition.of((1,), (1,)): 1,
+    Bipartition((2,)): 1,
+    Bipartition((1, 1)): -1,
+    Bipartition((1,), (1,)): 1,
 }
 
 # The twelve tabulated terms of the n = 3 expansion.
 XI3_DISPLAYED = {
-    Bipartition.of((3,), (3,)): 1,
-    Bipartition.of((2, 1), (2, 1)): 1,
-    Bipartition.of((1, 1, 1), (1, 1, 1)): 1,
-    Bipartition.of((4,), (2,)): 1,
-    Bipartition.of((2, 2), (2,)): 1,
-    Bipartition.of((2, 1, 1), (2,)): -1,
-    Bipartition.of((3, 1), (1, 1)): 1,
-    Bipartition.of((2, 2), (1, 1)): -1,
-    Bipartition.of((1, 1, 1, 1), (1, 1)): -1,
-    Bipartition.of((5,), (1,)): 1,
-    Bipartition.of((3, 1, 1), (1,)): -1,
-    Bipartition.of((2, 2, 1), (1,)): 1,
+    Bipartition((3,), (3,)): 1,
+    Bipartition((2, 1), (2, 1)): 1,
+    Bipartition((1, 1, 1), (1, 1, 1)): 1,
+    Bipartition((4,), (2,)): 1,
+    Bipartition((2, 2), (2,)): 1,
+    Bipartition((2, 1, 1), (2,)): -1,
+    Bipartition((3, 1), (1, 1)): 1,
+    Bipartition((2, 2), (1, 1)): -1,
+    Bipartition((1, 1, 1, 1), (1, 1)): -1,
+    Bipartition((5,), (1,)): 1,
+    Bipartition((3, 1, 1), (1,)): -1,
+    Bipartition((2, 2, 1), (1,)): 1,
 }
 
 # The four further terms the decomposition identities force.
 XI3_EXTRA = {
-    Bipartition.of((6,)): 1,
-    Bipartition.of((5, 1)): -1,
-    Bipartition.of((4, 2)): 1,
-    Bipartition.of((3, 3)): -1,
+    Bipartition((6,)): 1,
+    Bipartition((5, 1)): -1,
+    Bipartition((4, 2)): 1,
+    Bipartition((3, 3)): -1,
 }
 
 RANK2_ODD_DEFECT = {"2|-", "1,2|0", "0,2|1", "0,1|2", "0,1,2|1,2", "0,1,2|-"}
@@ -171,14 +171,14 @@ def _wchar_checks(checks: list[Check]) -> None:
     from math import factorial
 
     for i, m in [(1, 1), (1, 2), (2, 1), (2, 3)]:
-        c = Bipartition.of((2 * i,) * m)
+        c = Bipartition((2 * i,) * m)
         _expect(
             checks,
             f"centralizer of (({2 * i})^{m}; -)",
             centralizer_order(c),
             (2 * i) ** m * factorial(m) * 2**m,
         )
-        c = Bipartition.of((), (2 * i,) * m)
+        c = Bipartition((), (2 * i,) * m)
         _expect(
             checks,
             f"centralizer of (-; ({2 * i})^{m})",
@@ -191,8 +191,8 @@ def _kappa_nu_checks(checks: list[Check]) -> None:
     k1 = kappa(1)
     _expect(checks, "kappa_1 values", [k1.at(c) for c in W2_CLASSES], [0, 2, 0, 2, 0])
     k2 = kappa(2)
-    _expect(checks, "kappa_2 at ((2,2); -)", k2.at(Bipartition.of((2, 2))), 4)
-    _expect(checks, "kappa_2 at ((2,1,1); -)", k2.at(Bipartition.of((2, 1, 1))), 0)
+    _expect(checks, "kappa_2 at ((2,2); -)", k2.at(Bipartition((2, 2))), 4)
+    _expect(checks, "kappa_2 at ((2,1,1); -)", k2.at(Bipartition((2, 1, 1))), 0)
     n1 = nu(1)
     _expect(checks, "nu_1 values", [n1.at(c) for c in W2_CLASSES], [2, 0, 0, 0, -2])
     for r in (0, 1, 2):
@@ -212,13 +212,13 @@ def _xi_checks(checks: list[Check]) -> None:
     results = {1: xi_all(1)}
     char = results[1]["A"].character
     _expect(checks, "xi_1 character table", [char.at(c) for c in W2_CLASSES], XI1_REFERENCE)
-    # named by Bipartition, as the reference terms are
-    decomp = {Bipartition.of(*key): c for key, c in results[1]["A"].decomposition.items()}
+    # printed as Bipartitions, as the reference terms are
+    decomp = {Bipartition(*key): c for key, c in results[1]["A"].decomposition.items()}
     _expect(checks, "xi_1 decomposition", decomp, XI1_TERMS)
     results.update((n, xi_all(n)) for n in (2, 3))
     _expect(checks, "xi route agreement n=1..3", all(map(_routes_agree, results.values())), True)
 
-    decomp = {Bipartition.of(*key): c for key, c in results[3]["B"].decomposition.items()}
+    decomp = results[3]["B"].decomposition
     displayed_ok = all(decomp.get(bp) == sgn for bp, sgn in XI3_DISPLAYED.items())
     extra = {bp: c for bp, c in decomp.items() if bp not in XI3_DISPLAYED}
     if displayed_ok and extra == XI3_EXTRA:
@@ -289,7 +289,7 @@ def _cell_checks(checks: list[Check]) -> None:
     _expect(
         checks,
         "rank-2 cell terms",
-        [(s, str(sym)) for s, sym in c.terms],
+        [(s, str(Symbol(*r))) for s, r in zip(c.signs, c.term_rows())],
         [(1, "0,2|1"), (-1, "1,2|0")],
     )
     _expect(
@@ -325,7 +325,7 @@ def _cell_checks(checks: list[Check]) -> None:
     _expect(
         checks,
         "rank-6 d=2 cell terms",
-        [(s, str(sym)) for s, sym in c12.terms],
+        [(s, str(Symbol(*r))) for s, r in zip(c12.signs, c12.term_rows())],
         SP12_CELL_TERMS,
     )
     computed = {str(s) for s in cells.fourier_constituents(c12)}
@@ -360,7 +360,7 @@ def _cell_checks(checks: list[Check]) -> None:
     _expect(
         checks,
         "rank-6 cell of 0,5|2 terms",
-        [(s, str(sym)) for s, sym in c05.terms],
+        [(s, str(Symbol(*r))) for s, r in zip(c05.signs, c05.term_rows())],
         [(1, "0,5|2"), (1, "2,5|0")],
     )
 

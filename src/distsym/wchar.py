@@ -7,15 +7,13 @@ Everything is integer or Fraction arithmetic; no floats anywhere, so
 identities are checked by equality rather than tolerance.
 
 A class function is dense: one value per class, in the canonical order of
-``bipartitions(n)``.  One class-index map per n, keyed on raw
-(alpha parts, beta parts) tuples, gives each class its position.
+``bipartitions(n)``.  One class-index map per n gives each class its
+position.
 
-A class is named by a Bipartition (bipartitions, ClassFunction.at,
-character_table, w_irreducible).  Where a coefficient is attached to an
-irreducible (the input of virtual_character, the output of decompose),
-chi^(alpha;beta) is keyed by its raw pair (alpha parts, beta parts)
-instead, the key the class-index map already uses, so no Partition is
-built or taken apart on the way.
+A Bipartition is the tuple of its two Partitions, so it equals and hashes
+as its raw pair (alpha parts, beta parts).  One key thus names every class
+and every irreducible of W_n (the input of virtual_character, the output
+of decompose), in whichever form a caller holds it.
 
 The irreducible chi^(alpha;beta) is, by definition, the induced character
 Ind_{W_a x W_b}^{W_n} (lift(chi^alpha) x eps * lift(chi^beta)), where
@@ -58,30 +56,42 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
-from operator import mul
+from operator import itemgetter, mul
 
 from .partitions import Partition, partitions
 
 
-@dataclass(frozen=True)
-class Bipartition:
-    alpha: Partition
-    beta: Partition
+class Bipartition(tuple):
+    """(alpha; beta) as the tuple of its two Partitions, equal to its raw
+    pair.  Checked; bipartitions() builds through unchecked _of_partitions()."""
+
+    __slots__ = ()
+
+    def __new__(cls, alpha: Iterable[int] = (), beta: Iterable[int] = ()) -> "Bipartition":
+        return cls._of_partitions(Partition(alpha), Partition(beta))
+
+    @classmethod
+    def _of_partitions(cls, alpha: Partition, beta: Partition) -> "Bipartition":
+        return tuple.__new__(cls, (alpha, beta))
+
+    def __getnewargs__(self) -> tuple:  # what copy and pickle pass to __new__
+        return tuple(self)
+
+    alpha = property(itemgetter(0))
+    beta = property(itemgetter(1))
 
     @property
     def n(self) -> int:
-        return self.alpha.size + self.beta.size
+        return sum(self[0]) + sum(self[1])
+
+    def __repr__(self) -> str:
+        return f"Bipartition(alpha={self[0]!r}, beta={self[1]!r})"
 
     def __str__(self) -> str:
-        return f"{self.alpha};{self.beta}"
-
-    @classmethod
-    def of(cls, alpha: tuple[int, ...], beta: tuple[int, ...] = ()) -> "Bipartition":
-        return cls(Partition(alpha), Partition(beta))
+        return f"{self[0]};{self[1]}"
 
 
 @lru_cache(maxsize=None)
@@ -94,14 +104,14 @@ def bipartitions(n: int) -> tuple[Bipartition, ...]:
     for a in range(n, -1, -1):
         for alpha in partitions(a):
             for beta in partitions(n - a):
-                out.append(Bipartition(alpha, beta))
+                out.append(Bipartition._of_partitions(alpha, beta))
     return tuple(out)
 
 
 @lru_cache(maxsize=None)
-def _class_index(n: int) -> dict[tuple[tuple[int, ...], tuple[int, ...]], int]:
-    """Position in bipartitions(n) of each (alpha parts, beta parts)."""
-    return {(c.alpha.parts, c.beta.parts): i for i, c in enumerate(bipartitions(n))}
+def _class_index(n: int) -> dict[Bipartition, int]:
+    """Position in bipartitions(n) of each bipartition, or raw pair."""
+    return {c: i for i, c in enumerate(bipartitions(n))}
 
 
 def group_order(n: int) -> int:
@@ -116,10 +126,9 @@ def centralizer_order(c: Bipartition) -> int:
     a negative one (2i)^m m!; the two expressions agree as (2i)^m m!.
     """
     z = 1
-    for v, m in Counter(c.alpha.parts).items():
-        z *= (2 * v) ** m * factorial(m)
-    for v, m in Counter(c.beta.parts).items():
-        z *= (2 * v) ** m * factorial(m)
+    for parts in c:
+        for v, m in Counter(parts).items():
+            z *= (2 * v) ** m * factorial(m)
     return z
 
 
@@ -134,9 +143,9 @@ def _class_sizes(n: int) -> tuple[int, ...]:
 
 
 def _to_dense(n: int, values: Mapping[tuple, int]) -> tuple:
-    """Coefficients keyed on the raw pairs of irreducibles of W_n as one
-    value per position of bipartitions(n); absent keys are 0, any other
-    key raises ValueError."""
+    """Coefficients keyed on the irreducibles of W_n (bipartitions or raw
+    pairs) as one value per position of bipartitions(n); absent keys are
+    0, any other key raises ValueError."""
     index = _class_index(n)
     dense = [0] * len(index)
     for key, v in values.items():
@@ -166,11 +175,11 @@ class ClassFunction:
         self.values = values
 
     def at(self, c: Bipartition):
-        """The value at the class c; anything but a class of W_n, such as an
-        irreducible's raw pair, raises ValueError."""
+        """The value at the class c, a bipartition or its raw pair; anything
+        but a class of W_n raises ValueError."""
         try:
-            return self.values[_class_index(self.n)[c.alpha.parts, c.beta.parts]]
-        except (KeyError, AttributeError):
+            return self.values[_class_index(self.n)[c]]
+        except (KeyError, TypeError):
             raise ValueError(f"{c} is not a class of W_{self.n}") from None
 
     def __eq__(self, other) -> bool:
@@ -189,7 +198,7 @@ def quadratic_character_value(c: Bipartition) -> int:
     """Value on (gamma; delta) of the sign-flip character: each negative
     cycle flips an odd number of points, so the value is (-1)**len(delta).
     Cross-checked against the pointwise definition by the oracle module."""
-    return -1 if c.beta.length % 2 else 1
+    return -1 if len(c.beta) % 2 else 1
 
 
 def _exact(num: int, den: int):
@@ -244,10 +253,10 @@ def induction_product(f: ClassFunction, g: ClassFunction) -> ClassFunction:
     f_index, g_index = _class_index(f.n), _class_index(g.n)
     fv, gv = f.values, g.values
     out = []
-    for c in bipartitions(n):
-        beta_splits = _splits(c.beta.parts)
+    for alpha, beta in bipartitions(n):
+        beta_splits = _splits(beta)
         total = 0
-        for asize, alpha_splits in _splits(c.alpha.parts).items():
+        for asize, alpha_splits in _splits(alpha).items():
             for bsub, brest, bw in beta_splits.get(a - asize, ()):
                 for asub, arest, aw in alpha_splits:
                     x = fv[f_index[asub, bsub]]
@@ -295,9 +304,9 @@ def sym_character(alpha: Partition, cycle_type: Partition) -> int:
     not call it: it is the S_n Murnaghan-Nakayama rule behind the tests'
     independent check of the W_n table by the induced construction.
     """
-    if alpha.size != cycle_type.size:
+    if sum(alpha) != sum(cycle_type):
         raise ValueError(f"size mismatch: {alpha} vs {cycle_type}")
-    return _mn_value(alpha.parts, cycle_type.parts)
+    return _mn_value(alpha, cycle_type)
 
 
 @lru_cache(maxsize=None)
@@ -321,8 +330,7 @@ def _hook_row(m: int, r: int, i: int) -> tuple[tuple, tuple, tuple, tuple]:
     cycle a0 + b1 with +1 and a1 + b0 with -1.
     """
     index = _class_index(m - r)
-    bp = bipartitions(m)[i]
-    alpha, beta = bp.alpha.parts, bp.beta.parts
+    alpha, beta = bipartitions(m)[i]
     moves: tuple[list[int], ...] = ([], [], [], [])
     for mu, h in _rim_hooks(alpha, r):
         moves[h % 2].append(index[mu, beta])
@@ -375,21 +383,20 @@ def _table(n: int) -> tuple[ClassFunction, ...]:
             columns[gamma, delta] = col
         return col
 
-    cols = [column(c.alpha.parts, c.beta.parts, n) for c in bipartitions(n)]
+    cols = [column(*c, n) for c in bipartitions(n)]
     return tuple(ClassFunction(n, row) for row in zip(*cols))
 
 
 def w_irreducible(bp: Bipartition) -> ClassFunction:
     """The irreducible W_n character indexed by a bipartition: its row of
     the character table."""
-    return _table(bp.n)[_class_index(bp.n)[bp.alpha.parts, bp.beta.parts]]
+    return _table(bp.n)[_class_index(bp.n)[bp]]
 
 
 def virtual_character(n: int, coefficients: Mapping[tuple, int]) -> ClassFunction:
     """The class function sum_b c_b chi^b of W_n for a coefficient c_b per
-    irreducible, keyed by its raw pair (alpha parts, beta parts) (absent
-    ones are 0), without building any chi^b.  Any other key, a Bipartition
-    included, raises ValueError."""
+    irreducible, keyed by its bipartition or raw pair (absent ones are 0),
+    without building any chi^b.  Any other key raises ValueError."""
     return ClassFunction(n, _evaluate(n, _to_dense(n, coefficients)))
 
 
@@ -459,14 +466,14 @@ def character_table(n: int) -> dict[Bipartition, ClassFunction]:
     return dict(zip(bipartitions(n), _table(n)))
 
 
-def decompose(f: ClassFunction) -> dict[tuple, int | Fraction]:
-    """Coefficients of f on the irreducible characters, keyed by their raw
-    pairs as virtual_character takes them, nonzero ones only, in one pass
-    over the character table."""
+def decompose(f: ClassFunction) -> dict[Bipartition, int | Fraction]:
+    """Coefficients of f on the irreducible characters, keyed by their
+    bipartitions, nonzero ones only, in one pass over the character
+    table."""
     weighted = tuple(map(mul, f.values, _class_sizes(f.n)))
     order = group_order(f.n)
     out = {}
-    for key, chi in zip(_class_index(f.n), _table(f.n)):
+    for key, chi in zip(bipartitions(f.n), _table(f.n)):
         coeff = _exact(sum(map(mul, weighted, chi.values)), order)
         if coeff:
             out[key] = coeff

@@ -20,11 +20,10 @@ is that decomposition evaluated by the transposed Murnaghan-Nakayama rule
 irreducible character or the character table.
 
 Wherever a coefficient is attached to an irreducible of W_n (kappa_terms,
-nu_terms, every route's decomposition, xi_all's comparison), the
-irreducible chi^(alpha; beta) is keyed by its raw pair (alpha parts, beta
-parts) of part tuples, as in wchar.virtual_character.  A Bipartition
-names a class of W_n; one is built for an irreducible only where its
-name leaves the package: the CLI, an error payload, verify's rows.
+nu_terms, every route's decomposition, xi_all's comparison), chi^(alpha;
+beta) is keyed by its pair of part tuples, which its Bipartition equals
+(see wchar).  No route builds a Partition or Bipartition; one is built
+from a key only to print its name, in an error payload or verify's rows.
 
 Route A's induction-product sum has a closed form of the same kind as
 kappa and nu, so no induction product is computed.  The induced value
@@ -52,7 +51,7 @@ h_(q-1), and each h_k s_mu is the sum of s over the horizontal k-strips
 added to mu, by Pieri's rule (I. G. Macdonald, Symmetric Functions and
 Hall Polynomials, 2nd ed., ch. I, sections 3 and 5).  This keeps route A
 independent of route B's skew-pair description.  The terms are summed on
-their raw pairs and sorted into bipartitions(2n) order, so route A needs
+their pairs of parts and sorted into bipartitions(2n) order, so route A needs
 no class of W_{2n} and runs at every n, like routes B and C.
 
 The W side as a theorem.  The Frobenius characteristic ch of W_n = Z_2
@@ -138,7 +137,7 @@ class CoefficientViolation(Exception):
     """A decomposition coefficient fell outside {-1, 0, +1}."""
 
     def __init__(self, n: int, route: str, key: tuple, coeff):
-        bp = Bipartition.of(*key)
+        bp = Bipartition(*key)
         self.payload = {"n": n, "route": route, "irreducible": str(bp), "coefficient": str(coeff)}
         super().__init__(f"xi({n}) route {route}: coefficient {coeff} at {bp}")
 
@@ -174,8 +173,8 @@ def _closed_form(r: int, block) -> ClassFunction:
     values = []
     for c in bipartitions(2 * r):
         v = 1
-        for parts, negative in ((c.alpha, False), (c.beta, True)):
-            for value, mult in Counter(parts.parts).items():
+        for parts, negative in zip(c, (False, True)):
+            for value, mult in Counter(parts).items():
                 v *= block(value, mult, negative)
         values.append(v)
     return ClassFunction(2 * r, values)
@@ -207,7 +206,7 @@ def kappa_terms(r: int) -> dict[tuple, int]:
 
 def nu_terms(m: int) -> dict[tuple, int]:
     """Stated decomposition of nu_m: (alpha; alpha) over partitions of m."""
-    return {(a.parts, a.parts): 1 for a in partitions(m)}
+    return {(a, a): 1 for a in partitions(m)}
 
 
 def kappa_nu_decomposition_check(r: int) -> bool:
@@ -227,17 +226,17 @@ def even_paired_pairs(n: int) -> list[tuple[tuple, int]]:
     if n < 0:
         raise ValueError("n must be non-negative")
     return [
-        ((alpha, beta.parts), sign)
+        ((alpha, beta), sign)
         for bsize in range(n, -1, -1)
         for beta in partitions(bsize)
-        for alpha, sign in even_paired_extensions(beta.parts, 2 * (n - bsize))
+        for alpha, sign in even_paired_extensions(beta, 2 * (n - bsize))
     ]
 
 
 @dataclass
 class XiResult:
     """xi_n by one route: its signed decomposition into the irreducibles
-    of W_{2n}, each keyed by its raw pair, nonzero coefficients only."""
+    of W_{2n}, each keyed by its pair of parts, nonzero coefficients only."""
 
     n: int
     route: str
@@ -358,6 +357,6 @@ def xi_all(n: int) -> dict[str, XiResult]:
                 (k for k in base.keys() | other.keys() if base.get(k, 0) != other.get(k, 0)),
                 key=lambda k: _canonical_key(*k),
             )
-            raise RouteDisagreement(n, "A", name, Bipartition.of(*key), base.get(key, 0),
+            raise RouteDisagreement(n, "A", name, Bipartition(*key), base.get(key, 0),
                                     other.get(key, 0), at="irreducible")
     return results

@@ -200,7 +200,7 @@ class TestVerifyCommand:
 
     def test_route_disagreement_is_a_fail_row(self, capsys, monkeypatch):
         def disagree(n):
-            raise RouteDisagreement(n, "A", "B", Bipartition.of((2,)), 1, 2)
+            raise RouteDisagreement(n, "A", "B", Bipartition((2,)), 1, 2)
 
         monkeypatch.setattr(verify, "xi_all", disagree)
         code, out, err = run_cli(capsys, "verify", "--json")
@@ -399,3 +399,18 @@ class TestUsageErrors:
             )
             assert proc.returncode == 2, proc.stderr
             assert "Traceback" not in proc.stderr
+
+
+class TestConsoleScript:
+    @pytest.mark.parametrize("argv,code", [(["xi", "1", "--json"], 0), (["xi", "0"], 2)])
+    def test_entrypoint_exits_with_the_code_of_main(self, capsys, monkeypatch, argv, code):
+        # pyproject.toml's `distsym` script calls cli.entrypoint, which reads sys.argv
+        monkeypatch.setattr(sys, "argv", ["distsym", *argv])
+        with pytest.raises(SystemExit) as exc:
+            cli.entrypoint()
+        assert exc.value.code == code
+        out = capsys.readouterr().out
+        if code == 0:
+            assert json.loads(out)["n"] == 1
+        else:
+            assert out == ""

@@ -1,3 +1,5 @@
+import dataclasses
+import importlib.util
 import os
 import subprocess
 import sys
@@ -40,3 +42,17 @@ def test_skip_xi_is_gone():
     proc = scan("--skip-xi")
     assert proc.returncode == 2
     assert "unrecognized arguments: --skip-xi" in proc.stderr
+
+
+@pytest.mark.parametrize("max_n,flag", [(1, False), (2, True)])
+def test_a_wrong_cuspidal_flag_exits(monkeypatch, capsys, max_n, flag):
+    # rank 2 = 1*2 has the cuspidal 0,1,2|-; rank 4 has none
+    spec = importlib.util.spec_from_file_location("rank_scan", ROOT / "scripts" / "rank_scan.py")
+    rank_scan = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(rank_scan)
+    real = rank_scan.distinguished
+    monkeypatch.setattr(rank_scan, "distinguished",
+                        lambda n: dataclasses.replace(real(n), cuspidal_present=flag))
+    monkeypatch.setattr(sys, "argv", ["rank_scan.py", "--max-n", str(max_n)])
+    with pytest.raises(SystemExit, match=f"n = {max_n}: cuspidal flag {flag}"):
+        rank_scan.main()

@@ -1,10 +1,12 @@
+import copy
 import pickle
+import re
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from distsym.partitions import Partition
+from distsym.partitions import Partition, partitions
 from distsym.symbols import (
     SpecialSymbol,
     Symbol,
@@ -16,7 +18,7 @@ from distsym.symbols import (
     reduce_symbol,
     to_bipartition,
 )
-from distsym.wchar import bipartitions
+from distsym.wchar import Bipartition, bipartitions
 
 
 def symbol_key(s: Symbol) -> tuple:
@@ -93,6 +95,50 @@ class TestSymbolBasics:
             assert sorted(syms[::-1]) == sorted(syms, key=symbol_key)
 
 
+class TestPartitionTypes:
+    def test_bipartition_is_its_pair_of_part_tuples(self):
+        for n in range(9):
+            for c in bipartitions(n):
+                raw = tuple(map(tuple, c))
+                for same in (
+                    Bipartition(*raw),
+                    Bipartition(*c),
+                    copy.copy(c),
+                    copy.deepcopy(c),
+                    pickle.loads(pickle.dumps(c)),
+                ):
+                    # a plain tuple of the parts would compare equal too
+                    assert type(same) is Bipartition, str(c)
+                    assert all(type(p) is Partition for p in same), str(c)
+                    assert same == c == raw and hash(same) == hash(c) == hash(raw), str(c)
+                    assert (same.alpha, same.beta) == raw and same.n == n
+                # the forms of the frozen dataclasses these types replaced
+                old = [f"Partition(parts={parts!r})" for parts in raw]
+                assert repr(c) == f"Bipartition(alpha={old[0]}, beta={old[1]})"
+                assert str(c) == ";".join(",".join(map(str, p)) or "-" for p in raw)
+
+    def test_partition_is_its_part_tuple(self):
+        for n in range(9):
+            for p in partitions(n):
+                raw = tuple(p)
+                assert type(Partition(raw)) is Partition
+                assert Partition(raw) == p == raw and hash(Partition(raw)) == hash(raw)
+                assert repr(p) == f"Partition(parts={raw!r})"
+        # an empty partition is falsy, like ()
+        assert not Partition() and not Bipartition().alpha and Partition((1,))
+        assert bipartitions(0) == (((), ()),)
+
+    @pytest.mark.parametrize(
+        "parts,message",
+        [((1, 2), "parts must be weakly decreasing: (1, 2)"),
+         ((2, 0), "parts must be positive integers: (2, 0)")],
+    )
+    def test_checked_constructors_raise(self, parts, message):
+        for build in (Partition, Bipartition, lambda p: Bipartition((), p)):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                build(parts)
+
+
 class TestReduce:
     def test_one_step(self):
         assert reduce_symbol((0, 1, 3), (0, 2)) == Symbol.parse("0,2|1")
@@ -155,7 +201,7 @@ class TestBipartitionCorrespondence:
                 sym = from_bipartition(bp.alpha, bp.beta)
                 assert sym.rank == n
                 assert sym.defect == 1
-                assert to_bipartition(sym) == (bp.alpha.parts, bp.beta.parts)
+                assert to_bipartition(sym) == bp
 
     def test_from_bipartition_equals_checked_construction(self):
         # from_bipartition builds its symbol unchecked

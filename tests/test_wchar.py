@@ -33,11 +33,6 @@ def trivial_character(n: int) -> ClassFunction:
     return ClassFunction(n, (1,) * len(bipartitions(n)))
 
 
-def raw(bp: Bipartition) -> tuple:
-    """The raw pair (alpha parts, beta parts) that keys an irreducible."""
-    return bp.alpha.parts, bp.beta.parts
-
-
 def combination(n: int, terms) -> ClassFunction:
     """sum of coeff * f over the (coeff, f) pairs, class by class."""
     values = [0] * len(bipartitions(n))
@@ -48,7 +43,7 @@ def combination(n: int, terms) -> ClassFunction:
 
 def degree(f: ClassFunction):
     """f(1), the value at the identity class (1^n; -)."""
-    return f.at(Bipartition.of((1,) * f.n))
+    return f.at(Bipartition((1,) * f.n))
 
 
 class TestClasses:
@@ -82,7 +77,7 @@ class TestClasses:
         ],
     )
     def test_centralizer_reference(self, alpha, beta, expected):
-        assert centralizer_order(Bipartition.of(alpha, beta)) == expected
+        assert centralizer_order(Bipartition(alpha, beta)) == expected
 
     def test_class_sizes_sum_to_group_order(self):
         for n in range(1, 9):
@@ -137,12 +132,12 @@ def perm_char_value(lam: Partition, rho: Partition) -> int:
         pick(0, target, Counter(), 1)
         return total
 
-    return count(rho.parts, lam.parts)
+    return count(rho, lam)
 
 
 def sn_centralizer(rho: Partition) -> int:
     z = 1
-    for v, m in Counter(rho.parts).items():
+    for v, m in Counter(rho).items():
         z *= v**m * factorial(m)
     return z
 
@@ -199,20 +194,20 @@ class TestSymCharacter:
         for n in range(1, 7):
             for rho in partitions(n):
                 assert sym_character(Partition((n,)), rho) == 1
-                sign = (-1) ** (n - rho.length)
+                sign = (-1) ** (n - len(rho))
                 assert sym_character(Partition((1,) * n), rho) == sign
 
 
 class TestIrreducibles:
     def test_one_one_fixture(self):
-        chi = w_irreducible(Bipartition.of((1,), (1,)))
+        chi = w_irreducible(Bipartition((1,), (1,)))
         values = [chi.at(c) for c in bipartitions(2)]
         # classes ordered 2;- 1,1;- 1;1 -;2 -;1,1
         assert values == [0, 2, 0, 0, -2]
 
     def test_trivial(self):
         for n in range(1, 5):
-            assert w_irreducible(Bipartition.of((n,))) == trivial_character(n)
+            assert w_irreducible(Bipartition((n,))) == trivial_character(n)
 
     def test_w2_degrees(self):
         degrees = sorted(degree(w_irreducible(bp)) for bp in bipartitions(2))
@@ -235,15 +230,15 @@ class TestIrreducibles:
 
     def test_twisted_degree_one_squares_to_trivial(self):
         for n in range(1, 5):
-            chi = w_irreducible(Bipartition.of((), (n,)))
+            chi = w_irreducible(Bipartition((), (n,)))
             assert degree(chi) == 1
             squared = ClassFunction(n, (v**2 for v in chi.values))
             assert squared == trivial_character(n)
 
     def test_quadratic_character_values(self):
-        assert quadratic_character_value(Bipartition.of((1,), ())) == 1
-        assert quadratic_character_value(Bipartition.of((), (1, 1))) == 1
-        assert quadratic_character_value(Bipartition.of((), (2,))) == -1
+        assert quadratic_character_value(Bipartition((1,), ())) == 1
+        assert quadratic_character_value(Bipartition((), (1, 1))) == 1
+        assert quadratic_character_value(Bipartition((), (2,))) == -1
 
 
 # Independent route to the W_n table: the defining induction products of a
@@ -255,11 +250,11 @@ def lifted(part: Partition, twisted: bool) -> ClassFunction:
     """An S_m character pulled back along W_m -> S_m; the twisted lift is
     multiplied by the sign-flip character."""
     values = []
-    for c in bipartitions(part.size):
-        cycle_type = Partition(tuple(sorted(c.alpha.parts + c.beta.parts, reverse=True)))
+    for c in bipartitions(sum(part)):
+        cycle_type = Partition(tuple(sorted(c.alpha + c.beta, reverse=True)))
         sign = quadratic_character_value(c) if twisted else 1
         values.append(sign * sym_character(part, cycle_type))
-    return ClassFunction(part.size, values)
+    return ClassFunction(sum(part), values)
 
 
 def induced_irreducible(bp: Bipartition) -> ClassFunction:
@@ -304,7 +299,7 @@ def reference_hook_moves(m: int, r: int, negative: bool) -> tuple[tuple[tuple, t
     index = wchar._class_index(m - r)
     out = []
     for bp in bipartitions(m):
-        alpha, beta = bp.alpha.parts, bp.beta.parts
+        alpha, beta = bp
         signed: tuple[list[int], list[int]] = ([], [])
         for mu, h in wchar._rim_hooks(alpha, r):
             signed[h % 2].append(index[mu, beta])
@@ -350,7 +345,7 @@ class TestHookRows:
     def test_evaluation_and_table_in_either_order(self, table_first, induced_w7):
         bps = bipartitions(7)
         picked = {0: 2, 5: -1, 40: 3, len(bps) - 1: 1}
-        coeffs = {raw(bps[i]): coeff for i, coeff in picked.items()}
+        coeffs = {bps[i]: coeff for i, coeff in picked.items()}
         want = combination(7, ((coeff, induced_w7[i]) for i, coeff in picked.items()))
         clear_wchar_caches()
         if table_first:
@@ -377,7 +372,7 @@ class TestHookRows:
 @st.composite
 def sparse_coefficient_vectors(draw):
     n = draw(st.integers(0, 7))
-    irreducibles = st.sampled_from([raw(bp) for bp in bipartitions(n)])
+    irreducibles = st.sampled_from(bipartitions(n))
     return n, draw(st.dictionaries(irreducibles, st.integers(-3, 3), max_size=12))
 
 
@@ -388,13 +383,13 @@ class TestVirtualCharacter:
     @given(sparse_coefficient_vectors())
     def test_equals_the_sum_of_table_rows(self, case):
         n, coeffs = case
-        rows = ((coeff, w_irreducible(Bipartition.of(*key))) for key, coeff in coeffs.items())
+        rows = ((coeff, w_irreducible(Bipartition(*key))) for key, coeff in coeffs.items())
         assert virtual_character(n, coeffs) == combination(n, rows)
 
     def test_single_irreducibles_are_the_rows(self):
         for n in range(6):
             for bp, chi in character_table(n).items():
-                assert virtual_character(n, {raw(bp): 1}) == chi, bp
+                assert virtual_character(n, {bp: 1}) == chi, bp
 
     def test_rejects_keys_that_are_not_irreducibles(self):
         class OneItem(Mapping):
@@ -412,8 +407,8 @@ class TestVirtualCharacter:
             def __len__(self):
                 return 1
 
-        # raw pairs of W_1 and W_3, a Bipartition, a name, an unhashable pair
-        for key in [((1,), ()), ((2,), (1,)), Bipartition.of((2,)), "2;-", ([2], [])]:
+        # raw pairs of W_1 and W_3, a name, an unhashable pair
+        for key in [((1,), ()), ((2,), (1,)), "2;-", ([2], [])]:
             with pytest.raises(ValueError, match="not an irreducible of W_2"):
                 virtual_character(2, OneItem(key))
 
@@ -422,19 +417,19 @@ class TestInductionProduct:
     def test_trivial_times_trivial_degree(self):
         f = trivial_character(1)
         prod = induction_product(f, f)
-        assert prod.at(Bipartition.of((1, 1))) == 2
+        assert prod.at(Bipartition((1, 1))) == 2
 
     def test_cross_term_fixture(self):
-        f = w_irreducible(Bipartition.of((1,)))
-        g = w_irreducible(Bipartition.of((), (1,)))
+        f = w_irreducible(Bipartition((1,)))
+        g = w_irreducible(Bipartition((), (1,)))
         prod = induction_product(f, g)
-        cls = Bipartition.of((), (1, 1))
+        cls = Bipartition((), (1, 1))
         assert prod.at(cls) == -2
-        assert prod.at(cls) == w_irreducible(Bipartition.of((1,), (1,))).at(cls)
+        assert prod.at(cls) == w_irreducible(Bipartition((1,), (1,))).at(cls)
 
     def test_commutative(self):
-        f = w_irreducible(Bipartition.of((2,), (1,)))
-        g = w_irreducible(Bipartition.of((1,), (1,)))
+        f = w_irreducible(Bipartition((2,), (1,)))
+        g = w_irreducible(Bipartition((1,), (1,)))
         assert induction_product(f, g) == induction_product(g, f)
 
     def test_products_of_irreducibles_are_characters(self):
@@ -460,7 +455,7 @@ class TestDecompose:
     def test_reconstruction(self, coeffs):
         bps = bipartitions(3)
         f = combination(3, ((coeff, w_irreducible(bp)) for coeff, bp in zip(coeffs, bps)))
-        want = {raw(bp): coeff for coeff, bp in zip(coeffs, bps) if coeff}
+        want = {bp: coeff for coeff, bp in zip(coeffs, bps) if coeff}
         assert list(decompose(f).items()) == list(want.items())
 
     def test_degree_mismatch(self):
@@ -479,7 +474,7 @@ def dict_decompose(n: int, f: dict) -> dict:
         num = sum(f.get(c, 0) * chi.at(c) * class_size(c) for c in bipartitions(n))
         coeff = Fraction(num, group_order(n))
         if coeff:
-            out[raw(bp)] = int(coeff) if coeff.denominator == 1 else coeff
+            out[bp] = int(coeff) if coeff.denominator == 1 else coeff
     return out
 
 
@@ -508,9 +503,8 @@ class TestDenseClassFunction:
         assert virtual_character(n, decompose(cf)) == cf
 
     def test_rejects_keys_that_are_not_classes(self):
-        # classes of W_1 and W_3, an irreducible's raw pair (a class is a
-        # Bipartition), and None
-        for c in [Bipartition.of((1,)), Bipartition.of((3,)), ((2,), ()), None]:
+        # classes of W_1 and W_3, None, and an unhashable pair
+        for c in [Bipartition((1,)), Bipartition((3,)), None, ([2], [])]:
             with pytest.raises(ValueError, match="is not a class of W_2"):
                 trivial_character(2).at(c)
 
