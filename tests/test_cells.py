@@ -350,6 +350,25 @@ class TestCells:
                     sym = swap_pairs(z, psi)
                     assert rows == (sym.top, sym.bottom), (str(z), t)
 
+    def test_terms_are_flipped_masks_built_once_through_rank_12(self, monkeypatch):
+        # the terms are Z flipped at each mask, one per sign; reading their
+        # rows builds no Symbol, so a term symbol is built only when asked for
+        specials = [(z, make_cell(z)) for n in range(1, 7) for z in even_strip_specials(n)]
+        flipped = {str(z): cells._flipped(z, c.masks) for z, c in specials}
+        built = []
+        original = Symbol._of_rows
+
+        def counted(cls, top, bottom):
+            built.append((top, bottom))
+            return original(top, bottom)
+
+        monkeypatch.setattr(Symbol, "_of_rows", classmethod(counted))
+        for z, c in specials:
+            rows = c.term_rows()
+            assert not built, str(z)
+            assert len(rows) == len(c.signs) == len(c.masks), str(z)
+            assert rows == [(sym.top, sym.bottom) for sym in flipped[str(z)]], str(z)
+
     def test_term_rows_are_the_term_symbols_rows(self):
         # term_rows does not orient its rows, so this checks that they come
         # out oriented: the standard cells through rank 20, and every
