@@ -37,7 +37,7 @@ than resolved silently.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from typing import Iterable, Iterator, NoReturn
 
@@ -65,16 +65,14 @@ class FamilyModelViolation(Exception):
         )
 
 
-@dataclass(frozen=True)
-class Arrangement:
-    """d pairs of singles plus one isolated single."""
+class Arrangement(namedtuple("Arrangement", "pairs isolated")):
+    """d pairs of singles plus one isolated single, stored as the tuple
+    (pairs, isolated); the constructor sorts each pair and then the pairs."""
 
-    pairs: tuple[tuple[int, int], ...]
-    isolated: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        pairs = tuple(tuple(sorted(p)) for p in self.pairs)
-        object.__setattr__(self, "pairs", tuple(sorted(pairs)))
+    def __new__(cls, pairs: Iterable[Iterable[int]], isolated: int) -> "Arrangement":
+        return super().__new__(cls, tuple(sorted(tuple(sorted(p)) for p in pairs)), isolated)
 
     def members(self) -> tuple[int, ...]:
         out = [self.isolated]
@@ -83,18 +81,14 @@ class Arrangement:
         return tuple(sorted(out))
 
 
-@dataclass(frozen=True)
-class Cell:
-    """A virtual cell as its term signs and swap masks: term t has sign
-    signs[t] and is Z with the singles at the set bits of masks[t] moved
-    to the other row (bit i is the i-th smallest single); term_rows()
-    gives the terms' rows."""
+class Cell(namedtuple("Cell", "z arrangement sign_pairs signs masks")):
+    """A virtual cell as its term signs and swap masks, stored as the tuple
+    (z, arrangement, sign_pairs, signs, masks): term t has sign signs[t]
+    and is Z with the singles at the set bits of masks[t] moved to the
+    other row (bit i is the i-th smallest single); term_rows() gives the
+    terms' rows."""
 
-    z: SpecialSymbol
-    arrangement: Arrangement
-    sign_pairs: tuple[tuple[int, int], ...]
-    signs: tuple[int, ...]
-    masks: tuple[int, ...]
+    __slots__ = ()
 
     @property
     def d(self) -> int:
@@ -117,11 +111,12 @@ def standard_arrangement(z: SpecialSymbol) -> Arrangement:
     other special symbols can put a doubled entry in a pair, which is
     rejected because it is no arrangement of the singles at all.
     """
-    top, bottom = z.top, z.bottom
+    sym, singles, _ = z
+    top, bottom = sym.top, sym.bottom
     pairs = tuple(
         (top[i], bottom[i]) for i in range(len(bottom)) if top[i] != bottom[i]
     )
-    singles = set(z.singles())
+    singles = set(singles)
     used = {x for p in pairs for x in p}
     if not used <= singles:
         raise ValueError(f"columnwise pairing of {z} hits a doubled entry")
@@ -154,10 +149,9 @@ def is_admissible(z: SpecialSymbol, arrangement: Arrangement) -> bool:
     less the first pair removed here still works for the rest, and the
     loop below, which removes any removable pair, needs no backtracking.
     """
-    singles = z.singles()
+    _, singles, doubles = z
     if arrangement.members() != singles:
         raise ValueError(f"{arrangement} does not partition the singles of {z}")
-    doubles = z.doubles()
     active = list(singles)
     pending = list(arrangement.pairs)
     while pending:
@@ -213,9 +207,8 @@ def _flipped_rows(
 ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Z's rows with the singles at the set bits of each mask moved to the
     other row, not yet oriented; bit i stands for the i-th smallest single."""
-    singles = z.singles()
-    doubles = z.doubles()
-    in_top = set(z.top)
+    sym, singles, doubles = z
+    in_top = set(sym.top)
     top = sum(1 << i for i, x in enumerate(singles) if x in in_top)
     bits = [(1 << i, x) for i, x in enumerate(singles)]
     for mask in masks:
@@ -414,12 +407,11 @@ def _raise_violation(
     raise FamilyModelViolation(z, frozenset(), f"{peaks * full} constituents")
 
 
-@dataclass
-class CellEntry:
-    """A cell and the family members it carries, sorted."""
+class CellEntry(namedtuple("CellEntry", "cell constituents")):
+    """A cell and the family members it carries, sorted, as the tuple
+    (cell, constituents)."""
 
-    cell: Cell
-    constituents: tuple[Symbol, ...]
+    __slots__ = ()
 
     def to_json(self) -> dict:
         cell = self.cell
@@ -434,15 +426,14 @@ class CellEntry:
         }
 
 
-@dataclass
-class DistinguishedReport:
-    """The report at one rank; the union is sorted."""
+class DistinguishedReport(
+    namedtuple("DistinguishedReport", "rank entries union count cuspidal_present")
+):
+    """The report at one rank, stored as the tuple (rank, entries, union,
+    count, cuspidal_present): entries is the list of CellEntry, the union
+    is sorted."""
 
-    rank: int
-    entries: list[CellEntry]
-    union: tuple[Symbol, ...]
-    count: int
-    cuspidal_present: bool
+    __slots__ = ()
 
     def to_json(self) -> dict:
         cells = [e.to_json() for e in self.entries]

@@ -8,8 +8,7 @@ word of a filling runs right to left within a row, rows top to bottom.
 from __future__ import annotations
 
 import operator
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator
@@ -71,19 +70,22 @@ def partitions(n: int, max_part: int | None = None) -> tuple[Partition, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class SkewShape:
-    """The set difference of two nested Young diagrams.
+class SkewShape(namedtuple("SkewShape", "outer inner")):
+    """The set difference of two nested Young diagrams, stored as the
+    tuple (outer, inner) of two Partitions; like Partition, it equals the
+    plain tuple of its fields.  The constructor takes raw part tuples or
+    Partitions, checks both as Partition does, then the nesting.
 
     Row i (1-based) spans columns inner_i + 1 .. outer_i.
     """
 
-    outer: Partition
-    inner: Partition = Partition()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.outer.contains(self.inner):
-            raise ValueError(f"inner {self.inner} not contained in outer {self.outer}")
+    def __new__(cls, outer: Iterable[int], inner: Iterable[int] = ()) -> "SkewShape":
+        outer, inner = Partition(outer), Partition(inner)
+        if not outer.contains(inner):
+            raise ValueError(f"inner {inner} not contained in outer {outer}")
+        return super().__new__(cls, outer, inner)
 
     @property
     def size(self) -> int:
@@ -168,13 +170,13 @@ def is_even_paired_shape(shape: SkewShape) -> bool:
     return all(r % 2 == 0 for r in h_rows)
 
 
-@dataclass(frozen=True)
-class Tableau:
+class Tableau(namedtuple("Tableau", "shape entries")):
     """A two-letter filling of a skew shape: semistandard, and the reading
-    word (right to left, top to bottom) is a lattice word."""
+    word (right to left, top to bottom) is a lattice word.  Stored as the
+    tuple (shape, entries), entries the (row, col, value) triples in
+    reading order."""
 
-    shape: SkewShape
-    entries: tuple[tuple[int, int, int], ...]  # (row, col, value) in reading order
+    __slots__ = ()
 
     @property
     def num_twos(self) -> int:

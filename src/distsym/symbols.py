@@ -11,7 +11,6 @@ implemented here.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Iterator
 
@@ -173,47 +172,58 @@ def is_special(sym: Symbol) -> bool:
     return all(top[i] <= bottom[i] <= top[i + 1] for i in range(len(bottom)))
 
 
-@dataclass(frozen=True)
-class SpecialSymbol:
-    """A defect-1 symbol with weakly interleaving rows."""
+class SpecialSymbol(tuple):
+    """A defect-1 symbol with weakly interleaving rows, stored as the tuple
+    (symbol, singles, doubles): the entries in exactly one row and in both
+    rows, each ascending.  Both are fixed by the symbol, so equality and
+    hashing are the symbol's in effect; like Symbol, a SpecialSymbol
+    equals the plain tuple of its items.  The cell code unpacks all three
+    at once."""
 
-    symbol: Symbol
-    _singles: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _doubles: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not is_special(self.symbol):
-            raise ValueError(f"{self.symbol} is not special")
-        top, bottom = set(self.top), set(self.bottom)
-        object.__setattr__(self, "_singles", tuple(sorted(top ^ bottom)))
-        object.__setattr__(self, "_doubles", tuple(sorted(top & bottom)))
+    def __new__(cls, symbol: Symbol) -> "SpecialSymbol":
+        if not is_special(symbol):
+            raise ValueError(f"{symbol} is not special")
+        top, bottom = set(symbol.top), set(symbol.bottom)
+        singles, doubles = tuple(sorted(top ^ bottom)), tuple(sorted(top & bottom))
+        return tuple.__new__(cls, (symbol, singles, doubles))
+
+    # copy and pickle rebuild a SpecialSymbol by calling __new__ with these
+    def __getnewargs__(self) -> tuple:
+        return (self[0],)
+
+    def __repr__(self) -> str:
+        return f"SpecialSymbol(symbol={self[0]!r})"
+
+    symbol = property(operator.itemgetter(0))
 
     @property
     def top(self) -> tuple[int, ...]:
-        return self.symbol.top
+        return self[0].top
 
     @property
     def bottom(self) -> tuple[int, ...]:
-        return self.symbol.bottom
+        return self[0].bottom
 
     @property
     def rank(self) -> int:
-        return self.symbol.rank
+        return self[0].rank
 
     def singles(self) -> tuple[int, ...]:
         """Entries occurring in exactly one row, ascending; always odd many."""
-        return self._singles
+        return self[1]
 
     def doubles(self) -> tuple[int, ...]:
         """Entries occurring in both rows, ascending."""
-        return self._doubles
+        return self[2]
 
     @property
     def d(self) -> int:
         return (len(self.singles()) - 1) // 2
 
     def __str__(self) -> str:
-        return str(self.symbol)
+        return str(self[0])
 
 
 def is_cuspidal(sym: Symbol) -> bool:

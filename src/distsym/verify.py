@@ -9,7 +9,7 @@ side by side instead of failing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import cells, oracle
 from .xi import (
@@ -45,17 +45,17 @@ FAIL = "fail"
 DOCUMENTED = "discrepancy-documented"
 
 
-@dataclass
-class Check:
-    name: str
-    status: str
-    detail: str
-    payload: dict | None = None  # the structured error behind a FAIL, if any
+class Check(namedtuple("Check", "name status detail payload", defaults=(None,))):
+    """One row of the report, as the tuple (name, status, detail, payload);
+    payload is the structured error behind a FAIL, if any."""
+
+    __slots__ = ()
 
 
-@dataclass
-class VerificationReport:
-    checks: list[Check]
+class VerificationReport(namedtuple("VerificationReport", "checks")):
+    """The list of checks, as the 1-tuple (checks,)."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

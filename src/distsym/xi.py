@@ -101,8 +101,7 @@ and r = 2 in `distsym verify`.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from functools import cached_property, lru_cache
 from math import comb, factorial
 from typing import Iterable, Iterator
@@ -233,20 +232,17 @@ def even_paired_pairs(n: int) -> list[tuple[tuple, int]]:
     ]
 
 
-@dataclass
-class XiResult:
+class XiResult(namedtuple("XiResult", "n route decomposition")):
     """xi_n by one route: its signed decomposition into the irreducibles
-    of W_{2n}, each keyed by its pair of parts, nonzero coefficients only."""
+    of W_{2n}, each keyed by its pair of parts, nonzero coefficients only.
+    Stored as the tuple (n, route, decomposition); it keeps an instance
+    dict, unlike the package's other tuples, for the cached character."""
 
-    n: int
-    route: str
-    decomposition: dict[tuple, int]
-
-    def __post_init__(self) -> None:
-        for key, coeff in self.decomposition.items():
+    def __new__(cls, n: int, route: str, decomposition: dict[tuple, int]) -> "XiResult":
+        for key, coeff in decomposition.items():
             if coeff not in (-1, 0, 1):
-                raise CoefficientViolation(self.n, self.route, key, coeff)
-        self.decomposition = {key: c for key, c in self.decomposition.items() if c}
+                raise CoefficientViolation(n, route, key, coeff)
+        return super().__new__(cls, n, route, {key: c for key, c in decomposition.items() if c})
 
     @cached_property
     def character(self) -> ClassFunction:

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import hashlib
 import json
@@ -112,7 +111,7 @@ def flip_term(cell, t):
     """The cell with the sign of term t reversed."""
     signs = list(cell.signs)
     signs[t] = -signs[t]
-    return dataclasses.replace(cell, signs=tuple(signs))
+    return cell._replace(signs=tuple(signs))
 
 
 def backtracking_admissible(z, arrangement):
@@ -542,7 +541,7 @@ class TestFourier:
     def test_arbitrary_signs_raise_after_a_good_plan_is_cached(self):
         c = make_cell(Z12)
         good = fourier_constituents(c)
-        bad = dataclasses.replace(c, signs=(1, 1, 1, -1))
+        bad = c._replace(signs=(1, 1, 1, -1))
         expected = {"special_symbol": str(Z12), "family_index": [], "multiplicity": "2/4"}
         assert outcome(reference_constituents, bad) == expected
         for _ in range(2):
@@ -553,7 +552,7 @@ class TestFourier:
         c = make_cell(Z12)
         for signs in (c.signs[:-1], c.signs + c.signs[:1]):
             with pytest.raises(ValueError, match="d = 2 needs 4 terms"):
-                fourier_constituents(dataclasses.replace(c, signs=signs))
+                fourier_constituents(c._replace(signs=signs))
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -572,7 +571,7 @@ class TestFourier:
             st.sampled_from((1, -1)),
         )
         signs = data.draw(st.one_of(arbitrary, character, integers))
-        cell = dataclasses.replace(c, signs=tuple(signs))
+        cell = c._replace(signs=tuple(signs))
         expected = outcome(reference_constituents, cell)
         assert outcome(fourier_constituents, cell) == expected
 

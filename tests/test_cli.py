@@ -1,4 +1,3 @@
-import dataclasses
 import importlib
 import json
 import os
@@ -268,7 +267,7 @@ class TestVerifyCommand:
             result = real(n)
             if n == 2:
                 fewer = dict(list(result.decomposition.items())[1:])
-                result = dataclasses.replace(result, decomposition=fewer)
+                result = result._replace(decomposition=fewer)
             return result
 
         monkeypatch.setitem(xi_mod._ROUTES, "C", dropped_term)

@@ -134,6 +134,18 @@ class TestSkewShape:
         with pytest.raises(ValueError):
             SkewShape(Partition((2,)), Partition((3,)))
 
+    def test_raw_part_tuples_are_accepted(self):
+        built = SkewShape(Partition((3, 1)), Partition((1,)))
+        for same in (SkewShape((3, 1), (1,)), SkewShape(outer=[3, 1], inner=(1,))):
+            assert same == built and str(same) == "3,1/1"
+            assert type(same.outer) is Partition and type(same.inner) is Partition
+        assert SkewShape((2,)) == SkewShape(Partition((2,)), Partition())
+
+    @pytest.mark.parametrize("outer,inner", [((1, 3), ()), ((3,), (1, 2))])
+    def test_raw_part_tuples_are_checked(self, outer, inner):
+        with pytest.raises(ValueError, match="parts must be weakly decreasing"):
+            SkewShape(outer, inner)
+
     def test_parse(self):
         s = SkewShape.parse("3,1/1")
         assert s.outer == Partition((3, 1)) and s.inner == Partition((1,))

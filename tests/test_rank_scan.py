@@ -1,4 +1,3 @@
-import dataclasses
 import importlib.util
 import os
 import subprocess
@@ -52,7 +51,7 @@ def test_a_wrong_cuspidal_flag_exits(monkeypatch, capsys, max_n, flag):
     spec.loader.exec_module(rank_scan)
     real = rank_scan.distinguished
     monkeypatch.setattr(rank_scan, "distinguished",
-                        lambda n: dataclasses.replace(real(n), cuspidal_present=flag))
+                        lambda n: real(n)._replace(cuspidal_present=flag))
     monkeypatch.setattr(sys, "argv", ["rank_scan.py", "--max-n", str(max_n)])
     with pytest.raises(SystemExit, match=f"n = {max_n}: cuspidal flag {flag}"):
         rank_scan.main()

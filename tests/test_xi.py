@@ -1,4 +1,3 @@
-import dataclasses
 import importlib
 import importlib.util
 import random
@@ -249,7 +248,7 @@ class TestTableFree:
         def dropped_term(n):
             result = real(n)
             fewer = {key: c for key, c in result.decomposition.items() if key != first}
-            return dataclasses.replace(result, decomposition=fewer)
+            return result._replace(decomposition=fewer)
 
         monkeypatch.setitem(xi_mod._ROUTES, "C", dropped_term)
         with pytest.raises(RouteDisagreement) as exc:
@@ -318,7 +317,7 @@ class TestEveryN:
         def fewer_terms(n):
             result = real(n)
             kept = {key: c for key, c in result.decomposition.items() if key not in dropped}
-            return dataclasses.replace(result, decomposition=kept)
+            return result._replace(decomposition=kept)
 
         monkeypatch.setitem(xi_mod._ROUTES, "B", fewer_terms)
         with pytest.raises(RouteDisagreement) as exc:
