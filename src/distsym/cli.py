@@ -20,7 +20,7 @@ from functools import lru_cache
 
 from . import cells as cells_mod
 from . import oracle as oracle_mod
-from .verify import MODEL_VIOLATIONS, run_verification
+from .verify import DOCUMENTED, FAIL, MODEL_VIOLATIONS, PASS, run_verification
 from .wchar import bipartitions, character_table
 from .xi import check_route_a, xi_all
 from .xi import xi as xi_fn
@@ -168,11 +168,11 @@ def _cmd_verify(args) -> int:
         _emit_json(report.to_json())
     else:
         for c in report.checks:
-            tag = {"pass": "PASS", "fail": "FAIL"}.get(c.status, "NOTED")
+            tag = {PASS: "PASS", FAIL: "FAIL"}.get(c.status, "NOTED")
             print(f"{tag}  {c.name}  [{c.detail}]")
-        passed = sum(1 for c in report.checks if c.status == "pass")
-        noted = sum(1 for c in report.checks if c.status == "discrepancy-documented")
-        failed = sum(1 for c in report.checks if c.status == "fail")
+        passed = sum(1 for c in report.checks if c.status == PASS)
+        noted = sum(1 for c in report.checks if c.status == DOCUMENTED)
+        failed = sum(1 for c in report.checks if c.status == FAIL)
         print(f"{passed} passed, {noted} documented discrepancies, {failed} failed")
     return 0 if report.ok else 1
 

@@ -1,4 +1,3 @@
-import importlib
 import json
 import os
 import subprocess
@@ -8,12 +7,10 @@ from pathlib import Path
 import pytest
 
 from distsym import cli, cells, oracle, verify
+from distsym import xi as xi_mod
 from distsym.cli import build_parser, main
 from distsym.wchar import Bipartition, bipartitions
 from distsym.xi import RouteDisagreement, xi
-
-# distsym.xi is the function; the module has to come from importlib
-xi_mod = importlib.import_module("distsym.xi")
 
 
 def run_cli(capsys, *argv):

@@ -1,17 +1,24 @@
 """The public surface of distsym is what its pipeline runs.
 
 A public top-level name of a module in src/distsym counts as used when a
-Name or Attribute node in src/distsym (other than __init__.py), scripts/
-or perfbench/ refers to it, or a string constant in perfbench/ names it
-(the tracer resolves the functions it wraps by name).  A public method or
-property of a class in the package counts as used when those sources read
-it on the class itself (Class.name), or read an attribute of that name on
-anything else (an instance, whose class the syntax does not tell).
-Re-exports in __init__.py do not count, and neither do the tests: a
-helper only tests need belongs in the test that uses it.
+Name or Attribute node in src/distsym, scripts/ or perfbench/ refers to
+it, or a string constant in perfbench/ names it (the tracer resolves the
+functions it wraps by name).  A public method or property of a class in
+the package counts as used when those sources read it on the class itself
+(Class.name), or read an attribute of that name on anything else (an
+instance, whose class the syntax does not tell).
+The tests do not count: a helper only tests need belongs in the test that
+uses it.
+
+The package is its modules.  __init__.py imports nothing and binds nothing
+but __version__, so every name has one import path, the module that
+defines it, and distsym.<module> is always that module.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -46,8 +53,6 @@ def public_names() -> set[str]:
     """Every public top-level name defined in the package, as module.name."""
     out = set()
     for path in sorted(PACKAGE.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 names = [node.name]
@@ -76,9 +81,8 @@ def public_methods() -> set[str]:
 
 
 def _sources() -> tuple[list[Path], list[Path]]:
-    """The package (without __init__.py) and the scripts; the benchmark."""
-    sources = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
-    sources += list((ROOT / "scripts").glob("*.py"))
+    """The package and the scripts; the benchmark."""
+    sources = list(PACKAGE.glob("*.py")) + list((ROOT / "scripts").glob("*.py"))
     return sources, list((ROOT / "perfbench").glob("*.py"))
 
 
@@ -138,3 +142,25 @@ def test_every_unused_public_name_is_allowed():
 
 def test_allowed_names_exist():
     assert set(ALLOWED_UNUSED) <= public_names() | public_methods()
+
+
+def test_init_reexports_nothing():
+    nodes = list(ast.walk(ast.parse((PACKAGE / "__init__.py").read_text())))
+    assert [n for n in nodes if isinstance(n, (ast.Import, ast.ImportFrom))] == []
+    bound = {n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+    bound |= {n.name for n in nodes if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+    assert bound == {"__version__"}
+
+
+def test_submodule_path_gives_the_module():
+    # in a fresh interpreter, so no earlier import has bound distsym.xi
+    code = (
+        "import distsym.xi as m\n"
+        "from distsym import xi\n"
+        "print(m.__name__, xi is m)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split() == ["distsym.xi", "True"]

@@ -1,4 +1,3 @@
-import importlib
 import importlib.util
 import random
 from fractions import Fraction
@@ -9,6 +8,7 @@ import pytest
 
 from distsym import wchar
 from distsym import symbols
+from distsym import xi as xi_mod
 from distsym.cells import even_strip_specials, make_cell
 from distsym.partitions import Partition, SkewShape, hv_split, is_even_paired_shape, partitions
 from distsym.wchar import (
@@ -34,9 +34,6 @@ from distsym.xi import (
     xi_all,
 )
 from test_cells import term_symbols
-
-# distsym.xi is the function; the module has to come from importlib
-xi_mod = importlib.import_module("distsym.xi")
 
 _spec = importlib.util.spec_from_file_location(
     "rank_scan", Path(__file__).resolve().parent.parent / "scripts" / "rank_scan.py"
