@@ -12,19 +12,51 @@ A Cell is its term signs and swap masks (bitmasks over the singles); its
 term rows (Cell.term_rows, what route C, the JSON report and every
 printed term read) build no term symbol.
 The signs and masks depend on Z only through the cell's index pattern:
-the number of singles, each pair as two single indices, and which pairs
-flip the sign.  So does the Fourier step, given the isolated index too.
-Two caches hold that work once per pattern: _term_plan (signs, masks and
-the term-distinctness check) and _kept_masks (the Walsh-Hadamard
+the number m of singles, each pair as two single indices, and which
+pairs flip the sign.  make_cell reads that pattern once, and
+_term_plan, keyed on it, holds the signs, the masks and the
+term-distinctness check once per pattern.  The masks carry the rest of
+the pattern: masks[1 << j] swaps pair j alone, and masks[-1] swaps every
+single but the isolated one.  So _kept_masks (the Walsh-Hadamard
 transform, the {0, 1} guard, the one-peak check and the kept family
-masks).  The standard arrangement of an even-strip special is always
-((0, 1), (2, 3), ...) in single indices with the last single isolated,
-so its pattern is d and its odd-difference pairs.  Rank 2n <= 28 allows
-d <= 4 (2d + 1 singles need rank at least d*d + d); every sign choice
-occurs for d <= 3 and 7 of 16 at d = 4, so 22 patterns cover the 3258
-specials of n = 1..14.  The distinguished-symbol pipeline builds no term
-symbol, only the constituents, and its JSON prints the terms from their
-rows and each constituent once.
+masks) is keyed on the cell's own (m, masks, signs), and the Fourier step
+reads no pattern.  Rank 2n <= 28 allows d <= 4 (2d + 1 singles need rank
+at least d*d + d); every sign choice occurs for d <= 3 and 7 of 16 at
+d = 4, so 22 patterns cover the 3258 specials of n = 1..14.  The
+distinguished-symbol pipeline builds no term symbol, only the
+constituents, and its JSON prints the terms from their rows and each
+constituent once.
+
+The standard arrangement comes from the singles alone.  List the entries
+of a special symbol Z in the weakly increasing order z0 <= z1 <= ... <=
+z2m of is_special, so top = (z0, z2, ..., z2m) and bottom = (z1, z3, ...,
+z2m-1), and column i is the places 2i and 2i + 1.  Each row is strictly
+increasing, so an entry occurs at most twice, and a double x fills two
+neighbouring places k and k + 1.  The place of x is k = 2 * (doubles below
+x) + (singles below x), so k has the parity of the number of singles
+below x.
+
+- If some double x has an odd number of singles below it, k is odd, and
+  column (k - 1)/2 pairs z_(k-1) < x with x: the columnwise pairing hits a
+  doubled entry.
+- If every double has an even number of singles below it, every double
+  fills a whole column (top_i = bottom_i) and is skipped.  Single j (from
+  0, ascending) sits at place 2D + j, where D counts the doubles below
+  it.  No double lies between singles 2j and 2j + 1, since it would have
+  2j + 1 singles below it, so the two share column D + j and form a pair.
+  No double lies above the last single s_2d for the same reason, so s_2d
+  is z2m, the last top entry, and it is the one isolated.
+
+So the columnwise pairing lands on the singles exactly when every double
+has an even number of singles below it, and then it is ((0, 1), (2, 3),
+...) in single indices with the last single isolated.  That arrangement
+is admissible: each pair is adjacent among the singles with no double
+between, so is_admissible can remove the pairs in order.  Every
+even-strip special passes the parity check (the tests cover ranks
+through 42), so a standard cell's pattern is d and its odd-difference
+pairs.  make_cell still runs every check on every cell, each raising
+with its own message: the parity check, is_admissible, the sign-pair
+subset and term distinctness.
 
 The Fourier model used here indexes the family by even subsets A of the
 singles, pairing them by intersection parity.  It reproduces the worked
@@ -107,23 +139,18 @@ def standard_arrangement(z: SpecialSymbol) -> Arrangement:
     """Pair the rows columnwise: (top_i, bottom_i) wherever they differ,
     with the last top entry isolated.
 
-    For the even-strip special symbols this always lands on the singles;
-    other special symbols can put a doubled entry in a pair, which is
+    This lands on the singles exactly when every double has an even
+    number of singles below it, and then it pairs the singles 2j and
+    2j + 1 and isolates the last one (proof in the module docstring), so
+    the pairing is read off the singles.  A special symbol with a double
+    above an odd number of singles puts that double in a pair, which is
     rejected because it is no arrangement of the singles at all.
     """
-    sym, singles, _ = z
-    top, bottom = sym.top, sym.bottom
-    pairs = tuple(
-        (top[i], bottom[i]) for i in range(len(bottom)) if top[i] != bottom[i]
-    )
-    singles = set(singles)
-    used = {x for p in pairs for x in p}
-    if not used <= singles:
+    _, singles, doubles = z
+    if any(bisect_left(singles, x) & 1 for x in doubles):
         raise ValueError(f"columnwise pairing of {z} hits a doubled entry")
-    rest = sorted(singles - used)
-    if len(rest) != 1:
-        raise ValueError(f"columnwise pairing of {z} does not isolate one single")
-    return Arrangement(pairs, rest[0])
+    # ascending pairs of ascending singles: the constructor's order already
+    return Arrangement._make((tuple(zip(singles[::2], singles[1::2])), singles[-1]))
 
 
 def odd_difference_pairs(z: SpecialSymbol) -> tuple[tuple[int, int], ...]:
@@ -228,9 +255,8 @@ def _index_pattern(
 ) -> tuple[tuple[tuple[int, int], ...], int]:
     """The arrangement's pairs and isolated single as indices into the
     sorted singles of Z."""
-    index = {x: i for i, x in enumerate(z.singles())}
-    pairs = tuple((index[a], index[b]) for a, b in arrangement.pairs)
-    return pairs, index[arrangement.isolated]
+    index = z.singles().index
+    return tuple([(index(a), index(b)) for a, b in arrangement.pairs]), index(arrangement.isolated)
 
 
 def make_cell(
@@ -252,7 +278,7 @@ def make_cell(
     if not is_admissible(z, arrangement):
         raise ValueError(f"{arrangement} is not admissible for {z}")
     sign_set = {tuple(sorted(p)) for p in sign_pairs}
-    if not sign_set <= set(arrangement.pairs):
+    if not sign_set.issubset(arrangement.pairs):
         raise ValueError("sign_pairs must be a subset of the arrangement's pairs")
     pairs, _ = _index_pattern(z, arrangement)
     flips = tuple(p in sign_set for p in arrangement.pairs)
@@ -343,10 +369,10 @@ def fourier_constituents(cell: Cell) -> tuple[Symbol, ...]:
     full = 2**cell.d
     if len(cell.signs) != full:
         raise ValueError(f"d = {cell.d} needs {full} terms, got {len(cell.signs)}")
-    pairs, isolated = _index_pattern(cell.z, cell.arrangement)
-    kept = _kept_masks(pairs, isolated, tuple(cell.signs))
+    m = len(cell.z.singles())
+    kept = _kept_masks(m, cell.masks, tuple(cell.signs))
     if kept is None:
-        _raise_violation(cell.z, pairs, cell.signs)
+        _raise_violation(cell.z, cell.masks, cell.signs)
     return tuple(sorted(_flipped(cell.z, kept)))
 
 
@@ -364,12 +390,16 @@ def _walsh_hadamard(signs: Iterable[int]) -> list[int]:
 
 @lru_cache(maxsize=None)
 def _kept_masks(
-    pairs: tuple[tuple[int, int], ...], isolated: int, signs: tuple[int, ...]
+    m: int, masks: tuple[int, ...], signs: tuple[int, ...]
 ) -> tuple[int, ...] | None:
     """The 2**d even masks of the one syndrome where the transform of the
-    signs peaks, for pairs and isolated single at the given single
-    indices; None if a multiplicity leaves {0, 1} or the peak is not
-    unique (_raise_violation then says where)."""
+    signs peaks, for a cell over m singles with the given term masks;
+    None if a multiplicity leaves {0, 1} or the peak is not unique
+    (_raise_violation then says where).
+
+    Term 1 << j swaps pair j alone, so masks[1 << j] is that pair's mask,
+    and the last term swaps every pair, so the one single that masks[-1]
+    leaves is the isolated one."""
     full = len(signs)
     f = _walsh_hadamard(signs)
     if any(num not in (0, full) for num in f):
@@ -378,23 +408,29 @@ def _kept_masks(
     if len(peaks) != 1:
         return None
     kept = [0]
-    for j, (a, b) in enumerate(pairs):
-        # one member (the lower or the higher index) if syndrome bit j is set
-        options = (1 << a, 1 << b) if peaks[0] >> j & 1 else (0, 1 << a | 1 << b)
+    for j, pair in enumerate(_pair_masks(masks)):
+        # one member (the lower or the higher bit) if syndrome bit j is set
+        low = pair & -pair
+        options = (low, pair ^ low) if peaks[0] >> j & 1 else (0, pair)
         kept = [k | o for k in kept for o in options]
-    return tuple(k | 1 << isolated if k.bit_count() & 1 else k for k in kept)
+    isolated = masks[-1] ^ ((1 << m) - 1)
+    return tuple(k | isolated if k.bit_count() & 1 else k for k in kept)
 
 
-def _raise_violation(
-    z: SpecialSymbol, pairs: tuple[tuple[int, int], ...], signs: Iterable[int]
-) -> NoReturn:
+def _pair_masks(masks: tuple[int, ...]) -> list[int]:
+    """Each pair's mask, in pair order: the mask of the term that swaps
+    that pair alone."""
+    return [masks[1 << j] for j in range(len(masks).bit_length() - 1)]
+
+
+def _raise_violation(z: SpecialSymbol, masks: tuple[int, ...], signs: Iterable[int]) -> NoReturn:
     """Raise the FamilyModelViolation of signs that _kept_masks rejects:
     the first multiplicity outside {0, 1} in family(Z) order, else the
     constituent count."""
     f = _walsh_hadamard(signs)
     full = len(f)
     singles = z.singles()
-    pair_masks = [1 << a | 1 << b for a, b in pairs]
+    pair_masks = _pair_masks(masks)
     if any(num not in (0, full) for num in f):
         # every syndrome is reached, so this finds the first violating A
         for a, mask in zip(even_subsets(singles), _even_masks(len(singles))):
@@ -467,6 +503,8 @@ def rank_report(rank: int) -> DistinguishedReport:
         raise ValueError("rank must be non-negative")
     entries = []
     merged = set()
+    # the cells' sorted runs, concatenated: sorting them merges the runs
+    union = []
     count = 0
     # no bipartition difference of odd size is an even strip
     specials = () if rank % 2 else even_strip_specials(rank // 2)
@@ -479,12 +517,13 @@ def rank_report(rank: int) -> DistinguishedReport:
             raise FamilyModelViolation(z, frozenset(), f"{shared} is also carried by {earlier}")
         entries.append(CellEntry(c, constituents))
         merged.update(constituents)
+        union += constituents
         count += 2**c.d
         if len(merged) != count:
             raise FamilyModelViolation(z, frozenset(), f"union size {len(merged)} != {count}")
     cusp_d = next((d for d in range(rank + 1) if d * d + d == rank), None)
     present = cusp_d is not None and cuspidal_symbol(cusp_d) in merged
-    return DistinguishedReport(rank, entries, tuple(sorted(merged)), count, present)
+    return DistinguishedReport(rank, entries, tuple(sorted(union)), count, present)
 
 
 def distinguished(n: int) -> DistinguishedReport:

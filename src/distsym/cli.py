@@ -38,8 +38,8 @@ CHARTABLE_MAX_N = 12
 # character needs every class.
 XI_MAX_N = 10
 # cells --rank 42 reaches n = 21, the largest unipotent cuspidal case the
-# symbol side checks: about 3.2-3.7 s and 144 MiB (rank 30: 0.5 s).
-# distinguished --n n reports rank 2n, so it shares this bound.
+# symbol side checks: about 1.9-2.1 s and 142 MiB (rank 30: 0.3-0.4 s).
+# distinguished --n n reports rank 2n, so it shares this bound (1.9-2.3 s).
 CELLS_MAX_RANK = 42
 # For --max-n N the oracle's subgroup-orders claim streams all of W_{2N}
 # once: W_6 (46080 elements) takes about 0.3 s, so --max-n 3 --include-w6

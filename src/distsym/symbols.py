@@ -143,7 +143,7 @@ def _shifted(parts: tuple[int, ...], length: int) -> tuple[int, ...]:
     """The parts ascending, zero-padded in front to the length, entry i
     plus i."""
     pad = length - len(parts)
-    return tuple(range(pad)) + tuple(p + i for i, p in enumerate(reversed(parts), pad))
+    return (*range(pad), *map(operator.add, reversed(parts), range(pad, length)))
 
 
 def to_bipartition(sym: Symbol) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -99,6 +99,19 @@ def cells_by_d():
     return out
 
 
+@functools.cache
+def admissible_cells():
+    """A cell with no sign pairs for every admissible arrangement of every
+    special symbol of rank <= 12 (up to 7 singles)."""
+    return [
+        make_cell(z, arr, ())
+        for rank in range(13)
+        for z in special_symbols_of_rank(rank)
+        for arr in all_arrangements(z.singles())
+        if is_admissible(z, arr)
+    ]
+
+
 def outcome(fn, cell):
     """The constituents, or the payload of the violation raised."""
     try:
@@ -112,6 +125,34 @@ def flip_term(cell, t):
     signs = list(cell.signs)
     signs[t] = -signs[t]
     return cell._replace(signs=tuple(signs))
+
+
+def columnwise_arrangement(z):
+    """The standard arrangement as the columnwise pairing of Z's rows,
+    checked against the singles with sets: the reference for
+    standard_arrangement, which reads the pairs off the singles."""
+    sym, singles, _ = z
+    top, bottom = sym.top, sym.bottom
+    pairs = tuple(
+        (top[i], bottom[i]) for i in range(len(bottom)) if top[i] != bottom[i]
+    )
+    singles = set(singles)
+    used = {x for p in pairs for x in p}
+    if not used <= singles:
+        raise ValueError(f"columnwise pairing of {z} hits a doubled entry")
+    rest = sorted(singles - used)
+    if len(rest) != 1:
+        raise ValueError(f"columnwise pairing of {z} does not isolate one single")
+    return Arrangement(pairs, rest[0])
+
+
+def masks_pattern(cell):
+    """The index pattern read off a cell's masks: term 1 << j swaps pair j
+    alone, and the last term swaps every single but the isolated one."""
+    bits = lambda mask: tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+    pairs = tuple(bits(cell.masks[1 << j]) for j in range(cell.d))
+    (isolated,) = bits(cell.masks[-1] ^ ((1 << len(cell.z.singles())) - 1))
+    return pairs, isolated
 
 
 def backtracking_admissible(z, arrangement):
@@ -189,10 +230,22 @@ class TestArrangements:
         with pytest.raises(ValueError):
             is_admissible(Z4, Arrangement(((0, 1),), 5))
 
-    def test_standard_arrangement_always_admissible(self):
-        for n in range(0, 5):
-            for z in even_strip_specials(n):
-                assert is_admissible(z, standard_arrangement(z)), str(z)
+    def test_standard_arrangement_matches_columnwise_through_rank_18(self):
+        # the same arrangement, or the same error, on every special symbol
+        raised = total = 0
+        for rank in range(19):
+            for z in special_symbols_of_rank(rank):
+                total += 1
+                try:
+                    expected = columnwise_arrangement(z)
+                except ValueError as err:
+                    raised += 1
+                    with pytest.raises(ValueError, match=f"^{re.escape(str(err))}$"):
+                        standard_arrangement(z)
+                    continue
+                got = standard_arrangement(z)
+                assert got == expected and type(got) is Arrangement, str(z)
+        assert (total, raised) == (6626, 5029)
 
     def test_greedy_admissibility_matches_backtracking(self):
         # every arrangement of every special symbol of rank <= 14 with at
@@ -213,13 +266,14 @@ class TestArrangements:
 
     def test_standard_pattern_through_rank_42(self):
         # in single indices the standard arrangement is ((0, 1), (2, 3), ...)
-        # with the last single isolated, so a cell's pattern is d and its
-        # sign pairs
+        # with the last single isolated, and it is admissible, so a cell's
+        # pattern is d and its sign pairs
         for n in range(22):
             for z in even_strip_specials(n):
+                arr = standard_arrangement(z)
                 pairs = tuple((2 * j, 2 * j + 1) for j in range(z.d))
-                pattern = cells._index_pattern(z, standard_arrangement(z))
-                assert pattern == (pairs, 2 * z.d), str(z)
+                assert cells._index_pattern(z, arr) == (pairs, 2 * z.d), str(z)
+                assert is_admissible(z, arr), str(z)
 
 
 class TestSwap:
@@ -339,6 +393,20 @@ class TestCells:
         assert cells._term_plan.cache_info().currsize == 22
         assert cells._kept_masks.cache_info().currsize == 22
 
+    def test_masks_carry_the_index_pattern(self):
+        # the Fourier step reads each pair off masks[1 << j] and the
+        # isolated single off masks[-1]: the standard cells through rank 28,
+        # and every admissible arrangement of every special symbol through
+        # rank 12
+        arranged = admissible_cells()
+        standard = [make_cell(z) for n in range(1, 15) for z in even_strip_specials(n)]
+        assert len(standard) == 3258 and max(c.d for c in arranged) == 3
+        for c in standard + arranged:
+            assert masks_pattern(c) == cells._index_pattern(c.z, c.arrangement), (
+                str(c.z),
+                c.arrangement,
+            )
+
     def test_terms_are_swapped_pairs_through_rank_20(self):
         for n in range(1, 11):
             for z in even_strip_specials(n):
@@ -373,13 +441,7 @@ class TestCells:
         # out oriented: the standard cells through rank 20, and every
         # admissible arrangement of every special symbol through rank 12
         # (up to 7 singles)
-        arranged = [
-            make_cell(z, arr, ())
-            for rank in range(13)
-            for z in special_symbols_of_rank(rank)
-            for arr in all_arrangements(z.singles())
-            if is_admissible(z, arr)
-        ]
+        arranged = admissible_cells()
         assert max(c.d for c in arranged) == 3
         standard = [make_cell(z) for n in range(1, 11) for z in even_strip_specials(n)]
         for c in standard + arranged:
@@ -547,6 +609,19 @@ class TestFourier:
         for _ in range(2):
             assert outcome(fourier_constituents, bad) == expected
             assert fourier_constituents(c) == good
+
+    def test_every_admissible_arrangement_matches_reference_through_rank_12(self):
+        # every sign-pair subset, so a kept mask of odd size takes the
+        # isolated single, read off masks[-1], which is not always the last
+        arranged = admissible_cells()
+        assert sum(c.arrangement.isolated != c.z.singles()[-1] for c in arranged) > 500
+        for c in arranged:
+            pairs = c.arrangement.pairs
+            for t in range(2**c.d):
+                chosen = tuple(p for j, p in enumerate(pairs) if t >> j & 1)
+                cell = make_cell(c.z, c.arrangement, chosen)
+                expected = reference_constituents(cell)
+                assert fourier_constituents(cell) == expected, (str(c.z), c.arrangement, chosen)
 
     def test_term_count_checked(self):
         c = make_cell(Z12)
