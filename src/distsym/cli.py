@@ -4,8 +4,9 @@ Subcommands: chartable, xi, cells, distinguished, oracle, verify.  Output
 defaults to plain text tables; --json switches to the documented schemas.
 All numbers print exactly (integers, or a/b for rationals).  Every size
 argument has a fixed upper bound, checked while the arguments are parsed,
-so every accepted call ends in seconds (`xi 10`, the costliest, in about
-4-5 s); a size out of range exits 2 before any computation.
+so every accepted call ends in seconds (`xi 10` and `chartable 12`, the
+costliest, in about 2.5-3.6 s); a size out of range exits 2 before any
+computation.
 
 Exit codes: 0 success, 1 internal model violation (the offending object is
 serialized to stderr), 2 usage errors.
@@ -27,24 +28,25 @@ from .xi import xi as xi_fn
 
 # Each bound was set as the largest size whose cold
 # `python -m distsym.cli ... --json` run cost no more than `chartable 12` did
-# then, 8-9 s.  Costs are CLI wall time with interpreter start (2-core
+# then, 8-9 s.  Costs are CLI wall time with interpreter start, the range
+# of five cold runs per bound, all five bounds measured back to back (2-core
 # x86-64, CPython 3.11.7).  chartable 12 prints the 1165 x 1165 table of
-# W_12: about 3.3-4 s, 330 MiB and 34 MB of JSON (the table about 1.7 s, the
-# JSON encoding about 1.9 s).
+# W_12: about 2.5-3.4 s, 329 MiB and 34 MB of JSON (in process, the table
+# takes about 1.7 s and the JSON encoding about 1.9 s).
 CHARTABLE_MAX_N = 12
 # xi 10 evaluates xi, and checks route A's closed form, on W_20: about
-# 4-4.9 s and 110 MiB (xi 8: 0.8 s), now the costliest accepted call.  The
-# decompositions alone reach n = 21 (scripts/rank_scan.py), but the printed
-# character needs every class.
+# 2.7-3.6 s and 100 MiB (xi 8: 0.8 s), with chartable 12 the costliest
+# accepted call.  The decompositions alone reach n = 21
+# (scripts/rank_scan.py), but the printed character needs every class.
 XI_MAX_N = 10
 # cells --rank 42 reaches n = 21, the largest unipotent cuspidal case the
-# symbol side checks: about 1.9-2.1 s and 142 MiB (rank 30: 0.3-0.4 s).
-# distinguished --n n reports rank 2n, so it shares this bound (1.9-2.3 s).
+# symbol side checks: about 2.0-2.7 s and 142 MiB (rank 30: 0.3-0.4 s).
+# distinguished --n n reports rank 2n, so it shares this bound (2.2-3.5 s).
 CELLS_MAX_RANK = 42
 # For --max-n N the oracle's subgroup-orders claim streams all of W_{2N}
 # once: W_6 (46080 elements) takes about 0.3 s, so --max-n 3 --include-w6
-# runs in about 0.3-0.4 s, while W_8 (about 1e7 elements) would run for
-# over a minute by extrapolation.
+# runs in about 0.4 s and 16 MiB, while W_8 (about 1e7 elements) would run
+# for over a minute by extrapolation.
 ORACLE_MAX_N = 3
 
 

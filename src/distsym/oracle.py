@@ -131,10 +131,13 @@ def induced_character(
         acc[index[_cycle_type(w)]] += val
     values = []
     for c, total in zip(bipartitions(degree), acc):
-        q = Fraction(centralizer_order(c) * total, subgroup_order)
-        if q.denominator != 1:
-            raise ArithmeticError(f"induced value not integral at {c}: {q}")
-        values.append(int(q))
+        num = centralizer_order(c) * total
+        q, rest = divmod(num, subgroup_order)
+        if rest:
+            raise ArithmeticError(
+                f"induced value not integral at {c}: {Fraction(num, subgroup_order)}"
+            )
+        values.append(q)
     return ClassFunction(degree, values)
 
 

@@ -14,6 +14,14 @@ from itertools import combinations
 from typing import Iterable, Iterator
 
 
+@lru_cache(maxsize=None)
+def _partition_name(parts: tuple[int, ...]) -> str:
+    """The parts joined by commas, '-' for the empty partition: the str of
+    a Partition, cached per partition, since the names of all classes and
+    irreducibles of W_n reuse those of a few partitions."""
+    return ",".join(map(str, parts)) or "-"
+
+
 class Partition(tuple):
     """A partition as the tuple of its parts, which it equals, hashes and
     sorts as (the empty one is falsy).  The constructor checks the parts;
@@ -44,8 +52,7 @@ class Partition(tuple):
         """Row-wise containment after zero padding."""
         return len(other) <= len(self) and all(map(operator.le, other, self))
 
-    def __str__(self) -> str:
-        return ",".join(map(str, self)) or "-"
+    __str__ = _partition_name
 
     @classmethod
     def parse(cls, text: str) -> "Partition":

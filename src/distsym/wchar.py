@@ -10,6 +10,13 @@ A class function is dense: one value per class, in the canonical order of
 ``bipartitions(n)``.  One class-index map per n gives each class its
 position.
 
+What a class (alpha; beta) determines only through alpha and beta is
+computed once per partition and combined per class: its centralizer
+order is z(alpha) z(beta), with z(lambda) = prod (2v)^m m! over the blocks
+of m parts v (Macdonald, Symmetric Functions, I App. B), cached per
+partition in _z, so a class size costs one division; its name joins the
+two partitions' cached names (partitions._partition_name) with ';'.
+
 A Bipartition is the tuple of its two Partitions, so it equals and hashes
 as its raw pair (alpha parts, beta parts).  One key thus names every class
 and every irreducible of W_n (the input of virtual_character, the output
@@ -61,7 +68,7 @@ from functools import lru_cache
 from math import comb, factorial
 from operator import itemgetter, mul
 
-from .partitions import Partition, partitions
+from .partitions import Partition, _partition_name, partitions
 
 
 class Bipartition(tuple):
@@ -91,7 +98,7 @@ class Bipartition(tuple):
         return f"Bipartition(alpha={self[0]!r}, beta={self[1]!r})"
 
     def __str__(self) -> str:
-        return f"{self[0]};{self[1]}"
+        return f"{_partition_name(self[0])};{_partition_name(self[1])}"
 
 
 @lru_cache(maxsize=None)
@@ -119,27 +126,35 @@ def group_order(n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def centralizer_order(c: Bipartition) -> int:
-    """Centralizer order of the class (alpha; beta) in W_n.
-
-    A positive i-cycle block of multiplicity m contributes i^m m! 2^m,
-    a negative one (2i)^m m!; the two expressions agree as (2i)^m m!.
-    """
+def _z(parts: tuple[int, ...]) -> int:
+    """z(lambda), the product over lambda's blocks of equal parts of
+    (2v)^m m!, for a block of m parts v: the centralizer order of the
+    class (lambda; -) in W_|lambda|, and that of (-; lambda) too."""
     z = 1
-    for parts in c:
-        for v, m in Counter(parts).items():
-            z *= (2 * v) ** m * factorial(m)
+    for v, m in Counter(parts).items():
+        z *= (2 * v) ** m * factorial(m)
     return z
 
 
-@lru_cache(maxsize=None)
+def centralizer_order(c: Bipartition) -> int:
+    """Centralizer order of the class (alpha; beta) in W_n: z(alpha) z(beta).
+
+    A positive i-cycle block of multiplicity m contributes i^m m! 2^m,
+    a negative one (2i)^m m!; the two expressions agree as (2i)^m m!, so
+    the order is the product of one factor per partition, each computed
+    once (_z).
+    """
+    return _z(c[0]) * _z(c[1])
+
+
 def class_size(c: Bipartition) -> int:
     return group_order(c.n) // centralizer_order(c)
 
 
 @lru_cache(maxsize=None)
 def _class_sizes(n: int) -> tuple[int, ...]:
-    return tuple(class_size(c) for c in bipartitions(n))
+    order = group_order(n)
+    return tuple(order // (_z(alpha) * _z(beta)) for alpha, beta in bipartitions(n))
 
 
 def _to_dense(n: int, values: Mapping[tuple, int]) -> tuple:

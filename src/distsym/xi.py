@@ -41,7 +41,10 @@ the sum over every split of c, and it factors over the blocks:
   xi_n(c) = prod over blocks of sum_k C(m, k) kappa(v, k) nu(v, m - k),
 
 one pass of _closed_form with _xi_block.  tests/test_xi.py certifies it
-against wchar.induction_product through n = 8.
+against wchar.induction_product through n = 8.  A block lies in alpha or
+in beta, so every such closed form (kappa, nu and xi_n) is a product of
+one factor per partition, F(alpha, +) F(beta, -): _closed_form computes
+F once per partition and sign, and multiplies two factors per class.
 
 Route A decomposes its induction products from the stated decompositions
 kappa_terms x nu_terms: inducing chi^(lam; -) (x) chi^(mu; nu) multiplies
@@ -103,7 +106,7 @@ from __future__ import annotations
 
 from collections import Counter, namedtuple
 from functools import cached_property, lru_cache
-from math import comb, factorial
+from math import comb, factorial, prod
 from typing import Iterable, Iterator
 
 from .cells import even_strip_specials, make_cell
@@ -165,18 +168,20 @@ def _xi_block(value: int, mult: int, negative: bool) -> int:
 
 def _closed_form(r: int, block) -> ClassFunction:
     """The multiplicative class function on W_{2r}: its value at a class
-    is the product of block(value, mult, negative) over the blocks of equal
-    cycles, negative for the blocks of beta."""
+    (alpha; beta) is the product of block(value, mult, negative) over the
+    blocks of equal cycles, negative for the blocks of beta.  That is
+    F(alpha, +) F(beta, -), with F the product over one partition's blocks,
+    so F is computed once per partition of size at most 2r and sign, and
+    each class costs one multiplication."""
     if r < 0:
         raise ValueError("r must be non-negative")
-    values = []
-    for c in bipartitions(2 * r):
-        v = 1
-        for parts, negative in zip(c, (False, True)):
-            for value, mult in Counter(parts).items():
-                v *= block(value, mult, negative)
-        values.append(v)
-    return ClassFunction(2 * r, values)
+    plus, minus = {}, {}
+    for k in range(2 * r + 1):
+        for p in partitions(k):
+            blocks = Counter(p).items()
+            plus[p] = prod(block(value, mult, False) for value, mult in blocks)
+            minus[p] = prod(block(value, mult, True) for value, mult in blocks)
+    return ClassFunction(2 * r, [plus[a] * minus[b] for a, b in bipartitions(2 * r)])
 
 
 def kappa(r: int) -> ClassFunction:

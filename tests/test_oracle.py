@@ -241,6 +241,13 @@ class TestInducedCharacters:
             ind = nu_bruteforce(n)
             assert degree(ind) == group_order(2 * n) // centralizer_subgroup_order(n)
 
+    def test_wrong_subgroup_order_names_the_class(self):
+        # K_1 is all of W_2; at the first class, 2;-, the value is 4 * 2 / 9
+        members = [(w, 1) for w in iter_block_subgroup(1)]
+        with pytest.raises(ArithmeticError) as exc:
+            induced_character(2, members, block_subgroup_order(1) + 1)
+        assert str(exc.value) == "induced value not integral at 2;-: 8/9"
+
     @pytest.mark.parametrize("n", [1, 2])
     def test_kappa_matches_closed_form(self, n):
         assert kappa_bruteforce(n) == kappa(n)

@@ -123,6 +123,13 @@ class TestPartition:
             assert Partition.parse(str(p)) == p
         assert str(Partition()) == "-"
 
+    def test_str_joins_the_parts_through_20(self):
+        for n in range(21):
+            for p in partitions(n):
+                assert str(p) == (",".join(map(str, p)) or "-")
+                # cached per partition: an equal partition built anew gets the same string
+                assert str(Partition(p)) is str(p)
+
     def test_contains(self):
         assert Partition((3, 1)).contains(Partition((2, 1)))
         assert not Partition((3, 1)).contains(Partition((1, 1, 1)))

@@ -46,6 +46,15 @@ def degree(f: ClassFunction):
     return f.at(Bipartition((1,) * f.n))
 
 
+def reference_centralizer_order(c: Bipartition) -> int:
+    """The centralizer order computed per class, with one Counter per class."""
+    z = 1
+    for parts in c:
+        for v, m in Counter(parts).items():
+            z *= (2 * v) ** m * factorial(m)
+    return z
+
+
 class TestClasses:
     def test_bipartition_order_w2(self):
         assert [str(c) for c in bipartitions(2)] == [
@@ -82,6 +91,27 @@ class TestClasses:
     def test_class_sizes_sum_to_group_order(self):
         for n in range(1, 9):
             assert sum(class_size(c) for c in bipartitions(n)) == group_order(n)
+
+    def test_centralizers_and_sizes_match_the_per_class_reference_through_w12(self):
+        for n in range(13):
+            orders = [reference_centralizer_order(c) for c in bipartitions(n)]
+            sizes = [group_order(n) // z for z in orders]
+            assert [centralizer_order(c) for c in bipartitions(n)] == orders
+            assert [class_size(c) for c in bipartitions(n)] == sizes
+            assert wchar._class_sizes(n) == tuple(sizes)
+
+    def test_class_sizes_compute_z_once_per_partition(self):
+        # W_12 has 1165 classes but 272 partitions of size at most 12
+        wchar._z.cache_clear()
+        wchar._class_sizes.cache_clear()
+        wchar._class_sizes(12)
+        assert len(bipartitions(12)) == 1165
+        assert wchar._z.cache_info().misses == sum(map(len, map(partitions, range(13)))) == 272
+
+    def test_names_join_the_partition_names_through_w12(self):
+        for n in range(13):
+            for c in bipartitions(n):
+                assert str(c) == ";".join(",".join(map(str, p)) or "-" for p in c)
 
     def test_negative_n_rejected(self):
         for build, args in [

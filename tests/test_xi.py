@@ -1,5 +1,6 @@
 import importlib.util
 import random
+from collections import Counter
 from fractions import Fraction
 from math import factorial
 from pathlib import Path
@@ -190,7 +191,27 @@ class TestXi:
         }
 
 
+def reference_closed_form(r: int, block) -> ClassFunction:
+    """The multiplicative class function on W_{2r}, computed per class,
+    with one Counter per class."""
+    values = []
+    for c in bipartitions(2 * r):
+        v = 1
+        for parts, negative in zip(c, (False, True)):
+            for value, mult in Counter(parts).items():
+                v *= block(value, mult, negative)
+        values.append(v)
+    return ClassFunction(2 * r, values)
+
+
 class TestRouteAClosedForm:
+    @pytest.mark.parametrize("r", range(7))
+    def test_closed_forms_match_the_per_class_reference(self, r):
+        assert kappa(r) == reference_closed_form(r, xi_mod._kappa_block)
+        assert nu(r) == reference_closed_form(r, xi_mod._nu_block)
+        want = reference_closed_form(r, xi_mod._xi_block)
+        assert xi_mod._closed_form(r, xi_mod._xi_block) == want
+
     @pytest.mark.parametrize("n", range(1, 9))
     def test_character_is_the_sum_of_induction_products(self, n):
         # certifies the block closed form against the generic induction
