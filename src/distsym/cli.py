@@ -4,9 +4,8 @@ Subcommands: chartable, xi, cells, distinguished, oracle, verify.  Output
 defaults to plain text tables; --json switches to the documented schemas.
 All numbers print exactly (integers, or a/b for rationals).  Every size
 argument has a fixed upper bound, checked while the arguments are parsed,
-so every accepted call ends in seconds (`xi 10` and `chartable 12`, the
-costliest, in about 2.5-3.6 s); a size out of range exits 2 before any
-computation.
+so every accepted call ends in seconds (`xi 10`, the costliest, in about
+2.7-3.6 s); a size out of range exits 2 before any computation.
 
 Exit codes: 0 success, 1 internal model violation (the offending object is
 serialized to stderr), 2 usage errors.
@@ -31,12 +30,15 @@ from .xi import xi as xi_fn
 # then, 8-9 s.  Costs are CLI wall time with interpreter start, the range
 # of five cold runs per bound, all five bounds measured back to back (2-core
 # x86-64, CPython 3.11.7).  chartable 12 prints the 1165 x 1165 table of
-# W_12: about 2.5-3.4 s, 329 MiB and 34 MB of JSON (in process, the table
-# takes about 1.7 s and the JSON encoding about 1.9 s).
+# W_12 as 34 MB of JSON, the same bytes since _dumps replaced json.dumps:
+# 2.7-3.8 s and 181 MiB, against 3.7-4.3 s and 329 MiB with json.dumps, in
+# a later session of five alternating pairs that ran slower than the one
+# above (in process, the table takes about 1.7-1.9 s and the JSON 0.7-1.0 s,
+# where json.dumps took 1.6-1.7 s).
 CHARTABLE_MAX_N = 12
 # xi 10 evaluates xi, and checks route A's closed form, on W_20: about
-# 2.7-3.6 s and 100 MiB (xi 8: 0.8 s), with chartable 12 the costliest
-# accepted call.  The decompositions alone reach n = 21
+# 2.7-3.6 s (xi 8: 0.8 s), the costliest accepted call, and 92 MiB since
+# _dumps (100 MiB with json.dumps).  The decompositions alone reach n = 21
 # (scripts/rank_scan.py), but the printed character needs every class.
 XI_MAX_N = 10
 # cells --rank 42 reaches n = 21, the largest unipotent cuspidal case the
@@ -65,8 +67,53 @@ def _bounded(minimum: int, maximum: int):
     return parse
 
 
+_escape = json.encoder.encode_basestring_ascii
+
+
+def _dumps(value, newline: str = "\n") -> str:
+    """The bytes of json.dumps(value, indent=2), written directly.
+
+    json.dumps runs its pure-Python encoder whenever indent is set; this
+    writer builds each container in one join and escapes strings with the
+    C function json itself uses.  It takes what the payloads hold: dicts
+    with str keys (_escape rejects any other key), lists, tuples, str, int,
+    bool and None; anything else raises TypeError.  newline is the line
+    break plus the indent of value.  Inside a container a plain int is
+    formatted by the f-string, which prints it as int.__repr__ does.
+    """
+    if isinstance(value, str):
+        return _escape(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [
+            f"{v if type(v) is int else _escape(v) if type(v) is str else _dumps(v, inner)}"
+            for v in value
+        ]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [
+            f"{_escape(k)}: "
+            f"{v if type(v) is int else _escape(v) if type(v) is str else _dumps(v, inner)}"
+            for k, v in value.items()
+        ]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _emit_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2))
+    print(_dumps(payload))
 
 
 def _cmd_chartable(args) -> int:

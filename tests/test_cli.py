@@ -5,12 +5,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from distsym import cli, cells, oracle, verify
 from distsym import xi as xi_mod
 from distsym.cli import build_parser, main
 from distsym.wchar import Bipartition, bipartitions
-from distsym.xi import RouteDisagreement, xi
+from distsym.xi import CoefficientViolation, RouteDisagreement, xi
 
 
 def run_cli(capsys, *argv):
@@ -410,3 +412,83 @@ class TestConsoleScript:
             assert json.loads(out)["n"] == 1
         else:
             assert out == ""
+
+
+# str with every kind of character json escapes: quotes, backslashes,
+# control characters, non-ASCII text and lone surrogates (any code point,
+# with the control and surrogate ones drawn more often)
+_TEXT = st.text(
+    st.characters(exclude_categories=())
+    | st.characters(categories=["Cs", "Cc"])
+    | st.sampled_from('"\\/\x00\x1f\x7f\u2028\ud800\udfffé€😀')
+)
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**64)
+    | st.integers(max_value=-(2**64))
+    | _TEXT
+)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=30,
+)
+
+
+class TestJsonWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(_VALUES)
+    @example({})
+    @example({"a": [], "b": {}, "c": ()})
+    @example([True, False, None, 0, -1, 2**70, ""])
+    def test_matches_json_dumps_indent_2(self, value):
+        assert cli._dumps(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize(
+        "value",
+        [1.5, [0.0], {"a": float("nan")}, {1, 2}, [frozenset()], {1: 2}, {"a": {None: 1}},
+         {True: 1}, [{(1,): 2}], b"bytes", object()],
+    )
+    def test_other_types_raise(self, value):
+        with pytest.raises(TypeError):
+            cli._dumps(value)
+
+
+# every --json subcommand beyond the one golden size of each schema
+_JSON_CALLS = (
+    [["chartable", str(n)] for n in range(6)]
+    + [["xi", str(n), f"--route={r}"] for n in (1, 2, 3) for r in ("A", "B", "C", "all")]
+    + [["cells", "--rank", str(r)] for r in range(13)]
+    + [["distinguished", "--n", str(n)] for n in range(1, 5)]
+    + [["oracle", "verify", "--max-n", str(n)] for n in range(3)]
+    + [["verify"]]
+)
+
+
+class TestJsonBytes:
+    @pytest.mark.parametrize("argv", _JSON_CALLS, ids=" ".join)
+    def test_output_is_json_dumps_indent_2(self, capsys, argv):
+        code, out, _ = run_cli(capsys, *argv, "--json")
+        assert code == 0
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+    def test_fail_rows_of_every_model_violation(self):
+        z = cells.even_strip_specials(1)[0]
+        errors = [
+            RouteDisagreement(1, "A", "B", Bipartition((2,)), 1, 2),
+            CoefficientViolation(2, "C", ((1,), (1,)), 2),
+            cells.FamilyModelViolation(z, (1, 0), 2),
+        ]
+        assert {type(e) for e in errors} == set(verify.MODEL_VIOLATIONS)
+        report = verify.VerificationReport(
+            [verify.Check("a pass", verify.PASS, "ok")]
+            + [verify.Check(f"{type(e).__name__} checks", verify.FAIL, str(e), e.payload)
+               for e in errors]
+        )
+        payload = report.to_json()
+        assert payload["ok"] is False
+        assert cli._dumps(payload) == json.dumps(payload, indent=2)

@@ -235,6 +235,49 @@ class TestGeneratorGuard:
         assert all(ok for name, (ok, _) in rows.items() if not name.startswith(kind + "_"))
 
 
+def _zero_weight_breach(breach):
+    """K_2 with its first element, the identity (kappa weight 0), breached."""
+    def bad(n):
+        ws = list(iter_block_subgroup(n))
+        assert block_swap_sign(ws[0], n) == block_swap_sign(ws[1], n) == 1
+        if breach == "repeat":
+            ws[1] = ws[0]
+        elif breach == "non-member":
+            ws[0] = (1, 3, 2, 4)  # keeps w[0] in the first block, so weight 0
+        else:
+            del ws[0]
+        return iter(ws)
+
+    return bad
+
+
+class TestZeroWeightElements:
+    def test_kappa_classifies_only_the_block_swaps(self, monkeypatch):
+        # kappa's weight 1 - block_swap_sign is 0 on the block-preserving
+        # half of K_n; nu's flip-count sign is never 0
+        calls = []
+        real = oracle._cycle_type
+
+        def counted(w):
+            calls.append(w)
+            return real(w)
+
+        monkeypatch.setattr(oracle, "_cycle_type", counted)
+        assert kappa_bruteforce(2) == kappa(2)
+        assert len(calls) == block_subgroup_order(2) // 2
+        assert all(block_swap_sign(w, 2) == -1 for w in calls)
+        calls.clear()
+        assert nu_bruteforce(2) == nu(2)
+        assert len(calls) == centralizer_subgroup_order(2)
+
+    @pytest.mark.parametrize("breach", sorted(_BREACHES))
+    def test_guard_still_sees_zero_weight_elements(self, monkeypatch, breach):
+        monkeypatch.setattr(oracle, "iter_block_subgroup", _zero_weight_breach(breach))
+        _, message = _BREACHES[breach]
+        with pytest.raises(ArithmeticError, match=f"K_2 generator .*{message}"):
+            kappa_bruteforce(2)
+
+
 class TestInducedCharacters:
     def test_nu_degree(self):
         for n in (1, 2):
