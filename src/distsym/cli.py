@@ -25,30 +25,22 @@ from .wchar import bipartitions, character_table
 from .xi import check_route_a, xi_all
 from .xi import xi as xi_fn
 
-# Each bound was set as the largest size whose cold
-# `python -m distsym.cli ... --json` run cost no more than `chartable 12` did
-# then, 8-9 s.  Costs are CLI wall time with interpreter start, the range
-# of five cold runs per bound, all five bounds measured back to back (2-core
-# x86-64, CPython 3.11.7).  chartable 12 prints the 1165 x 1165 table of
-# W_12 as 34 MB of JSON, the same bytes since _dumps replaced json.dumps:
-# 2.7-3.8 s and 181 MiB, against 3.7-4.3 s and 329 MiB with json.dumps, in
-# a later session of five alternating pairs that ran slower than the one
-# above (in process, the table takes about 1.7-1.9 s and the JSON 0.7-1.0 s,
-# where json.dumps took 1.6-1.7 s).
+# Each bound is the largest size whose cold `python -m distsym.cli ... --json`
+# run cost no more than `chartable 12` did when the bounds were set; the
+# README's bound table holds the measured cost of each.  chartable 12 prints
+# the 1165 x 1165 table of W_12 as 34 MB of JSON.
 CHARTABLE_MAX_N = 12
-# xi 10 evaluates xi, and checks route A's closed form, on W_20: about
-# 2.7-3.6 s (xi 8: 0.8 s), the costliest accepted call, and 92 MiB since
-# _dumps (100 MiB with json.dumps).  The decompositions alone reach n = 21
+# xi 10 evaluates xi, and checks route A's closed form, on W_20, the
+# costliest accepted call.  The decompositions alone reach n = 21
 # (scripts/rank_scan.py), but the printed character needs every class.
 XI_MAX_N = 10
 # cells --rank 42 reaches n = 21, the largest unipotent cuspidal case the
-# symbol side checks: about 2.0-2.7 s and 142 MiB (rank 30: 0.3-0.4 s).
-# distinguished --n n reports rank 2n, so it shares this bound (2.2-3.5 s).
+# symbol side checks.  distinguished --n n reports rank 2n, so it shares
+# this bound.
 CELLS_MAX_RANK = 42
 # For --max-n N the oracle's subgroup-orders claim streams all of W_{2N}
-# once: W_6 (46080 elements) takes about 0.3 s, so --max-n 3 --include-w6
-# runs in about 0.4 s and 16 MiB, while W_8 (about 1e7 elements) would run
-# for over a minute by extrapolation.
+# once: W_6 has 46080 elements, and W_8, with 10321920, would run for over
+# a minute.
 ORACLE_MAX_N = 3
 
 

@@ -46,16 +46,14 @@ in beta, so every such closed form (kappa, nu and xi_n) is a product of
 one factor per partition, F(alpha, +) F(beta, -): _closed_form computes
 F once per partition and sign, and multiplies two factors per class.
 
-Route A decomposes its induction products from the stated decompositions
-kappa_terms x nu_terms: inducing chi^(lam; -) (x) chi^(mu; nu) multiplies
-s_lam s_mu on the first coordinate and keeps nu.  Each kappa term is a
-two-row lam = (p, q), so by Jacobi-Trudi s_(p,q) = h_p h_q - h_(p+1)
-h_(q-1), and each h_k s_mu is the sum of s over the horizontal k-strips
-added to mu, by Pieri's rule (I. G. Macdonald, Symmetric Functions and
-Hall Polynomials, 2nd ed., ch. I, sections 3 and 5).  This keeps route A
-independent of route B's skew-pair description.  The terms are summed on
-their pairs of parts and sorted into bipartitions(2n) order, so route A needs
-no class of W_{2n} and runs at every n, like routes B and C.
+Route A reads ch(kappa_r) = h_r[p_2] = sum_(i=0..2r) (-1)^i h_i h_(2r-i),
+proved below, with nu_terms; inducing chi^(lam; -) (x) chi^(mu; beta)
+multiplies s_lam s_mu and keeps beta.  h_i and h_(2r-i) commute, so i folds
+with 2r - i: each (r, mu) takes i = 0..r once, with weight 2 (-1)^i, or
+(-1)^r at i = r, and h_k s_mu adds the horizontal k-strips to mu (Pieri;
+I. G. Macdonald, Symmetric Functions and Hall Polynomials, 2nd ed., I.5).
+Pieri alone keeps it independent of route B, and sorted into
+bipartitions(2n) order it needs no class of W_{2n}, like routes B and C.
 
 The W side as a theorem.  The Frobenius characteristic ch of W_n = Z_2
 wr S_n (Macdonald, ch. I, Appendix B) sends chi^(alpha; beta) to
@@ -65,7 +63,8 @@ for the Hall form, whose power-sum norms are the centralizer orders z_c.
 Summed over all sizes:
 
   - sum_r ch(kappa_r) = exp(sum_k p_2k(x)/k) = H(x^2) = sum_r h_r[p_2], and
-    H(t) H(-t) = H(t^2) with Jacobi-Trudi gives h_r[p_2] = sum_i (-1)^i
+    H(t) H(-t) = H(t^2) gives h_r[p_2] = sum_(i=0..2r) (-1)^i h_i h_(2r-i),
+    which route A reads; with Jacobi-Trudi it is sum_(i=0..r) (-1)^i
     s_(2r-i, i) (Macdonald I.8), so kappa_terms holds for every r;
   - sum_m ch(nu_m) = exp(sum_k p_k(x) p_k(y)/k) = Omega(x, y) = sum_alpha
     s_alpha(x) s_alpha(y), the Cauchy identity (I.4), so nu_terms holds for
@@ -95,7 +94,9 @@ What is compared, and where:
     (through its bound n = 10), verify's route-agreement row (n = 1..3)
     and scripts/rank_scan.py (its rows through n = 10);
   - scripts/rank_scan.py checks A = B = C by decomposition on every row,
-    through n = 21 (W_42) in CI.
+    through n = 21 (W_42) in CI;
+  - tests/test_xi.py checks that the Pieri expansion of sum_i (-1)^i h_i
+    h_(2r-i) is kappa_terms(r) through r = 21, the reach of rank_scan.py.
 
 The stated terms kappa_terms(r) and nu_terms(r) are also checked by
 character (kappa_nu_decomposition_check) through r = 6 in tests/test_xi.py
@@ -261,30 +262,20 @@ def _canonical_key(alpha: tuple[int, ...], beta: tuple[int, ...]):
 
 
 def _route_a_decomposition(n: int) -> dict[tuple, int]:
-    """The decomposition of sum_r kappa_r (x) nu_(n-r) by Jacobi-Trudi and
-    Pieri on the stated terms, in canonical bipartitions(2n) order.
-
-    Every kappa term is a two-row (p, q; -); a term of another shape would
-    be decomposed wrongly, and check_route_a would fail."""
+    """The decomposition of sum_r kappa_r (x) nu_(n-r) by Pieri's rule on
+    h_r[p_2] and the stated nu terms, folded as in the module docstring,
+    in canonical bipartitions(2n) order."""
     acc: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
     for r in range(n + 1):
-        nu_items = nu_terms(n - r).items()
-        for (lam, _), c in kappa_terms(r).items():
-            p, q = (lam + (0, 0))[:2]
-            for (mu, beta), d in nu_items:
-                for a, b, sign in ((p, q, c * d), (p + 1, q - 1, -c * d)):
-                    if b < 0:
-                        continue
-                    for inner in horizontal_strips(mu, b, 1):
-                        for outer in horizontal_strips(inner, a, 1):
-                            acc[outer, beta] = acc.get((outer, beta), 0) + sign
+        for (mu, beta), d in nu_terms(n - r).items():
+            for i in range(r + 1):
+                sign = (-1) ** i * d * (1 if i == r else 2)
+                for inner in horizontal_strips(mu, i, 1):
+                    for outer in horizontal_strips(inner, 2 * r - i, 1):
+                        acc[outer, beta] = acc.get((outer, beta), 0) + sign
     terms = sorted((k for k, c in acc.items() if c), key=lambda k: _canonical_key(*k),
                    reverse=True)
     return {k: acc[k] for k in terms}
-
-
-def _xi_route_a(n: int) -> XiResult:
-    return XiResult(n, "A", _route_a_decomposition(n))
 
 
 def check_route_a(result: XiResult) -> None:
@@ -302,20 +293,12 @@ def check_route_a(result: XiResult) -> None:
             raise RouteDisagreement(n, "A", "A decomposition", c, x, y)
 
 
-def _signed_sum(n: int, route: str, terms: Iterable[tuple[tuple, int]]) -> XiResult:
+def _signed_sum(terms: Iterable[tuple[tuple, int]]) -> dict[tuple, int]:
     """Add signed irreducibles into a decomposition, in insertion order."""
     decomp: dict[tuple, int] = {}
     for key, sign in terms:
         decomp[key] = decomp.get(key, 0) + sign
-    return XiResult(n, route, decomp)
-
-
-def _xi_route_b(n: int) -> XiResult:
-    return _signed_sum(n, "B", even_paired_pairs(n))
-
-
-def _xi_route_c(n: int) -> XiResult:
-    return _signed_sum(n, "C", _cell_terms(n))
+    return decomp
 
 
 def _cell_terms(n: int) -> Iterator[tuple[tuple, int]]:
@@ -329,18 +312,22 @@ def _cell_terms(n: int) -> Iterator[tuple[tuple, int]]:
             yield (_row_parts(top), _row_parts(bottom)), sign
 
 
-_ROUTES = {"A": _xi_route_a, "B": _xi_route_b, "C": _xi_route_c}
+# each route maps n to its decomposition; xi() wraps it in an XiResult
+_ROUTES = {
+    "A": _route_a_decomposition,
+    "B": lambda n: _signed_sum(even_paired_pairs(n)),
+    "C": lambda n: _signed_sum(_cell_terms(n)),
+}
 
 
 def xi(n: int, route: str = "A") -> XiResult:
     """The virtual module at rank parameter n, by the requested route."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    try:
-        builder = _ROUTES[route.upper()]
-    except KeyError:
-        raise ValueError(f"unknown route {route!r}; expected A, B, or C") from None
-    return builder(n)
+    name = route.upper()
+    if name not in _ROUTES:
+        raise ValueError(f"unknown route {route!r}; expected A, B, or C")
+    return XiResult(n, name, _ROUTES[name](n))
 
 
 def xi_all(n: int) -> dict[str, XiResult]:

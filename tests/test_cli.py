@@ -83,13 +83,11 @@ class TestXiCommand:
         assert first == second
 
     def test_route_a_decomposition_is_checked(self, capsys, monkeypatch):
-        real = xi_mod._route_a_decomposition
+        real = xi_mod._ROUTES["A"]
         trivial = ((4,), ())
         value = xi(2, "A").character.values[0]
-        monkeypatch.setattr(
-            xi_mod,
-            "_route_a_decomposition",
-            lambda n: {key: c for key, c in real(n).items() if key != trivial},
+        monkeypatch.setitem(
+            xi_mod._ROUTES, "A", lambda n: {key: c for key, c in real(n).items() if key != trivial}
         )
         code, out, err = run_cli(capsys, "xi", "2", "--route", "A")
         assert code == 1 and out == ""
@@ -263,11 +261,8 @@ class TestVerifyCommand:
         real = xi_mod._ROUTES["C"]
 
         def dropped_term(n):
-            result = real(n)
-            if n == 2:
-                fewer = dict(list(result.decomposition.items())[1:])
-                result = result._replace(decomposition=fewer)
-            return result
+            decomp = real(n)
+            return dict(list(decomp.items())[1:]) if n == 2 else decomp
 
         monkeypatch.setitem(xi_mod._ROUTES, "C", dropped_term)
         code, out, _ = run_cli(capsys, "verify")

@@ -11,7 +11,14 @@ from distsym import wchar
 from distsym import symbols
 from distsym import xi as xi_mod
 from distsym.cells import even_strip_specials, make_cell
-from distsym.partitions import Partition, SkewShape, hv_split, is_even_paired_shape, partitions
+from distsym.partitions import (
+    Partition,
+    SkewShape,
+    horizontal_strips,
+    hv_split,
+    is_even_paired_shape,
+    partitions,
+)
 from distsym.wchar import (
     Bipartition,
     ClassFunction,
@@ -74,6 +81,18 @@ class TestKappa:
     def test_terms(self):
         assert kappa_terms(2) == {((4,), ()): 1, ((3, 1), ()): -1, ((2, 2), ()): 1}
         assert kappa_terms(1) == {((2,), ()): 1, ((1, 1), ()): -1}
+
+    @pytest.mark.parametrize("r", range(22))
+    def test_terms_are_the_schur_expansion_of_h_r_of_p_2(self, r):
+        # h_r[p_2] = sum_i (-1)^i h_i h_(2r-i), unfolded, expanded by Pieri from
+        # the empty partition: route A reads this sum, and rank_scan.py reaches
+        # r = 21, so kappa_terms stays certified there
+        acc = Counter()
+        for i in range(2 * r + 1):
+            for inner in horizontal_strips((), i, 1):
+                for outer in horizontal_strips(inner, 2 * r - i, 1):
+                    acc[outer, ()] += (-1) ** i
+        assert {key: c for key, c in acc.items() if c} == kappa_terms(r)
 
 
 class TestNu:
@@ -183,7 +202,7 @@ class TestXi:
 
     def test_non_integral_coefficient_is_a_violation(self, monkeypatch):
         key = ((2,), ())
-        monkeypatch.setattr(xi_mod, "_route_a_decomposition", lambda n: {key: Fraction(1, 2)})
+        monkeypatch.setitem(xi_mod._ROUTES, "A", lambda n: {key: Fraction(1, 2)})
         with pytest.raises(CoefficientViolation) as exc:
             xi(1, "A")
         assert exc.value.payload == {
@@ -264,9 +283,7 @@ class TestTableFree:
         first = ((4,), ())
 
         def dropped_term(n):
-            result = real(n)
-            fewer = {key: c for key, c in result.decomposition.items() if key != first}
-            return result._replace(decomposition=fewer)
+            return {key: c for key, c in real(n).items() if key != first}
 
         monkeypatch.setitem(xi_mod._ROUTES, "C", dropped_term)
         with pytest.raises(RouteDisagreement) as exc:
@@ -277,13 +294,11 @@ class TestTableFree:
         assert str(exc.value) == "xi(2): routes A and C differ at irreducible 4;-: 1 != 0"
 
     def test_route_a_decomposition_must_evaluate_to_its_character(self, monkeypatch):
-        real = xi_mod._route_a_decomposition
+        real = xi_mod._ROUTES["A"]
         trivial = ((4,), ())
         value = xi(2, "A").character.values[0]
-        monkeypatch.setattr(
-            xi_mod,
-            "_route_a_decomposition",
-            lambda n: {key: c for key, c in real(n).items() if key != trivial},
+        monkeypatch.setitem(
+            xi_mod._ROUTES, "A", lambda n: {key: c for key, c in real(n).items() if key != trivial}
         )
         # building route A no longer checks it; check_route_a does
         result = xi(2, "A")
@@ -333,9 +348,7 @@ class TestEveryN:
         dropped = {((2, 1), (2, 1)), ((5,), (1,)), ((6,), ())}
 
         def fewer_terms(n):
-            result = real(n)
-            kept = {key: c for key, c in result.decomposition.items() if key not in dropped}
-            return result._replace(decomposition=kept)
+            return {key: c for key, c in real(n).items() if key not in dropped}
 
         monkeypatch.setitem(xi_mod._ROUTES, "B", fewer_terms)
         with pytest.raises(RouteDisagreement) as exc:
