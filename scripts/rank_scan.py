@@ -14,10 +14,10 @@ the pairing is what the scan checks.
 
 Every row then checks that the three routes give one decomposition of
 xi_n: route B's, read off the row's pairs, route A's and route C's; this
-evaluates no character.  Rows with n <= cli.XI_MAX_N also check
-route A's decomposition against its closed form at every class of W_2n
-(check_route_a) and print the self inner product of xi_n, which must
-equal the count; with wall-clock timings."""
+evaluates no character.  Rows with n <= cli.XI_MAX_N also evaluate
+route A's character, which XiResult.character checks against the closed
+form of xi_n at every class of W_2n, and print the self inner product of
+xi_n, which must equal the count; with wall-clock timings."""
 
 import argparse
 import time
@@ -26,7 +26,7 @@ from distsym.cells import distinguished, even_strip_specials
 from distsym.cli import XI_MAX_N
 from distsym.symbols import cuspidal_symbol
 from distsym.wchar import inner_product
-from distsym.xi import check_route_a, even_paired_pairs, xi
+from distsym.xi import even_paired_pairs, xi
 
 
 def product_formula(max_n: int) -> list[int]:
@@ -86,7 +86,6 @@ def main() -> None:
                 raise SystemExit(f"n = {n}: routes B and {name} give different decompositions")
         row += f" {'yes':>10}"
         if n <= XI_MAX_N:
-            check_route_a(route_a)
             norm = inner_product(route_a.character, route_a.character)
             if norm != report.count:
                 raise SystemExit(f"n = {n}: <xi, xi> = {norm} != count {report.count}")

@@ -4,8 +4,8 @@ Subcommands: chartable, xi, cells, distinguished, oracle, verify.  Output
 defaults to plain text tables; --json switches to the documented schemas.
 All numbers print exactly (integers, or a/b for rationals).  Every size
 argument has a fixed upper bound, checked while the arguments are parsed,
-so every accepted call ends in seconds (`xi 10`, the costliest, in about
-2.7-3.6 s); a size out of range exits 2 before any computation.
+so every accepted call ends in seconds (README.md tables the cost of each
+bound); a size out of range exits 2 before any computation.
 
 Exit codes: 0 success, 1 internal model violation (the offending object is
 serialized to stderr), 2 usage errors.
@@ -22,7 +22,7 @@ from . import cells as cells_mod
 from . import oracle as oracle_mod
 from .verify import DOCUMENTED, FAIL, MODEL_VIOLATIONS, PASS, run_verification
 from .wchar import bipartitions, character_table
-from .xi import check_route_a, xi_all
+from .xi import xi_all
 from .xi import xi as xi_fn
 
 # Each bound is the largest size whose cold `python -m distsym.cli ... --json`
@@ -30,7 +30,7 @@ from .xi import xi as xi_fn
 # README's bound table holds the measured cost of each.  chartable 12 prints
 # the 1165 x 1165 table of W_12 as 34 MB of JSON.
 CHARTABLE_MAX_N = 12
-# xi 10 evaluates xi, and checks route A's closed form, on W_20, the
+# xi 10 evaluates xi, and checks it against its closed form, on W_20, the
 # costliest accepted call.  The decompositions alone reach n = 21
 # (scripts/rank_scan.py), but the printed character needs every class.
 XI_MAX_N = 10
@@ -139,21 +139,13 @@ def _xi_payload(result, names: dict) -> dict:
 
 def _cmd_xi(args) -> int:
     n = args.n
-    route = args.route.upper()
+    results = xi_all(n) if args.route == "all" else {args.route: xi_fn(n, args.route)}
+    agreement = {"agree": True, "routes_compared": list(results)}
     # every class and irreducible of W_2n, formatted once
     names = {c: str(c) for c in bipartitions(2 * n)}
-    if route == "ALL":
-        results = xi_all(n)
-        agreement = {"agree": True, "routes_compared": ["A", "B", "C"]}
-        shown = {name: _xi_payload(r, names) for name, r in results.items()}
-        base = results["A"]
-    else:
-        base = xi_fn(n, route)
-        agreement = {"agree": True, "routes_compared": [route]}
-        shown = {route: _xi_payload(base, names)}
-    if route in ("A", "ALL"):
-        # the character printed for route A is the one this check certifies
-        check_route_a(base)
+    # reading each character checks it against the closed form of xi_n
+    shown = {name: _xi_payload(r, names) for name, r in results.items()}
+    base = next(iter(results.values()))
     if args.json:
         _emit_json({"n": n, "routes": shown, "agreement": agreement})
         return 0

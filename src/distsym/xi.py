@@ -88,11 +88,9 @@ and sums the mode series exactly through n = 21.
 
 What is compared, and where:
   - xi_all compares the three routes' decompositions, at every n;
-  - check_route_a compares route A's decomposition's character with its
-    closed form at every class of W_{2n}.  It runs where that character
-    is evaluated anyway: the CLI's xi command when it shows route A
-    (through its bound n = 10), verify's route-agreement row (n = 1..3)
-    and scripts/rank_scan.py (its rows through n = 10);
+  - XiResult.character, on first read, compares the evaluated
+    decomposition with the closed form of xi_n at every class of W_{2n},
+    whatever the route: the routes agree, so they share one character;
   - scripts/rank_scan.py checks A = B = C by decomposition on every row,
     through n = 21 (W_42) in CI;
   - tests/test_xi.py checks that the Pieri expansion of sum_i (-1)^i h_i
@@ -117,8 +115,8 @@ from .wchar import Bipartition, ClassFunction, bipartitions, virtual_character
 
 
 class RouteDisagreement(Exception):
-    """Two constructions of xi_n differ: route A's closed-form character
-    and its decomposition's character at a class (check_route_a), or (with
+    """Two constructions of xi_n differ: the closed form and a route's
+    evaluated decomposition at a class (XiResult.character), or (with
     at="irreducible", from xi_all) two routes' coefficients at an
     irreducible."""
 
@@ -167,6 +165,7 @@ def _xi_block(value: int, mult: int, negative: bool) -> int:
     )
 
 
+@lru_cache(maxsize=None)
 def _closed_form(r: int, block) -> ClassFunction:
     """The multiplicative class function on W_{2r}: its value at a class
     (alpha; beta) is the product of block(value, mult, negative) over the
@@ -252,8 +251,19 @@ class XiResult(namedtuple("XiResult", "n route decomposition")):
 
     @cached_property
     def character(self) -> ClassFunction:
-        """The decomposition evaluated at every class of W_{2n}, on first read."""
-        return virtual_character(2 * self.n, self.decomposition)
+        """The decomposition evaluated at every class of W_{2n}, on first
+        read, and checked against the closed form of xi_n: at the first
+        class where they differ it raises RouteDisagreement.  The two are
+        expansions of one symmetric function (see the module docstring), so
+        this checks the code, not the theorem."""
+        n = self.n
+        char = virtual_character(2 * n, self.decomposition)
+        closed = _closed_form(n, _xi_block)
+        if char != closed:
+            c, x, y = next(t for t in zip(bipartitions(2 * n), closed.values, char.values)
+                           if t[1] != t[2])
+            raise RouteDisagreement(n, "A", f"{self.route} decomposition", c, x, y)
+        return char
 
 
 def _canonical_key(alpha: tuple[int, ...], beta: tuple[int, ...]):
@@ -276,21 +286,6 @@ def _route_a_decomposition(n: int) -> dict[tuple, int]:
     terms = sorted((k for k, c in acc.items() if c), key=lambda k: _canonical_key(*k),
                    reverse=True)
     return {k: acc[k] for k in terms}
-
-
-def check_route_a(result: XiResult) -> None:
-    """Raise RouteDisagreement at the first class of W_{2n} where route A's
-    decomposition, evaluated, differs from its block closed form.
-
-    The closed form and the decomposition are two expansions of one
-    symmetric function (see the module docstring), so this checks the
-    code, not the theorem; it needs every class of W_{2n}, so it runs
-    only where that character is evaluated anyway."""
-    n = result.n
-    char = _closed_form(n, _xi_block)
-    for c, x, y in zip(bipartitions(2 * n), char.values, result.character.values):
-        if x != y:
-            raise RouteDisagreement(n, "A", "A decomposition", c, x, y)
 
 
 def _signed_sum(terms: Iterable[tuple[tuple, int]]) -> dict[tuple, int]:
@@ -324,18 +319,16 @@ def xi(n: int, route: str = "A") -> XiResult:
     """The virtual module at rank parameter n, by the requested route."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    name = route.upper()
-    if name not in _ROUTES:
+    if route not in _ROUTES:
         raise ValueError(f"unknown route {route!r}; expected A, B, or C")
-    return XiResult(n, name, _ROUTES[name](n))
+    return XiResult(n, route, _ROUTES[route](n))
 
 
 def xi_all(n: int) -> dict[str, XiResult]:
     """All three routes; a disagreement between their decompositions is a
     hard error naming the first differing irreducible in bipartitions(2n)
-    order, with no preference among routes.  Characters are not compared: a
-    route's character is a function of its decomposition, and no class of
-    W_{2n} is needed, so this runs at every n."""
+    order, with no preference among routes.  No character is evaluated, so
+    no class of W_{2n} is needed and this runs at every n."""
     results = {name: xi(n, name) for name in ("A", "B", "C")}
     base = results["A"].decomposition
     for name in ("B", "C"):

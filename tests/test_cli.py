@@ -113,14 +113,16 @@ class TestXiCommand:
             "class": "4;-", "values": ["0", str(value)],
         }
 
-    def test_routes_b_and_c_are_not_checked_on_w2n(self, capsys, monkeypatch):
-        def refuse(result):
-            raise AssertionError("route A's check ran")
-
-        monkeypatch.setattr(cli, "check_route_a", refuse)
-        for route in ("B", "C"):
-            code, _, _ = run_cli(capsys, "xi", "2", "--route", route)
-            assert code == 0
+    @pytest.mark.parametrize("route", ["A", "B", "C"])
+    def test_every_route_is_checked_on_w2n(self, capsys, monkeypatch, route):
+        value = xi(2, "A").character.values[0]
+        monkeypatch.setattr(xi_mod, "_xi_block", lambda value, mult, negative: 0)
+        code, out, err = run_cli(capsys, "xi", "2", "--route", route, "--json")
+        assert code == 1 and out == ""
+        assert json.loads(err) == {
+            "error": "RouteDisagreement", "n": 2, "routes": ["A", f"{route} decomposition"],
+            "class": "4;-", "values": ["0", str(value)],
+        }
 
 
 class TestCellsCommands:

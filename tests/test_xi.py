@@ -31,7 +31,6 @@ from distsym.wchar import (
 from distsym.xi import (
     CoefficientViolation,
     RouteDisagreement,
-    check_route_a,
     even_paired_pairs,
     kappa,
     kappa_nu_decomposition_check,
@@ -141,6 +140,8 @@ class TestXi:
             xi(0, "A")
         with pytest.raises(ValueError):
             xi(1, "D")
+        with pytest.raises(ValueError):
+            xi(1, "b")
         for build in (kappa, nu, kappa_terms, nu_terms, even_paired_pairs):
             with pytest.raises(ValueError, match="must be non-negative"):
                 build(-1)
@@ -248,6 +249,15 @@ class TestRouteAClosedForm:
             monkeypatch.setattr(xi_mod, name, refuse, raising=False)
         assert xi(n, "A").decomposition == dict(even_paired_pairs(n))
 
+    def test_closed_form_is_computed_once_for_every_character(self):
+        xi_mod._closed_form.cache_clear()
+        for result in xi_all(5).values():
+            result.character
+        xi(5, "B").character
+        info = xi_mod._closed_form.cache_info()
+        # every read compares with the one cached closed form of xi_5
+        assert (info.misses, info.hits, info.currsize) == (1, 3, 1)
+
 
 class TestTableFree:
     @pytest.mark.parametrize("n", range(1, 7))
@@ -300,10 +310,10 @@ class TestTableFree:
         monkeypatch.setitem(
             xi_mod._ROUTES, "A", lambda n: {key: c for key, c in real(n).items() if key != trivial}
         )
-        # building route A no longer checks it; check_route_a does
+        # building route A does not check it; reading its character does
         result = xi(2, "A")
         with pytest.raises(RouteDisagreement) as exc:
-            check_route_a(result)
+            result.character
         # dropping the trivial character lowers the value at every class by 1
         assert exc.value.payload == {
             "n": 2,
@@ -332,7 +342,7 @@ class TestEveryN:
             assert decomp == dict(even_paired_pairs(n))
             assert len(decomp) == formula[n]
         with pytest.raises(AssertionError, match="W_22"):
-            check_route_a(xi(11, "A"))
+            xi(11, "A").character
 
     @pytest.mark.parametrize("n", range(13))
     def test_canonical_key_gives_bipartitions_order(self, n):
