@@ -54,9 +54,43 @@ is admissible: each pair is adjacent among the singles with no double
 between, so is_admissible can remove the pairs in order.  Every
 even-strip special passes the parity check (the tests cover ranks
 through 42), so a standard cell's pattern is d and its odd-difference
-pairs.  make_cell still runs every check on every cell, each raising
-with its own message: the parity check, is_admissible, the sign-pair
-subset and term distinctness.
+pairs.
+
+Everything else a cell needs from Z, bar its entry values, is Z's
+layout: below, the number of doubles below each single (one bisect per
+single), and the number D of doubles.
+
+- Single j sits at place 2 * below[j] + j of the merged order, so the
+  singles alternate rows: single j is in the top row exactly when j is
+  even.
+- Double k has bisect_right(below, k) singles below it, so the parity
+  check of standard_arrangement reads the layout.
+- Singles and doubles are disjoint, so no double lies strictly between
+  the singles a < b exactly when below[a] == below[b], and which singles
+  are adjacent once some pairs are removed is a matter of indices.  So
+  is_admissible on an index pattern reads the layout and the pattern, and
+  _term_plan's distinctness reads the pattern alone.
+- A flipped row is the doubles plus some singles.  Z's distinct entries
+  strictly increase, and single j is the distinct entry j + below[j], so
+  the layout lists each row as positions (indices into singles +
+  doubles) in entry order, and Z's entries read at those positions come
+  out increasing.  The two rows hold 2D + m entries, an odd number, so
+  orienting them compares only their lengths.
+
+So _cell_plan, keyed on (layout, index pattern, sign flips), runs the
+parity check, the partition and admissibility checks and term
+distinctness once per key and returns the signs, the masks and the
+names of the checks that failed.  make_cell raises from those names with
+its own message, naming Z: each check runs once per layout and sign
+choice, and it raises again for every cell with that layout.  _row_plan,
+keyed on (layout, masks), holds each flipped row pair as bytes of entry
+positions, already oriented; term_rows, family and fourier_constituents
+read Z's entries through it.  The Fourier constituents also come in
+symbol order: _kept_masks sorts the kept masks by the singles in their
+longer rows (see there), so fourier_constituents neither flips nor
+sorts.  The plans pay only when layouts repeat: the 3258 specials of
+n <= 14 have 131 layouts and 279 (layout, kept masks) pairs, and the
+9904 of rank 42 have 522 layouts and 1414 pairs.
 
 The Fourier model used here indexes the family by even subsets A of the
 singles, pairing them by intersection parity.  It reproduces the worked
@@ -71,7 +105,8 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from functools import lru_cache
-from typing import Iterable, Iterator, NoReturn
+from operator import itemgetter
+from typing import Iterable, NoReturn
 
 from .partitions import even_subsets, horizontal_strips, partitions
 from .symbols import (
@@ -106,12 +141,6 @@ class Arrangement(namedtuple("Arrangement", "pairs isolated")):
     def __new__(cls, pairs: Iterable[Iterable[int]], isolated: int) -> "Arrangement":
         return super().__new__(cls, tuple(sorted(tuple(sorted(p)) for p in pairs)), isolated)
 
-    def members(self) -> tuple[int, ...]:
-        out = [self.isolated]
-        for a, b in self.pairs:
-            out.extend((a, b))
-        return tuple(sorted(out))
-
 
 class Cell(namedtuple("Cell", "z arrangement sign_pairs signs masks")):
     """A virtual cell as its term signs and swap masks, stored as the tuple
@@ -128,11 +157,10 @@ class Cell(namedtuple("Cell", "z arrangement sign_pairs signs masks")):
 
     def term_rows(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
         """Each term symbol's (top, bottom) rows, in term order, with no
-        Symbol built.  They need no orienting: the singles of a special
-        symbol alternate between its rows, so an admissible arrangement
-        pairs a top single with a bottom one, and every term keeps Z's row
-        lengths and defect 1."""
-        return list(_flipped_rows(self.z, self.masks))
+        Symbol built.  The singles of a special symbol alternate between
+        its rows, so an admissible arrangement pairs a top single with a
+        bottom one, and every term keeps Z's row lengths and defect 1."""
+        return _rows(self.z, self.masks)
 
 
 def standard_arrangement(z: SpecialSymbol) -> Arrangement:
@@ -142,15 +170,12 @@ def standard_arrangement(z: SpecialSymbol) -> Arrangement:
     This lands on the singles exactly when every double has an even
     number of singles below it, and then it pairs the singles 2j and
     2j + 1 and isolates the last one (proof in the module docstring), so
-    the pairing is read off the singles.  A special symbol with a double
-    above an odd number of singles puts that double in a pair, which is
-    rejected because it is no arrangement of the singles at all.
+    the pairing is read off the singles: it is the arrangement of Z's
+    default cell.  A special symbol with a double above an odd number of
+    singles puts that double in a pair, which is rejected because it is
+    no arrangement of the singles at all.
     """
-    _, singles, doubles = z
-    if any(bisect_left(singles, x) & 1 for x in doubles):
-        raise ValueError(f"columnwise pairing of {z} hits a doubled entry")
-    # ascending pairs of ascending singles: the constructor's order already
-    return Arrangement._make((tuple(zip(singles[::2], singles[1::2])), singles[-1]))
+    return make_cell(z).arrangement
 
 
 def odd_difference_pairs(z: SpecialSymbol) -> tuple[tuple[int, int], ...]:
@@ -170,25 +195,32 @@ def is_admissible(z: SpecialSymbol, arrangement: Arrangement) -> bool:
     admissible arrangement of the shrunken symbol.  Zero pairs are
     admissible.
 
+    The check runs on the index pattern and Z's layout, once per pair of
+    them, in _cell_plan.
+    """
+    pattern = _index_pattern(z, arrangement)
+    failed, _, _ = _cell_plan(_layout(z), pattern, (False,) * len(pattern[0]))
+    if "partition" in failed:
+        raise ValueError(f"{arrangement} does not partition the singles of {z}")
+    return "admissible" not in failed
+
+
+def _admissible(below: tuple[int, ...], pairs: tuple[tuple[int, int], ...]) -> bool:
+    """is_admissible on a partition of the single indices: no double lies
+    between the singles a < b exactly when below[a] == below[b].
+
     Removing a pair only deletes singles, so it never blocks another pair:
     the members of a removable pair stay adjacent, and the doubles do not
     change.  So if some order removes every pair, that order
     less the first pair removed here still works for the rest, and the
     loop below, which removes any removable pair, needs no backtracking.
     """
-    _, singles, doubles = z
-    if arrangement.members() != singles:
-        raise ValueError(f"{arrangement} does not partition the singles of {z}")
-    active = list(singles)
-    pending = list(arrangement.pairs)
+    active = list(range(len(below)))
+    pending = list(pairs)
     while pending:
         for a, b in pending:
             i = active.index(a)
-            if (
-                i + 1 < len(active)
-                and active[i + 1] == b
-                and bisect_right(doubles, a) == bisect_left(doubles, b)
-            ):
+            if i + 1 < len(active) and active[i + 1] == b and below[a] == below[b]:
                 break
         else:
             return False
@@ -224,39 +256,74 @@ def swap_pairs(z: SpecialSymbol, pairs: tuple[tuple[int, int], ...]) -> Symbol:
     return Symbol(tuple(sorted(top)), tuple(sorted(bottom)))
 
 
-def _flipped(z: SpecialSymbol, masks: Iterable[int]) -> list[Symbol]:
-    """The symbols of _flipped_rows."""
-    return [Symbol._of_rows(top, bottom) for top, bottom in _flipped_rows(z, masks)]
+def _layout(z: SpecialSymbol) -> tuple[tuple[int, ...], int]:
+    """Z's layout: the number of doubles below each single, and the number
+    of doubles (module docstring)."""
+    _, singles, doubles = z
+    return tuple([bisect_left(doubles, x) for x in singles]), len(doubles)
 
 
-def _flipped_rows(
-    z: SpecialSymbol, masks: Iterable[int]
-) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+def _rows(
+    z: SpecialSymbol, masks: tuple[int, ...]
+) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Z's rows with the singles at the set bits of each mask moved to the
-    other row, not yet oriented; bit i stands for the i-th smallest single."""
-    sym, singles, doubles = z
-    in_top = set(sym.top)
-    top = sum(1 << i for i, x in enumerate(singles) if x in in_top)
-    bits = [(1 << i, x) for i, x in enumerate(singles)]
+    other row, oriented; bit i stands for the i-th smallest single."""
+    _, singles, doubles = z
+    tops, positions = _row_plan(_layout(z), masks)
+    flat = itemgetter(*positions)(singles + doubles)
+    w = len(singles) + 2 * len(doubles)
+    return [(flat[i : i + k], flat[i + k : i + w]) for i, k in zip(range(0, len(flat), w), tops)]
+
+
+@lru_cache(maxsize=None)
+def _row_plan(layout: tuple[tuple[int, ...], int], masks: tuple[int, ...]) -> tuple[bytes, bytes]:
+    """(tops, positions) for a special symbol Z with this layout.  For each
+    mask in turn, positions lists the rows of Z flipped at the mask, the
+    longer first, as positions into singles + doubles: 2D + m of them,
+    tops[t] in the first row.  Z's distinct entries strictly increase, so
+    listing a row's positions in entry order lists its entries in
+    increasing order; Z's doubles plus disjoint singles of Z are reduced
+    as Z is, so Symbol._of_rows may take the rows.  One spare position
+    ends the list, so that itemgetter returns a tuple even for one entry.
+    Positions are bytes, so Z has at most 255 distinct entries
+    (0,1,...,255|1,...,255, of rank 255, has 256; the CLI stops at 42)."""
+    below, d = layout
+    m = len(below)
+    # every position in entry order: single j comes after the doubles k < below[j]
+    merged = []
+    k = 0
+    for j, b in enumerate(below):
+        merged += range(m + k, m + b)
+        merged.append(j)
+        k = b
+    merged += range(m + k, m + d)
+    # bit i of a row's mask: position i is in the row; the doubles are in both
+    doubles = ((1 << d) - 1) << m
+    singles = (1 << m) - 1
+    z_top = sum(1 << j for j in range(0, m, 2))
+    tops, positions = [], []
     for mask in masks:
-        new_top = top ^ mask
-        top_row = list(doubles)
-        bottom_row = list(doubles)
-        for bit, x in bits:
-            (top_row if new_top & bit else bottom_row).append(x)
-        top_row.sort()
-        bottom_row.sort()
-        # Z's doubles plus disjoint singles of Z: increasing, and reduced as Z is
-        yield tuple(top_row), tuple(bottom_row)
+        top = z_top ^ mask | doubles
+        bottom = top ^ singles
+        rows = [i for i in merged if top >> i & 1], [i for i in merged if bottom >> i & 1]
+        if len(rows[1]) > len(rows[0]):
+            rows = rows[::-1]
+        tops.append(len(rows[0]))
+        positions += rows[0] + rows[1]
+    return bytes(tops), bytes(positions + [0])
 
 
 def _index_pattern(
     z: SpecialSymbol, arrangement: Arrangement
 ) -> tuple[tuple[tuple[int, int], ...], int]:
     """The arrangement's pairs and isolated single as indices into the
-    sorted singles of Z."""
-    index = z.singles().index
-    return tuple([(index(a), index(b)) for a, b in arrangement.pairs]), index(arrangement.isolated)
+    sorted singles of Z; a member that is no single of Z gets the index
+    len(singles), which no single has."""
+    singles = z.singles()
+    index = {x: i for i, x in enumerate(singles)}.get
+    m = len(singles)
+    pairs = tuple([(index(a, m), index(b, m)) for a, b in arrangement.pairs])
+    return pairs, index(arrangement.isolated, m)
 
 
 def make_cell(
@@ -270,22 +337,65 @@ def make_cell(
     the pairs sorted by smaller element, with sign (-1)**|Psi ^ sign_pairs|
     and symbol obtained by row-swapping Psi.  Defaults to the standard
     arrangement with its odd-difference pairs.
+
+    The checks run in _cell_plan, once per layout, index pattern and sign
+    flips; this raises the first that fails (the parity check only when
+    the standard arrangement is used), naming Z, on every call.
     """
-    if arrangement is None or sign_pairs is None:
-        standard = standard_arrangement(z)
-        arrangement = standard if arrangement is None else arrangement
-        sign_pairs = _odd_pairs(standard) if sign_pairs is None else sign_pairs
-    if not is_admissible(z, arrangement):
-        raise ValueError(f"{arrangement} is not admissible for {z}")
+    _, singles, _ = z
+    # the standard arrangement; _cell_plan's parity check says whether it is one
+    standard = Arrangement._make((tuple(zip(singles[::2], singles[1::2])), singles[-1]))
+    defaults = arrangement is None or sign_pairs is None
+    arrangement = standard if arrangement is None else arrangement
+    sign_pairs = _odd_pairs(standard) if sign_pairs is None else sign_pairs
     sign_set = {tuple(sorted(p)) for p in sign_pairs}
+    flips = tuple([p in sign_set for p in arrangement.pairs])
+    pattern = None if arrangement is standard else _index_pattern(z, arrangement)
+    failed, signs, masks = _cell_plan(_layout(z), pattern, flips)
+    if defaults and "columnwise" in failed:
+        raise ValueError(f"columnwise pairing of {z} hits a doubled entry")
+    # is_admissible says why: it raises when the pairs do not partition the singles
+    if "admissible" in failed and not is_admissible(z, arrangement):
+        raise ValueError(f"{arrangement} is not admissible for {z}")
     if not sign_set.issubset(arrangement.pairs):
         raise ValueError("sign_pairs must be a subset of the arrangement's pairs")
-    pairs, _ = _index_pattern(z, arrangement)
-    flips = tuple(p in sign_set for p in arrangement.pairs)
-    signs, masks, distinct = _term_plan(len(z.singles()), pairs, flips)
-    if not distinct:
+    if "distinct" in failed:
         raise ValueError(f"cell terms for {z} are not distinct")
     return Cell(z, arrangement, tuple(sorted(sign_set)), signs, masks)
+
+
+@lru_cache(maxsize=None)
+def _cell_plan(
+    layout: tuple[tuple[int, ...], int],
+    pattern: tuple[tuple[tuple[int, int], ...], int] | None,
+    flips: tuple[bool, ...],
+) -> tuple[tuple[str, ...], tuple[int, ...], tuple[int, ...]]:
+    """The failed checks, the term signs and the swap masks of a cell of a
+    special symbol with this layout whose pairs and isolated single sit at
+    the pattern's single indices (None: the standard arrangement's), pair
+    j flipping the sign when flips[j].
+
+    The failed checks are named in make_cell's order: "columnwise" (the
+    standard arrangement hits a double), "partition" (the pattern does not
+    hold each single once), "admissible" (it does not, or it is not
+    admissible) and "distinct" (two terms are one symbol)."""
+    below, d = layout
+    m = len(below)
+    if pattern is None:
+        pattern = tuple((j, j + 1) for j in range(0, m - 1, 2)), m - 1
+    pairs, isolated = pattern
+    failed = []
+    # double k has bisect_right(below, k) singles below it
+    if any(bisect_right(below, k) & 1 for k in range(d)):
+        failed.append("columnwise")
+    if sorted([isolated, *(i for p in pairs for i in p)]) != list(range(m)):
+        failed += ["partition", "admissible"]
+    elif not _admissible(below, pairs):
+        failed.append("admissible")
+    signs, masks, distinct = _term_plan(m, pairs, flips)
+    if not distinct:
+        failed.append("distinct")
+    return tuple(failed), signs, masks
 
 
 @lru_cache(maxsize=None)
@@ -327,7 +437,8 @@ def family(z: SpecialSymbol) -> tuple[tuple[frozenset, Symbol], ...]:
     """The 2**(2d) family members of Z, indexed by even subsets A of the
     singles: A records which singles change row relative to Z."""
     singles = z.singles()
-    return tuple(zip(even_subsets(singles), _flipped(z, _even_masks(len(singles)))))
+    members = [Symbol._of_rows(*rows) for rows in _rows(z, _even_masks(len(singles)))]
+    return tuple(zip(even_subsets(singles), members))
 
 
 @lru_cache(maxsize=None)
@@ -373,7 +484,8 @@ def fourier_constituents(cell: Cell) -> tuple[Symbol, ...]:
     kept = _kept_masks(m, cell.masks, tuple(cell.signs))
     if kept is None:
         _raise_violation(cell.z, cell.masks, cell.signs)
-    return tuple(sorted(_flipped(cell.z, kept)))
+    # _kept_masks lists them in symbol order, and _row_plan orients them
+    return tuple([Symbol._of_rows(*rows) for rows in _rows(cell.z, kept)])
 
 
 def _walsh_hadamard(signs: Iterable[int]) -> list[int]:
@@ -399,7 +511,16 @@ def _kept_masks(
 
     Term 1 << j swaps pair j alone, so masks[1 << j] is that pair's mask,
     and the last term swaps every pair, so the one single that masks[-1]
-    leaves is the isolated one."""
+    leaves is the isolated one.
+
+    The kept masks are listed in the order of their symbols.  The singles
+    alternate rows, the even ones in Z's top row, so each kept mask fixes
+    the set S of singles in the longer row of its symbol.  The defect is
+    2|S| - m.  Two symbols of one defect hold every double in their longer
+    rows, so those rows first differ at the least single in just one S,
+    and the row that holds it is the smaller, as the sorted index tuples
+    of the two S are; equal longer rows make equal symbols.  So sorting by
+    (|S|, sorted S) sorts the symbols."""
     full = len(signs)
     f = _walsh_hadamard(signs)
     if any(num not in (0, full) for num in f):
@@ -413,8 +534,16 @@ def _kept_masks(
         low = pair & -pair
         options = (low, pair ^ low) if peaks[0] >> j & 1 else (0, pair)
         kept = [k | o for k in kept for o in options]
-    isolated = masks[-1] ^ ((1 << m) - 1)
-    return tuple(k | isolated if k.bit_count() & 1 else k for k in kept)
+    full_mask = (1 << m) - 1
+    isolated = masks[-1] ^ full_mask
+    z_top = sum(1 << j for j in range(0, m, 2))
+
+    def longer(k: int) -> tuple[int, list[int]]:
+        top = z_top ^ k
+        s = top if 2 * top.bit_count() > m else top ^ full_mask
+        return s.bit_count(), [j for j in range(m) if s >> j & 1]
+
+    return tuple(sorted((k | isolated if k.bit_count() & 1 else k for k in kept), key=longer))
 
 
 def _pair_masks(masks: tuple[int, ...]) -> list[int]:

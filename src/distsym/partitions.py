@@ -262,11 +262,13 @@ def strip_sign_sum(shape: SkewShape) -> int:
     return _strip_sign_sum(shape.row_lengths())
 
 
-@lru_cache(maxsize=None)
 def horizontal_strips(mu: tuple[int, ...], k: int, step: int) -> tuple[tuple[int, ...], ...]:
     """Every partition lam containing mu with lam / mu a horizontal strip
     of k boxes whose row lengths are multiples of step: mu_i <= lam_i <=
-    mu_(i-1), with at most one new row.  Partitions are raw part tuples."""
+    mu_(i-1), with at most one new row.  Partitions are raw part tuples.
+
+    Not cached: even_strip_specials meets each (mu, k) at one rank only
+    and caches its own result, and xi's route A caches its own use."""
     rows = mu + (0,)
     out = []
 

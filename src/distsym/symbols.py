@@ -31,11 +31,11 @@ class Symbol(tuple):
     tuple of its items; nothing in the package compares the two.
 
     The private _of_rows() is the one unchecked route: it only orients the
-    rows.  Its callers' rows are valid by construction: cells._flipped_rows
-    gives the doubles of a checked, reduced special symbol plus a subset of
-    its singles (disjoint from the doubles), and _bipartition_rows gives
-    partition parts shifted by their positions and minimally padded, so 0
-    never lies in both.
+    rows.  Its callers' rows are valid by construction: cells._rows reads
+    off a checked, reduced special symbol its doubles plus a subset of its
+    singles (disjoint from the doubles), in increasing order, and
+    _bipartition_rows gives partition parts shifted by their positions and
+    minimally padded, so 0 never lies in both.
     """
 
     __slots__ = ()

@@ -271,6 +271,10 @@ def _canonical_key(alpha: tuple[int, ...], beta: tuple[int, ...]):
     return sum(alpha), alpha, beta
 
 
+# route A meets many (mu, k) more than once (1726 of 4022 calls at n = 12)
+_strips = lru_cache(maxsize=None)(horizontal_strips)
+
+
 def _route_a_decomposition(n: int) -> dict[tuple, int]:
     """The decomposition of sum_r kappa_r (x) nu_(n-r) by Pieri's rule on
     h_r[p_2] and the stated nu terms, folded as in the module docstring,
@@ -280,8 +284,8 @@ def _route_a_decomposition(n: int) -> dict[tuple, int]:
         for (mu, beta), d in nu_terms(n - r).items():
             for i in range(r + 1):
                 sign = (-1) ** i * d * (1 if i == r else 2)
-                for inner in horizontal_strips(mu, i, 1):
-                    for outer in horizontal_strips(inner, 2 * r - i, 1):
+                for inner in _strips(mu, i, 1):
+                    for outer in _strips(inner, 2 * r - i, 1):
                         acc[outer, beta] = acc.get((outer, beta), 0) + sign
     terms = sorted((k for k, c in acc.items() if c), key=lambda k: _canonical_key(*k),
                    reverse=True)

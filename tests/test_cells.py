@@ -2,6 +2,7 @@ import functools
 import hashlib
 import json
 import re
+from bisect import bisect_left, bisect_right
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +23,7 @@ from distsym.cells import (
     standard_arrangement,
     swap_pairs,
 )
+from distsym.partitions import even_subsets
 from distsym.symbols import (
     SpecialSymbol,
     Symbol,
@@ -39,10 +41,93 @@ Z4 = SpecialSymbol(Symbol.parse("0,2|1"))
 Z12 = SpecialSymbol(Symbol.parse("0,2,4|1,3"))
 
 
+def reference_flipped_rows(z, masks):
+    """Z's rows with the singles at the set bits of each mask moved to the
+    other row, not yet oriented, by value: the flip that the layout's row
+    plans are checked against."""
+    sym, singles, doubles = z
+    in_top = set(sym.top)
+    top = sum(1 << i for i, x in enumerate(singles) if x in in_top)
+    bits = [(1 << i, x) for i, x in enumerate(singles)]
+    for mask in masks:
+        new_top = top ^ mask
+        top_row = list(doubles)
+        bottom_row = list(doubles)
+        for bit, x in bits:
+            (top_row if new_top & bit else bottom_row).append(x)
+        top_row.sort()
+        bottom_row.sort()
+        yield tuple(top_row), tuple(bottom_row)
+
+
+def reference_flipped(z, masks):
+    """The symbols of reference_flipped_rows, oriented by the Symbol
+    constructor."""
+    return [Symbol(top, bottom) for top, bottom in reference_flipped_rows(z, masks)]
+
+
+def reference_standard_arrangement(z):
+    """The standard arrangement with its parity check on Z's values: the
+    reference for the layout's parity check."""
+    _, singles, doubles = z
+    if any(bisect_left(singles, x) & 1 for x in doubles):
+        raise ValueError(f"columnwise pairing of {z} hits a doubled entry")
+    return Arrangement(tuple(zip(singles[::2], singles[1::2])), singles[-1])
+
+
+def reference_is_admissible(z, arrangement):
+    """The greedy pair removal on Z's values: the reference for the
+    layout's admissibility check."""
+    _, singles, doubles = z
+    members = [arrangement.isolated]
+    for a, b in arrangement.pairs:
+        members.extend((a, b))
+    if tuple(sorted(members)) != singles:
+        raise ValueError(f"{arrangement} does not partition the singles of {z}")
+    active = list(singles)
+    pending = list(arrangement.pairs)
+    while pending:
+        for a, b in pending:
+            i = active.index(a)
+            if (
+                i + 1 < len(active)
+                and active[i + 1] == b
+                and bisect_right(doubles, a) == bisect_left(doubles, b)
+            ):
+                break
+        else:
+            return False
+        pending.remove((a, b))
+        del active[i : i + 2]
+    return True
+
+
+def reference_layout(z):
+    """Z's layout counted entry by entry: the doubles below each single,
+    and the number of doubles."""
+    _, singles, doubles = z
+    return tuple(sum(x < s for x in doubles) for s in singles), len(doubles)
+
+
+def reference_cell(z):
+    """Z's standard cell from the value references: terms over the subsets
+    of the pairs as bitmasks, pairs of odd difference flipping the sign."""
+    arrangement = reference_standard_arrangement(z)
+    assert reference_is_admissible(z, arrangement)
+    sign_pairs = tuple(p for p in arrangement.pairs if (p[1] - p[0]) % 2)
+    index = z.singles().index
+    signs, masks = [1], [0]
+    for a, b in arrangement.pairs:
+        sign = -1 if (a, b) in sign_pairs else 1
+        signs += [sign * s for s in signs]
+        masks += [m | 1 << index(a) | 1 << index(b) for m in masks]
+    return cells.Cell(z, arrangement, sign_pairs, tuple(signs), tuple(masks))
+
+
 def term_symbols(cell):
     """The cell's terms as (sign, Symbol): Z with each mask's singles moved
     to the other row, oriented by the Symbol constructor."""
-    return list(zip(cell.signs, cells._flipped(cell.z, cell.masks)))
+    return list(zip(cell.signs, reference_flipped(cell.z, cell.masks)))
 
 
 def special_symbols_of_rank(rank):
@@ -269,6 +354,27 @@ class TestArrangements:
                     seen[expected] += 1
         assert seven >= 5 and with_doubles > 100 and min(seen.values()) > 1000
 
+    def test_checks_match_value_references_through_rank_10(self):
+        # the standard arrangement or its error, and every arrangement of
+        # the singles, admissible or not, on every special symbol
+        seen = {True: 0, False: 0}
+        raised = 0
+        for rank in range(11):
+            for z in special_symbols_of_rank(rank):
+                try:
+                    standard = reference_standard_arrangement(z)
+                except ValueError as err:
+                    raised += 1
+                    with pytest.raises(ValueError, match=f"^{re.escape(str(err))}$"):
+                        standard_arrangement(z)
+                else:
+                    assert standard_arrangement(z) == standard, str(z)
+                for arr in all_arrangements(z.singles()):
+                    expected = reference_is_admissible(z, arr)
+                    assert is_admissible(z, arr) == expected, (str(z), arr)
+                    seen[expected] += 1
+        assert min(seen.values()) > 100 and raised > 100
+
     def test_standard_pattern_through_rank_42(self):
         # in single indices the standard arrangement is ((0, 1), (2, 3), ...)
         # with the last single isolated, so a cell's pattern is d and its
@@ -353,19 +459,22 @@ class TestCells:
             assert term_symbols(c)[0] == (1, z.symbol)
             assert len({sym for _, sym in term_symbols(c)}) == 2**c.d
 
-    def test_default_arrangement_computed_once(self, monkeypatch):
+    def test_layout_computed_once_per_cell(self, monkeypatch):
         calls = []
-        original = cells.standard_arrangement
+        original = cells._layout
 
         def counted(z):
             calls.append(z)
             return original(z)
 
-        monkeypatch.setattr(cells, "standard_arrangement", counted)
+        monkeypatch.setattr(cells, "_layout", counted)
         c = make_cell(Z12)
         assert calls == [Z12]
-        assert c.arrangement == original(Z12)
-        assert c.sign_pairs == ((0, 1), (2, 3))
+        c = make_cell(Z12, sign_pairs=((2, 3),))
+        assert calls == [Z12, Z12]
+        assert c.arrangement == reference_standard_arrangement(Z12)
+        assert c.sign_pairs == ((2, 3),)
+        assert make_cell(Z12).sign_pairs == ((0, 1), (2, 3))
 
     def test_given_arrangement_keeps_standard_sign_pairs(self):
         # the standard pair (0, 2) of 0,5|2 has even difference, so no sign
@@ -390,12 +499,95 @@ class TestCells:
             make_cell(Z4, Arrangement(((0, 1), (0, 1)), 2))
 
     def test_term_plans_cover_rank_28_with_22_patterns(self):
+        # the cell plans sit in front of the term plans, so they start cold too
+        cells._cell_plan.cache_clear()
         cells._term_plan.cache_clear()
         cells._kept_masks.cache_clear()
         for n in range(1, 15):
             distinguished(n)
         assert cells._term_plan.cache_info().currsize == 22
         assert cells._kept_masks.cache_info().currsize == 22
+        # one cell plan per layout and sign choice
+        keys = {
+            (reference_layout(z), make_cell(z).signs)
+            for n in range(1, 15)
+            for z in even_strip_specials(n)
+        }
+        assert cells._cell_plan.cache_info().currsize == len(keys)
+
+    def test_cells_match_the_value_references_through_rank_30(self):
+        # the layout's checks and row plans against the flips, sorts and
+        # checks on Z's values, on every even-strip special of n = 1..15
+        total = 0
+        for n in range(1, 16):
+            for z in even_strip_specials(n):
+                total += 1
+                c = make_cell(z)
+                assert c == reference_cell(z) and standard_arrangement(z) == c.arrangement, str(z)
+                kept = cells._kept_masks(len(z.singles()), c.masks, c.signs)
+                got = fourier_constituents(c)
+                assert got == tuple(sorted(reference_flipped(z, kept))), str(z)
+                # the terms keep Z's orientation
+                assert c.term_rows() == list(reference_flipped_rows(z, c.masks)), str(z)
+                singles = z.singles()
+                subsets = even_subsets(singles)
+                masks = [sum(1 << singles.index(x) for x in a) for a in subsets]
+                assert family(z) == tuple(zip(subsets, reference_flipped(z, masks))), str(z)
+        assert total == 4730
+
+    @pytest.mark.parametrize(
+        "cases, message",
+        [
+            # one layout: one single below the double, two above it
+            (
+                [("0,2,4|2,3", {}), ("0,3,6|3,5", {})],
+                "columnwise pairing of {z} hits a doubled entry",
+            ),
+            (
+                [("0,2|1", {"arrangement": Arrangement(((0, 1),), 5)}),
+                 ("1,3|2", {"arrangement": Arrangement(((1, 2),), 7)})],
+                "{arrangement} does not partition the singles of {z}",
+            ),
+            (
+                [("0,2,5|1,2", {"arrangement": Arrangement(((1, 5),), 0)}),
+                 ("0,3,6|1,3", {"arrangement": Arrangement(((1, 6),), 0)})],
+                "{arrangement} is not admissible for {z}",
+            ),
+            (
+                [("0,2,4|1,3", {"sign_pairs": ((1, 2),)}),
+                 ("1,3,5|2,4", {"sign_pairs": ((2, 3),)})],
+                "sign_pairs must be a subset of the arrangement's pairs",
+            ),
+            (
+                [("0,2|1", {"arrangement": Arrangement(((0, 1), (0, 1)), 2)}),
+                 ("1,3|2", {"arrangement": Arrangement(((1, 2), (1, 2)), 3)})],
+                "cell terms for {z} are not distinct",
+            ),
+        ],
+    )
+    def test_failed_checks_raise_again_naming_z(self, cases, message, monkeypatch):
+        # a cached failure raises for every call and every Z of its layout
+        if "distinct" in message:
+            # a pair named twice is no arrangement; only this reaches the check
+            monkeypatch.setattr(cells, "is_admissible", lambda z, arrangement: True)
+        zs = [SpecialSymbol(Symbol.parse(text)) for text, _ in cases]
+        assert len({reference_layout(z) for z in zs}) == 1
+        for _ in range(2):
+            for z, (_, kwargs) in zip(zs, cases):
+                text = message.format(z=z, **kwargs)
+                with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+                    make_cell(z, **kwargs)
+
+    def test_row_plans_one_per_layout_and_kept_masks_at_rank_28(self):
+        cells._row_plan.cache_clear()
+        rank_report(28)
+        specials = even_strip_specials(14)
+        plans = set()
+        for z in specials:
+            c = make_cell(z)
+            kept = cells._kept_masks(len(z.singles()), c.masks, c.signs)
+            plans.add((reference_layout(z), kept))
+        assert cells._row_plan.cache_info().currsize == len(plans) < len(specials)
 
     def test_masks_carry_the_index_pattern(self):
         # the Fourier step reads each pair off masks[1 << j] and the
@@ -425,7 +617,7 @@ class TestCells:
         # the terms are Z flipped at each mask, one per sign; reading their
         # rows builds no Symbol, so a term symbol is built only when asked for
         specials = [(z, make_cell(z)) for n in range(1, 7) for z in even_strip_specials(n)]
-        flipped = {str(z): cells._flipped(z, c.masks) for z, c in specials}
+        flipped = {str(z): reference_flipped(z, c.masks) for z, c in specials}
         built = []
         original = Symbol._of_rows
 
@@ -464,7 +656,8 @@ class TestCells:
         # repeats and complements of drawn masks are the ones that collide
         again = data.draw(st.lists(st.tuples(st.sampled_from(drawn), st.booleans()), max_size=4))
         masks = data.draw(st.permutations(drawn + [m ^ full if c else m for m, c in again]))
-        assert len({min(m, m ^ full) for m in masks}) == len(set(cells._flipped(z, masks)))
+        # the plan's rows are oriented, so equal rows are equal symbols
+        assert len({min(m, m ^ full) for m in masks}) == len(set(cells._rows(z, tuple(masks))))
 
 
 class TestEnumeration:
@@ -775,18 +968,19 @@ class TestDistinguished:
         }
 
     def test_count_path_builds_only_the_constituents(self, monkeypatch):
-        # each cell flips Z once per constituent and builds no term symbol
-        flipped = []
-        original = cells._flipped
+        # each cell reads one row pair per constituent and no term row
+        rows, term_rows = [], []
+        original = cells._rows
 
         def counted(z, masks):
-            masks = list(masks)
-            flipped.extend(masks)
-            return original(z, masks)
+            out = original(z, masks)
+            rows.extend(out)
+            return out
 
-        monkeypatch.setattr(cells, "_flipped", counted)
+        monkeypatch.setattr(cells, "_rows", counted)
+        monkeypatch.setattr(cells.Cell, "term_rows", lambda cell: term_rows.append(cell))
         total = sum(rank_report(2 * n).count for n in range(1, 9))
-        assert len(flipped) == total
+        assert len(rows) == total and not term_rows
 
     def test_report_json_builds_and_prints_each_constituent_once(self, monkeypatch):
         # the terms print from their rows and the union reuses its cells'
