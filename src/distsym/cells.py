@@ -112,9 +112,9 @@ from .partitions import even_subsets, horizontal_strips, partitions
 from .symbols import (
     SpecialSymbol,
     Symbol,
-    _bipartition_rows,
     _rows_text,
     cuspidal_symbol,
+    symbol_of,
 )
 
 
@@ -420,17 +420,18 @@ def _term_plan(
 @lru_cache(maxsize=None)
 def even_strip_specials(n: int) -> tuple[SpecialSymbol, ...]:
     """The special symbols of rank 2n whose bipartition skew is an even
-    horizontal strip, generated beta-first."""
+    horizontal strip, the defect-1 symbols of their labels, generated
+    beta-first."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    rows = [
-        _bipartition_rows(alpha, beta)
+    syms = [
+        symbol_of(1, alpha, beta)
         for bsize in range(n, -1, -1)
         for beta in partitions(bsize)
         for alpha in horizontal_strips(beta, 2 * n - 2 * bsize, 2)
     ]
-    # one rank and defect 1, so (top, bottom) order is symbol order
-    return tuple(SpecialSymbol(Symbol._of_rows(top, bottom)) for top, bottom in sorted(rows))
+    # one rank and defect, so the sort is symbol order
+    return tuple(map(SpecialSymbol, sorted(syms)))
 
 
 def family(z: SpecialSymbol) -> tuple[tuple[frozenset, Symbol], ...]:

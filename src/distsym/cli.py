@@ -8,13 +8,15 @@ so every accepted call ends in seconds (README.md tables the cost of each
 bound); a size out of range exits 2 before any computation.
 
 Exit codes: 0 success, 1 internal model violation (the offending object is
-serialized to stderr), 2 usage errors.
+serialized to stderr) or stdout closed by its reader before the output was
+written (nothing is printed), 2 usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import lru_cache
 
@@ -261,10 +263,20 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        # flushed here, a closed stdout raises below, not at interpreter exit
+        sys.stdout.flush()
     except MODEL_VIOLATIONS as exc:
         print(json.dumps({"error": type(exc).__name__, **exc.payload}), file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # as in the SIGPIPE note of Python's signal docs: what is still
+        # buffered goes to devnull, so the flush at exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
+    return code
 
 
 def entrypoint() -> None:

@@ -3,18 +3,31 @@
 A symbol is an unordered pair of strictly increasing rows of non-negative
 integers, reduced so that 0 does not sit in both rows.  Rank-n symbols of
 odd defect index the unipotent representations of the rank-n finite
-symplectic group; the defect-1 ones also index the irreducible characters
-of the hyperoctahedral group W_n through the bipartition correspondence
-implemented here.
+symplectic group.
+
+symbol_of and label are the one map between symbols and their labels.
+For an odd defect d the symbol of a bipartition (alpha; beta) lists both
+partitions ascending and zero-padded, alpha to m + d entries and beta to
+m, with m the least that fits both; entry i (from 0) then gains i.  Its
+rank is |alpha| + |beta| + (d*d - 1)/4.  A 0 in both rows would need both
+lists padded, and then m - 1 would fit both too, so minimal padding is
+exactly reducedness, and the map is a bijection from bipartitions of
+n - (d*d - 1)/4 onto the reduced rank-n symbols of defect d.  This is the
+Harish-Chandra reading (Lusztig, Invent. Math. 1977; Carter, section
+13.8): the symbols of defect d = 2k + 1 form the series above the
+cuspidal unipotent of Sp_{2k(k+1)}, the empty label, and the labels are
+the irreducibles of its relative Weyl group W_{n - k(k+1)}.  For d = 1
+that group is W_n itself, and a label is the raw pair (alpha parts, beta
+parts) that keys an irreducible of W_n.
 """
 
 from __future__ import annotations
 
 import operator
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable
 
-from .partitions import Partition
+from .partitions import partitions
 
 
 class Symbol(tuple):
@@ -34,7 +47,7 @@ class Symbol(tuple):
     rows.  Its callers' rows are valid by construction: cells._rows reads
     off a checked, reduced special symbol its doubles plus a subset of its
     singles (disjoint from the doubles), in increasing order, and
-    _bipartition_rows gives partition parts shifted by their positions and
+    symbol_of gives partition parts shifted by their positions and
     minimally padded, so 0 never lies in both.
     """
 
@@ -119,24 +132,28 @@ def reduce_symbol(top: Iterable[int], bottom: Iterable[int]) -> Symbol:
     return Symbol(tuple(t), tuple(b))
 
 
-def from_bipartition(alpha: Partition, beta: Partition) -> Symbol:
-    """The defect-1 symbol attached to a bipartition.
+def symbol_of(d: int, alpha: tuple[int, ...], beta: tuple[int, ...]) -> Symbol:
+    """The symbol of odd defect d labelled by the bipartition (alpha; beta),
+    given as part tuples (positive, weakly decreasing): the inverse of
+    label.  The rows are strictly increasing, alpha's is d longer, and the
+    minimal padding leaves a 0 in one row at most."""
+    _check_defect(d)
+    m = max(len(alpha) - d, len(beta), 0)
+    return Symbol._of_rows(_shifted(alpha, m + d), _shifted(beta, m))
 
-    The parts are listed ascending and zero-padded so the first row is one
-    longer than the second, minimally; entry i (1-based) then gains i-1.
-    The resulting symbol has rank |alpha| + |beta| and defect 1.
-    """
-    return Symbol._of_rows(*_bipartition_rows(alpha, beta))
+
+def label(z: tuple) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """The label (d, alpha parts, beta parts) of a symbol of odd defect d,
+    read off a Symbol or off the plain tuple (defect, top, bottom) that a
+    Symbol equals, the top row the longer: the inverse of symbol_of."""
+    d, top, bottom = z
+    _check_defect(d)
+    return d, _parts(top), _parts(bottom)
 
 
-def _bipartition_rows(
-    alpha: tuple[int, ...], beta: tuple[int, ...]
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """from_bipartition's rows from raw part tuples (positive, weakly
-    decreasing).  The rows are strictly increasing, the first is the
-    longer, and the minimal padding leaves a 0 in one row at most."""
-    m = max(len(alpha) - 1, len(beta), 0)
-    return _shifted(alpha, m + 1), _shifted(beta, m)
+def _check_defect(d: int) -> None:
+    if d <= 0 or d % 2 == 0:
+        raise ValueError(f"labels are defined for odd positive defect, got {d}")
 
 
 def _shifted(parts: tuple[int, ...], length: int) -> tuple[int, ...]:
@@ -146,16 +163,8 @@ def _shifted(parts: tuple[int, ...], length: int) -> tuple[int, ...]:
     return (*range(pad), *map(operator.add, reversed(parts), range(pad, length)))
 
 
-def to_bipartition(sym: Symbol) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Inverse of from_bipartition, as the raw pair (alpha parts, beta
-    parts) that keys an irreducible of W_n; requires defect 1."""
-    if sym.defect != 1:
-        raise ValueError(f"defect must be 1, got {sym.defect} for {sym}")
-    return _row_parts(sym.top), _row_parts(sym.bottom)
-
-
-def _row_parts(row: tuple[int, ...]) -> tuple[int, ...]:
-    """The partition whose shifted row (as in from_bipartition) is row."""
+def _parts(row: tuple[int, ...]) -> tuple[int, ...]:
+    """The parts whose shifted row (as in _shifted) is row."""
     # entry i of a strictly increasing row, less i, is weakly increasing and >= 0
     return tuple([x - i for i, x in enumerate(row) if x != i][::-1])
 
@@ -235,60 +244,27 @@ def is_cuspidal(sym: Symbol) -> bool:
 
 
 def cuspidal_symbol(d: int) -> Symbol:
-    """The symbol (0, 1, ..., 2d | -) of rank d*d + d and defect 2d + 1."""
+    """The symbol (0, 1, ..., 2d | -) of rank d*d + d and defect 2d + 1,
+    the empty label."""
     if d < 0:
         raise ValueError("d must be non-negative")
-    return Symbol(tuple(range(2 * d + 1)), ())
-
-
-def _increasing_rows(length: int, total: int) -> Iterator[tuple[int, ...]]:
-    """Strictly increasing rows of non-negative integers with a given sum."""
-
-    def rec(k: int, lo: int, remaining: int, acc: list[int]) -> Iterator[tuple[int, ...]]:
-        if k == 0:
-            if remaining == 0:
-                yield tuple(acc)
-            return
-        # smallest feasible start keeps room for k-1 larger entries
-        v = lo
-        while v * k + k * (k - 1) // 2 <= remaining:
-            acc.append(v)
-            yield from rec(k - 1, v + 1, remaining - v, acc)
-            acc.pop()
-            v += 1
-
-    if length == 0:
-        if total == 0:
-            yield ()
-        return
-    yield from rec(length, 0, total, [])
+    return symbol_of(2 * d + 1, (), ())
 
 
 @lru_cache(maxsize=None)
 def odd_defect_symbols(rank: int) -> tuple[Symbol, ...]:
-    """All reduced symbols of the given rank and odd defect.
-
-    Enumeration runs over defects D = 1, 3, ... with (D//2)**2 <= rank;
-    for each row-size pair the entry budget fixed by the rank formula
-    bounds the search.
-    """
+    """All reduced symbols of the given rank and odd defect, in symbol
+    order: the images under symbol_of of the bipartitions of
+    rank - k(k + 1), over the defects 2k + 1 with k(k + 1) <= rank."""
     out = []
-    d = 1
-    while (d // 2) ** 2 <= rank:
-        b = 0
-        while True:
-            a = b + d
-            t = a + b - 1
-            budget = rank + (t * t) // 4
-            min_sum = a * (a - 1) // 2 + b * (b + 1) // 2
-            if min_sum > budget:
-                break
-            for s_top in range(a * (a - 1) // 2, budget - b * (b - 1) // 2 + 1):
-                for top in _increasing_rows(a, s_top):
-                    for bottom in _increasing_rows(b, budget - s_top):
-                        if top and bottom and top[0] == 0 and bottom[0] == 0:
-                            continue
-                        out.append(Symbol(top, bottom))
-            b += 1
-        d += 2
-    return tuple(sorted(set(out)))
+    k = 0
+    while k * (k + 1) <= rank:
+        size = rank - k * (k + 1)
+        out += [
+            symbol_of(2 * k + 1, alpha, beta)
+            for asize in range(size + 1)
+            for alpha in partitions(asize)
+            for beta in partitions(size - asize)
+        ]
+        k += 1
+    return tuple(sorted(out))

@@ -110,7 +110,7 @@ from typing import Iterable, Iterator
 
 from .cells import even_strip_specials, make_cell
 from .partitions import even_paired_extensions, horizontal_strips, partitions
-from .symbols import _row_parts
+from .symbols import label
 from .wchar import Bipartition, ClassFunction, bipartitions, virtual_character
 
 
@@ -301,14 +301,14 @@ def _signed_sum(terms: Iterable[tuple[tuple, int]]) -> dict[tuple, int]:
 
 
 def _cell_terms(n: int) -> Iterator[tuple[tuple, int]]:
-    """Every cell term as its raw (alpha parts, beta parts) and its sign,
-    read off the term's rows with no Symbol built: a standard cell swaps
-    columnwise pairs, so each term keeps Z's defect 1 and its longer row is
-    alpha's."""
+    """Every cell term as its raw (alpha parts, beta parts) and its sign:
+    the label of the term's rows, read off the plain tuple (1, top, bottom)
+    with no Symbol built.  A standard cell swaps columnwise pairs, so each
+    term keeps Z's defect 1 and its longer row comes first."""
     for z in even_strip_specials(n):
         cell = make_cell(z)
         for sign, (top, bottom) in zip(cell.signs, cell.term_rows()):
-            yield (_row_parts(top), _row_parts(bottom)), sign
+            yield label((1, top, bottom))[1:], sign
 
 
 # each route maps n to its decomposition; xi() wraps it in an XiResult

@@ -8,7 +8,7 @@ import pytest
 from distsym.cells import distinguished, even_strip_specials, fourier_constituents, make_cell
 from distsym.oracle import kappa_bruteforce, nu_bruteforce
 from distsym.partitions import strip_sign_sum, tab_sign_sum
-from distsym.symbols import SpecialSymbol, Symbol, to_bipartition
+from distsym.symbols import SpecialSymbol, Symbol, label
 from distsym.verify import (
     DOCUMENTED,
     SP12_CONSTITUENTS_REFERENCE,
@@ -205,7 +205,7 @@ def test_criterion_12_cell_pairings():
         ok = ok and decomp.get(((2 * n,), ())) == 1
         for z in even_strip_specials(n):
             cell = make_cell(z)
-            terms = {to_bipartition(Symbol(*r)): s for s, r in zip(cell.signs, cell.term_rows())}
+            terms = {label(Symbol(*r))[1:]: s for s, r in zip(cell.signs, cell.term_rows())}
             if inner_product(char, virtual_character(2 * n, terms)) != 2**z.d:
                 ok = False
     report(

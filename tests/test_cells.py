@@ -29,9 +29,9 @@ from distsym.symbols import (
     Symbol,
     _rows_text,
     cuspidal_symbol,
-    from_bipartition,
     is_special,
-    to_bipartition,
+    label,
+    symbol_of,
 )
 from distsym.wchar import bipartitions, inner_product, virtual_character
 from distsym.xi import xi
@@ -136,7 +136,7 @@ def special_symbols_of_rank(rank):
     even_strip_specials is checked against."""
     out = []
     for bp in bipartitions(rank):
-        sym = from_bipartition(bp.alpha, bp.beta)
+        sym = symbol_of(1, bp.alpha, bp.beta)
         if is_special(sym):
             out.append(SpecialSymbol(sym))
     return tuple(sorted(out, key=lambda z: symbol_key(z.symbol)))
@@ -145,7 +145,7 @@ def special_symbols_of_rank(rank):
 def cell_character(cell):
     """The cell's signed sum of irreducibles of W_rank as a class function,
     through the bipartition map."""
-    terms = {to_bipartition(sym): sign for sign, sym in term_symbols(cell)}
+    terms = {label(sym)[1:]: sign for sign, sym in term_symbols(cell)}
     return virtual_character(cell.z.rank, terms)
 
 
@@ -875,7 +875,7 @@ class TestCellCharacters:
             decomp = xi(n, "A").decomposition
             for z in even_strip_specials(n):
                 for sign, sym in term_symbols(make_cell(z)):
-                    assert decomp.get(to_bipartition(sym)) == sign, (str(z), str(sym))
+                    assert decomp.get(label(sym)[1:]) == sign, (str(z), str(sym))
 
     def test_cells_sum_to_xi(self):
         for n in (1, 2, 3):

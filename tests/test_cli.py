@@ -396,6 +396,27 @@ class TestUsageErrors:
             assert "Traceback" not in proc.stderr
 
 
+class TestClosedStdout:
+    @pytest.mark.parametrize(
+        "argv", [["verify"], ["cells", "--rank", "6"], ["xi", "2", "--json"]],
+        ids=["verify", "cells", "xi"],
+    )
+    def test_closed_stdout_exits_one_with_nothing_on_stderr(self, argv):
+        # the read end is closed before the command writes anything, so
+        # every write to stdout fails, whatever the size of the output
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "distsym.cli", *argv],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert err == b""
+
+
 class TestConsoleScript:
     @pytest.mark.parametrize("argv,code", [(["xi", "1", "--json"], 0), (["xi", "0"], 2)])
     def test_entrypoint_exits_with_the_code_of_main(self, capsys, monkeypatch, argv, code):

@@ -1,6 +1,8 @@
 import copy
 import pickle
 import re
+from functools import lru_cache
+from itertools import combinations
 
 import pytest
 from hypothesis import given
@@ -11,12 +13,12 @@ from distsym.symbols import (
     SpecialSymbol,
     Symbol,
     cuspidal_symbol,
-    from_bipartition,
     is_cuspidal,
     is_special,
+    label,
     odd_defect_symbols,
     reduce_symbol,
-    to_bipartition,
+    symbol_of,
 )
 from distsym.wchar import Bipartition, bipartitions
 
@@ -29,6 +31,28 @@ def symbol_key(s: Symbol) -> tuple:
 def defect_one_symbols(rank: int) -> tuple[Symbol, ...]:
     """The defect-1 layer of odd_defect_symbols(rank)."""
     return tuple(s for s in odd_defect_symbols(rank) if s.defect == 1)
+
+
+@lru_cache(maxsize=None)
+def brute_force_symbols(rank: int) -> tuple[Symbol, ...]:
+    """Every reduced symbol of odd defect and the given rank, in the
+    reference order, found by trying every pair of rows drawn from the
+    subsets of range(rank + 2) (no entry of a rank-r symbol exceeds r):
+    the independent reference for odd_defect_symbols, which is the label
+    map's image."""
+    rows = [c for size in range(rank + 3) for c in combinations(range(rank + 2), size)]
+    found = []
+    for top in rows:
+        for bottom in rows:
+            # odd defect: the top row is the longer, so each pair comes once
+            if len(top) <= len(bottom) or (len(top) - len(bottom)) % 2 == 0:
+                continue
+            if bottom and top[0] == bottom[0] == 0:
+                continue
+            t = len(top) + len(bottom) - 1
+            if sum(top) + sum(bottom) - t * t // 4 == rank:
+                found.append(Symbol(top, bottom))
+    return tuple(sorted(found, key=symbol_key))
 
 
 class TestSymbolBasics:
@@ -185,41 +209,80 @@ class TestBipartitionCorrespondence:
         ],
     )
     def test_from_bipartition(self, alpha, beta, expected):
-        sym = from_bipartition(Partition(alpha), Partition(beta))
+        # the defect-1 symbol of a bipartition
+        sym = symbol_of(1, alpha, beta)
         assert str(sym) == expected
+        assert symbol_of(1, Partition(alpha), Partition(beta)) == sym
+
+    @pytest.mark.parametrize(
+        "d,alpha,beta,expected",
+        [
+            (3, (), (), "0,1,2|-"),
+            (3, (1,), (), "0,1,3|-"),
+            (3, (), (1,), "0,1,2,3|1"),
+            (5, (2,), (1, 1), "0,1,2,3,4,5,8|1,2"),
+        ],
+    )
+    def test_symbol_of_higher_defect(self, d, alpha, beta, expected):
+        sym = symbol_of(d, alpha, beta)
+        assert str(sym) == expected
+        assert sym.defect == d and sym.rank == sum(alpha) + sum(beta) + (d * d - 1) // 4
 
     def test_to_bipartition(self):
-        assert to_bipartition(Symbol.parse("0,2|1")) == ((1,), (1,))
+        assert label(Symbol.parse("0,2|1")) == (1, (1,), (1,))
 
-    def test_to_bipartition_needs_defect_one(self):
-        with pytest.raises(ValueError):
-            to_bipartition(Symbol.parse("0,1,2|-"))
+    def test_label_of_a_defect_three_symbol(self):
+        # the cuspidal symbol of rank 2 has the empty label
+        assert label(Symbol.parse("0,1,2|-")) == (3, (), ())
+
+    def test_label_reads_the_plain_tuple(self):
+        for r in range(9):
+            for z in odd_defect_symbols(r):
+                assert label(tuple(z)) == label(z), str(z)
+
+    @pytest.mark.parametrize("d", [0, 2, 4, -1, -3])
+    def test_even_or_non_positive_defect_rejected(self, d):
+        message = f"labels are defined for odd positive defect, got {d}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            symbol_of(d, (), ())
+        with pytest.raises(ValueError, match=re.escape(message)):
+            label((d, (0, 1), ()))
 
     def test_roundtrip_all_small_bipartitions(self):
         for n in range(9):
             for bp in bipartitions(n):
-                sym = from_bipartition(bp.alpha, bp.beta)
-                assert sym.rank == n
-                assert sym.defect == 1
-                assert to_bipartition(sym) == bp
+                for d in (1, 3, 5):
+                    sym = symbol_of(d, bp.alpha, bp.beta)
+                    assert sym.rank == n + (d * d - 1) // 4
+                    assert sym.defect == d
+                    assert label(sym) == (d, *bp)
+
+    def test_symbol_of_label_is_the_symbol_through_rank_20(self):
+        for r in range(21):
+            for z in odd_defect_symbols(r):
+                assert symbol_of(*label(z)) == z, str(z)
 
     def test_from_bipartition_equals_checked_construction(self):
-        # from_bipartition builds its symbol unchecked
+        # symbol_of builds its symbol unchecked
         for n in range(9):
             for bp in bipartitions(n):
-                sym = from_bipartition(bp.alpha, bp.beta)
-                checked = Symbol(sym.top, sym.bottom)
-                assert (checked.top, checked.bottom) == (sym.top, sym.bottom), str(sym)
-                assert checked == sym and hash(checked) == hash(sym), str(sym)
+                for d in (1, 3, 5):
+                    sym = symbol_of(d, bp.alpha, bp.beta)
+                    checked = Symbol(sym.top, sym.bottom)
+                    assert (checked.top, checked.bottom) == (sym.top, sym.bottom), str(sym)
+                    assert checked == sym and hash(checked) == hash(sym), str(sym)
 
     def test_defect_one_enumeration_counts(self):
-        for n in range(9):
+        # the reference's defect-1 symbols are as many as the bipartitions
+        for n in range(7):
+            found = [s for s in brute_force_symbols(n) if s.defect == 1]
+            assert len(found) == len(bipartitions(n))
             assert len(defect_one_symbols(n)) == len(bipartitions(n))
 
     def test_enumeration_agrees_with_map(self):
+        # every reduced pair of rows, not the map, in the reference order
         for n in range(7):
-            via_map = {from_bipartition(bp.alpha, bp.beta) for bp in bipartitions(n)}
-            assert via_map == set(defect_one_symbols(n))
+            assert odd_defect_symbols(n) == brute_force_symbols(n)
 
 
 class TestSpecial:
@@ -283,7 +346,7 @@ class TestOddDefectEnumeration:
 
     def test_contains_defect_one_layer(self):
         for n in range(7):
-            via_map = {from_bipartition(bp.alpha, bp.beta) for bp in bipartitions(n)}
+            via_map = {symbol_of(1, bp.alpha, bp.beta) for bp in bipartitions(n)}
             assert via_map <= set(odd_defect_symbols(n))
 
     def test_sort_key_is_rank_defect_rows(self):

@@ -394,23 +394,22 @@ class TestRawPairs:
             assert len(xi(n, route).decomposition) == formula[n]
 
     def test_route_c_reads_raw_parts_off_the_term_rows(self, monkeypatch):
-        # the reference: each term's Symbol taken apart by to_bipartition
+        # the reference: the label of each term's Symbol
         for n in range(1, 9):
             expected = [
-                (symbols.to_bipartition(sym), sign)
+                (symbols.label(sym)[1:], sign)
                 for z in even_strip_specials(n)
                 for sign, sym in term_symbols(make_cell(z))
             ]
             assert list(xi_mod._cell_terms(n)) == expected
 
         def refuse(*args, **kwargs):
-            raise AssertionError("route C built a symbol or called to_bipartition")
+            raise AssertionError("route C built a symbol")
 
         # route C builds no Symbol: its specials are cached by the reference
         # above, and it reads each term's rows, not the term's symbol
         monkeypatch.setattr(symbols.Symbol, "__new__", refuse)
         monkeypatch.setattr(symbols.Symbol, "_of_rows", refuse)
-        monkeypatch.setattr(symbols, "to_bipartition", refuse)
         formula = rank_scan.product_formula(8)
         for n in range(1, 9):
             assert len(xi(n, "C").decomposition) == formula[n]
