@@ -10,22 +10,24 @@ distinguished-symbol list for the rank-2n symplectic group.
 
 A Cell is its term signs and swap masks (bitmasks over the singles); its
 term rows (Cell.term_rows, what route C, the JSON report and every
-printed term read) build no term symbol.
-The signs and masks depend on Z only through the cell's index pattern:
-the number m of singles, each pair as two single indices, and which
-pairs flip the sign.  make_cell reads that pattern once, and
-_term_plan, keyed on it, holds the signs, the masks and the
-term-distinctness check once per pattern.  The masks carry the rest of
-the pattern: masks[1 << j] swaps pair j alone, and masks[-1] swaps every
-single but the isolated one.  So _kept_masks (the Walsh-Hadamard
-transform, the {0, 1} guard, the one-peak check and the kept family
-masks) is keyed on the cell's own (m, masks, signs), and the Fourier step
-reads no pattern.  Rank 2n <= 28 allows d <= 4 (2d + 1 singles need rank
-at least d*d + d); every sign choice occurs for d <= 3 and 7 of 16 at
-d = 4, so 22 patterns cover the 3258 specials of n = 1..14.  The
-distinguished-symbol pipeline builds no term symbol, only the
-constituents, and its JSON prints the terms from their rows and each
-constituent once.
+printed term read) build no term symbol.  make_cell builds only Z's
+standard cell: the standard arrangement of Z's singles (below), with its
+odd-difference pairs flipping the sign.  It is the one cell per special
+symbol that the distinguished-symbol list is read off, so make_cell takes
+no arrangement and no sign pairs; is_admissible still takes any
+arrangement.  In single indices the standard arrangement pairs the
+singles 2j and 2j + 1 and isolates the last, so the signs and masks depend
+on Z only through d and which pairs flip.  The masks carry the pattern:
+masks[1 << j] swaps pair j alone, and masks[-1] swaps every single but
+the isolated one.  So _kept_masks (the Walsh-Hadamard transform, the
+{0, 1} guard, the one-peak check and the kept family masks) is keyed on
+the cell's own (m, masks, signs) and serves any Cell, whatever its
+arrangement, and the Fourier step reads no pattern.  Rank 2n <= 28
+allows d <= 4 (2d + 1 singles need rank at least d*d + d); every sign
+choice occurs for d <= 3 and 7 of 16 at d = 4, so 22 sign patterns cover
+the 3258 specials of n = 1..14.  The distinguished-symbol pipeline builds
+no term symbol, only the constituents, and its JSON prints the terms from
+their rows and each constituent once.
 
 The standard arrangement comes from the singles alone.  List the entries
 of a special symbol Z in the weakly increasing order z0 <= z1 <= ... <=
@@ -53,8 +55,19 @@ has an even number of singles below it, and then it is ((0, 1), (2, 3),
 is admissible: each pair is adjacent among the singles with no double
 between, so is_admissible can remove the pairs in order.  Every
 even-strip special passes the parity check (the tests cover ranks
-through 42), so a standard cell's pattern is d and its odd-difference
-pairs.
+through 42).
+
+The parity check is the only one make_cell runs, because a standard cell
+can fail no other:
+
+- It is admissible once the parity check passes (above; the tests check
+  is_admissible on the standard arrangement through rank 42).
+- Its terms are distinct symbols.  The masks b and b ^ full (full: every
+  single) flip Z to one symbol, since orientation ignores row order, and
+  no two other masks do.  The masks are unions of disjoint pairs, so they
+  are distinct, and none holds the isolated single's bit, while every
+  b ^ full does.
+- Its sign pairs are pairs of its arrangement by construction.
 
 Everything else a cell needs from Z, bar its entry values, is Z's
 layout: below, the number of doubles below each single (one bisect per
@@ -68,8 +81,7 @@ single), and the number D of doubles.
 - Singles and doubles are disjoint, so no double lies strictly between
   the singles a < b exactly when below[a] == below[b], and which singles
   are adjacent once some pairs are removed is a matter of indices.  So
-  is_admissible on an index pattern reads the layout and the pattern, and
-  _term_plan's distinctness reads the pattern alone.
+  is_admissible reads the layout and the pairs as single indices.
 - A flipped row is the doubles plus some singles.  Z's distinct entries
   strictly increase, and single j is the distinct entry j + below[j], so
   the layout lists each row as positions (indices into singles +
@@ -77,12 +89,9 @@ single), and the number D of doubles.
   out increasing.  The two rows hold 2D + m entries, an odd number, so
   orienting them compares only their lengths.
 
-So _cell_plan, keyed on (layout, index pattern, sign flips), runs the
-parity check, the partition and admissibility checks and term
-distinctness once per key and returns the signs, the masks and the
-names of the checks that failed.  make_cell raises from those names with
-its own message, naming Z: each check runs once per layout and sign
-choice, and it raises again for every cell with that layout.  _row_plan,
+So _cell_plan, keyed on (layout, sign flips), runs the parity check once
+per key and returns its outcome with the signs and the masks; make_cell
+raises, naming Z, for every cell whose layout fails it.  _row_plan,
 keyed on (layout, masks), holds each flipped row pair as bytes of entry
 positions, already oriented; term_rows, family and fourier_constituents
 read Z's entries through it.  The Fourier constituents also come in
@@ -134,11 +143,16 @@ class FamilyModelViolation(Exception):
 
 class Arrangement(namedtuple("Arrangement", "pairs isolated")):
     """d pairs of singles plus one isolated single, stored as the tuple
-    (pairs, isolated); the constructor sorts each pair and then the pairs."""
+    (pairs, isolated); the constructor rejects a pair that does not have
+    two members, and sorts each pair and then the pairs."""
 
     __slots__ = ()
 
     def __new__(cls, pairs: Iterable[Iterable[int]], isolated: int) -> "Arrangement":
+        pairs = [tuple(p) for p in pairs]
+        for pair in pairs:
+            if len(pair) != 2:
+                raise ValueError(f"{pair} does not have two members")
         return super().__new__(cls, tuple(sorted(tuple(sorted(p)) for p in pairs)), isolated)
 
 
@@ -171,7 +185,7 @@ def standard_arrangement(z: SpecialSymbol) -> Arrangement:
     number of singles below it, and then it pairs the singles 2j and
     2j + 1 and isolates the last one (proof in the module docstring), so
     the pairing is read off the singles: it is the arrangement of Z's
-    default cell.  A special symbol with a double above an odd number of
+    cell.  A special symbol with a double above an odd number of
     singles puts that double in a pair, which is rejected because it is
     no arrangement of the singles at all.
     """
@@ -193,16 +207,15 @@ def is_admissible(z: SpecialSymbol, arrangement: Arrangement) -> bool:
     Some pair must consist of entries adjacent in the sorted singles list
     with no doubled entry strictly between; removing it must leave an
     admissible arrangement of the shrunken symbol.  Zero pairs are
-    admissible.
-
-    The check runs on the index pattern and Z's layout, once per pair of
-    them, in _cell_plan.
+    admissible.  An arrangement that does not hold each single of Z once
+    is rejected.
     """
-    pattern = _index_pattern(z, arrangement)
-    failed, _, _ = _cell_plan(_layout(z), pattern, (False,) * len(pattern[0]))
-    if "partition" in failed:
+    singles = z.singles()
+    pairs, isolated = arrangement
+    if sorted([isolated, *(x for p in pairs for x in p)]) != list(singles):
         raise ValueError(f"{arrangement} does not partition the singles of {z}")
-    return "admissible" not in failed
+    index = {x: i for i, x in enumerate(singles)}
+    return _admissible(_layout(z)[0], tuple([(index[a], index[b]) for a, b in pairs]))
 
 
 def _admissible(below: tuple[int, ...], pairs: tuple[tuple[int, int], ...]) -> bool:
@@ -313,108 +326,46 @@ def _row_plan(layout: tuple[tuple[int, ...], int], masks: tuple[int, ...]) -> tu
     return bytes(tops), bytes(positions + [0])
 
 
-def _index_pattern(
-    z: SpecialSymbol, arrangement: Arrangement
-) -> tuple[tuple[tuple[int, int], ...], int]:
-    """The arrangement's pairs and isolated single as indices into the
-    sorted singles of Z; a member that is no single of Z gets the index
-    len(singles), which no single has."""
-    singles = z.singles()
-    index = {x: i for i, x in enumerate(singles)}.get
-    m = len(singles)
-    pairs = tuple([(index(a, m), index(b, m)) for a, b in arrangement.pairs])
-    return pairs, index(arrangement.isolated, m)
-
-
-def make_cell(
-    z: SpecialSymbol,
-    arrangement: Arrangement | None = None,
-    sign_pairs: tuple[tuple[int, int], ...] | None = None,
-) -> Cell:
-    """The virtual cell of Z for an admissible arrangement.
+def make_cell(z: SpecialSymbol) -> Cell:
+    """Z's standard cell: the standard arrangement of its singles, with its
+    odd-difference pairs flipping the sign.
 
     Terms run over the subsets Psi of the pairs, ordered as bitmasks over
-    the pairs sorted by smaller element, with sign (-1)**|Psi ^ sign_pairs|
-    and symbol obtained by row-swapping Psi.  Defaults to the standard
-    arrangement with its odd-difference pairs.
+    the pairs sorted by smaller element, with sign (-1)**|Psi & sign_pairs|
+    and symbol obtained by row-swapping Psi.
 
-    The checks run in _cell_plan, once per layout, index pattern and sign
-    flips; this raises the first that fails (the parity check only when
-    the standard arrangement is used), naming Z, on every call.
+    The parity check is the one check a standard cell can fail (module
+    docstring); it runs in _cell_plan, once per layout and sign flips, and
+    this raises it, naming Z, on every call.
     """
     _, singles, _ = z
     # the standard arrangement; _cell_plan's parity check says whether it is one
     standard = Arrangement._make((tuple(zip(singles[::2], singles[1::2])), singles[-1]))
-    defaults = arrangement is None or sign_pairs is None
-    arrangement = standard if arrangement is None else arrangement
-    sign_pairs = _odd_pairs(standard) if sign_pairs is None else sign_pairs
-    sign_set = {tuple(sorted(p)) for p in sign_pairs}
-    flips = tuple([p in sign_set for p in arrangement.pairs])
-    pattern = None if arrangement is standard else _index_pattern(z, arrangement)
-    failed, signs, masks = _cell_plan(_layout(z), pattern, flips)
-    if defaults and "columnwise" in failed:
+    sign_pairs = _odd_pairs(standard)
+    flips = tuple([p in sign_pairs for p in standard.pairs])
+    ok, signs, masks = _cell_plan(_layout(z), flips)
+    if not ok:
         raise ValueError(f"columnwise pairing of {z} hits a doubled entry")
-    # is_admissible says why: it raises when the pairs do not partition the singles
-    if "admissible" in failed and not is_admissible(z, arrangement):
-        raise ValueError(f"{arrangement} is not admissible for {z}")
-    if not sign_set.issubset(arrangement.pairs):
-        raise ValueError("sign_pairs must be a subset of the arrangement's pairs")
-    if "distinct" in failed:
-        raise ValueError(f"cell terms for {z} are not distinct")
-    return Cell(z, arrangement, tuple(sorted(sign_set)), signs, masks)
+    return Cell(z, standard, sign_pairs, signs, masks)
 
 
 @lru_cache(maxsize=None)
 def _cell_plan(
-    layout: tuple[tuple[int, ...], int],
-    pattern: tuple[tuple[tuple[int, int], ...], int] | None,
-    flips: tuple[bool, ...],
-) -> tuple[tuple[str, ...], tuple[int, ...], tuple[int, ...]]:
-    """The failed checks, the term signs and the swap masks of a cell of a
-    special symbol with this layout whose pairs and isolated single sit at
-    the pattern's single indices (None: the standard arrangement's), pair
-    j flipping the sign when flips[j].
-
-    The failed checks are named in make_cell's order: "columnwise" (the
-    standard arrangement hits a double), "partition" (the pattern does not
-    hold each single once), "admissible" (it does not, or it is not
-    admissible) and "distinct" (two terms are one symbol)."""
+    layout: tuple[tuple[int, ...], int], flips: tuple[bool, ...]
+) -> tuple[bool, tuple[int, ...], tuple[int, ...]]:
+    """Whether a special symbol with this layout passes the parity check,
+    and the term signs and swap masks of its standard cell, whose pair j
+    is the singles 2j and 2j + 1 and flips the sign when flips[j]."""
     below, d = layout
-    m = len(below)
-    if pattern is None:
-        pattern = tuple((j, j + 1) for j in range(0, m - 1, 2)), m - 1
-    pairs, isolated = pattern
-    failed = []
     # double k has bisect_right(below, k) singles below it
-    if any(bisect_right(below, k) & 1 for k in range(d)):
-        failed.append("columnwise")
-    if sorted([isolated, *(i for p in pairs for i in p)]) != list(range(m)):
-        failed += ["partition", "admissible"]
-    elif not _admissible(below, pairs):
-        failed.append("admissible")
-    signs, masks, distinct = _term_plan(m, pairs, flips)
-    if not distinct:
-        failed.append("distinct")
-    return tuple(failed), signs, masks
-
-
-@lru_cache(maxsize=None)
-def _term_plan(
-    m: int, pairs: tuple[tuple[int, int], ...], flips: tuple[bool, ...]
-) -> tuple[tuple[int, ...], tuple[int, ...], bool]:
-    """The term signs and swap masks of a cell over m singles whose pairs
-    sit at the given single indices, pair j flipping the sign when
-    flips[j]; and whether the terms are distinct symbols."""
+    ok = not any(bisect_right(below, k) & 1 for k in range(d))
     signs = [1]
     masks = [0]
-    for (i, j), flip in zip(pairs, flips):
+    for j, flip in enumerate(flips):
         sign = -1 if flip else 1
         signs += [sign * s for s in signs]
-        masks += [b | 1 << i | 1 << j for b in masks]
-    # masks b and b ^ full flip Z to one symbol: orientation ignores row order
-    full = (1 << m) - 1
-    distinct = len({min(b, b ^ full) for b in masks}) == len(masks)
-    return tuple(signs), tuple(masks), distinct
+        masks += [b | 3 << 2 * j for b in masks]
+    return ok, tuple(signs), tuple(masks)
 
 
 @lru_cache(maxsize=None)
@@ -477,6 +428,14 @@ def fourier_constituents(cell: Cell) -> tuple[Symbol, ...]:
     which is exactly one syndrome with F = 2**d; symbols are built only
     for its members.  A violation reports the first even mask A in the order
     of family(Z).
+
+    A standard cell (make_cell) always passes.  Its signs are a product
+    character, sign_t = prod over the set bits j of t of s_j, with
+    s_j = -1 exactly when pair j is a sign pair, so
+    F[u] = prod over j of (1 + s_j * (-1)**u_j): one peak of 2**d, at the
+    flip mask u = sum of 2**j over the sign pairs j, and 0 elsewhere.  So a
+    FamilyModelViolation from this step needs hand-built signs; the guard
+    and _raise_violation stay as the model's check on any Cell.
     """
     full = 2**cell.d
     if len(cell.signs) != full:

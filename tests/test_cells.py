@@ -109,12 +109,18 @@ def reference_layout(z):
     return tuple(sum(x < s for x in doubles) for s in singles), len(doubles)
 
 
-def reference_cell(z):
-    """Z's standard cell from the value references: terms over the subsets
-    of the pairs as bitmasks, pairs of odd difference flipping the sign."""
-    arrangement = reference_standard_arrangement(z)
+def reference_cell(z, arrangement=None, sign_pairs=None):
+    """Z's cell for an admissible arrangement (the standard one by default)
+    from the value references: terms over the subsets of the pairs as
+    bitmasks, the sign pairs (the pairs of odd difference by default)
+    flipping the sign.  make_cell builds only the standard cell; this
+    builds the others that the Fourier step and term_rows are checked on."""
+    if arrangement is None:
+        arrangement = reference_standard_arrangement(z)
     assert reference_is_admissible(z, arrangement)
-    sign_pairs = tuple(p for p in arrangement.pairs if (p[1] - p[0]) % 2)
+    if sign_pairs is None:
+        sign_pairs = tuple(p for p in arrangement.pairs if (p[1] - p[0]) % 2)
+    assert set(sign_pairs) <= set(arrangement.pairs)
     index = z.singles().index
     signs, masks = [1], [0]
     for a, b in arrangement.pairs:
@@ -186,10 +192,10 @@ def cells_by_d():
 
 @functools.cache
 def admissible_cells():
-    """A cell with no sign pairs for every admissible arrangement of every
-    special symbol of rank <= 12 (up to 7 singles)."""
+    """A reference cell with no sign pairs for every admissible arrangement
+    of every special symbol of rank <= 12 (up to 7 singles)."""
     return [
-        make_cell(z, arr, ())
+        reference_cell(z, arr, ())
         for rank in range(13)
         for z in special_symbols_of_rank(rank)
         for arr in all_arrangements(z.singles())
@@ -229,6 +235,13 @@ def columnwise_arrangement(z):
     if len(rest) != 1:
         raise ValueError(f"columnwise pairing of {z} does not isolate one single")
     return Arrangement(pairs, rest[0])
+
+
+def index_pattern(z, arrangement):
+    """The arrangement's pairs and isolated single as indices into the
+    sorted singles of Z."""
+    index = z.singles().index
+    return tuple((index(a), index(b)) for a, b in arrangement.pairs), index(arrangement.isolated)
 
 
 def masks_pattern(cell):
@@ -312,8 +325,25 @@ class TestArrangements:
         assert not is_admissible(z, Arrangement(((1, 5),), 0))
 
     def test_admissibility_requires_partition(self):
-        with pytest.raises(ValueError):
-            is_admissible(Z4, Arrangement(((0, 1),), 5))
+        # a member outside the singles, a single left out, a single twice,
+        # and a double
+        z = SpecialSymbol(Symbol.parse("0,2,5|1,2"))
+        for sym, arrangement in [
+            (Z4, Arrangement(((0, 1),), 5)),
+            (Z4, Arrangement((), 2)),
+            (Z4, Arrangement(((0, 1), (1, 2)), 2)),
+            (z, Arrangement(((0, 2),), 5)),
+        ]:
+            text = f"{arrangement} does not partition the singles of {sym}"
+            with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+                is_admissible(sym, arrangement)
+
+    @pytest.mark.parametrize("pair", [(0,), (0, 1, 2), ()])
+    def test_arrangement_rejects_pair_without_two_members(self, pair):
+        # checked where the arrangement is built, so is_admissible never
+        # unpacks a pair of another size
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{pair} does not have two members')}$"):
+            Arrangement((pair,), 2)
 
     def test_standard_arrangement_always_admissible(self):
         for n in range(22):
@@ -383,7 +413,7 @@ class TestArrangements:
             for z in even_strip_specials(n):
                 arr = standard_arrangement(z)
                 pairs = tuple((2 * j, 2 * j + 1) for j in range(z.d))
-                assert cells._index_pattern(z, arr) == (pairs, 2 * z.d), str(z)
+                assert index_pattern(z, arr) == (pairs, 2 * z.d), str(z)
 
 
 class TestSwap:
@@ -470,49 +500,21 @@ class TestCells:
         monkeypatch.setattr(cells, "_layout", counted)
         c = make_cell(Z12)
         assert calls == [Z12]
-        c = make_cell(Z12, sign_pairs=((2, 3),))
-        assert calls == [Z12, Z12]
-        assert c.arrangement == reference_standard_arrangement(Z12)
-        assert c.sign_pairs == ((2, 3),)
-        assert make_cell(Z12).sign_pairs == ((0, 1), (2, 3))
+        assert c.sign_pairs == ((0, 1), (2, 3))
 
-    def test_given_arrangement_keeps_standard_sign_pairs(self):
-        # the standard pair (0, 2) of 0,5|2 has even difference, so no sign
-        # pairs, although the given pair (2, 5) has odd difference
-        z = SpecialSymbol(Symbol.parse("0,5|2"))
-        c = make_cell(z, Arrangement(((2, 5),), 0))
-        assert c.sign_pairs == ()
-        assert [(s, str(sym)) for s, sym in term_symbols(c)] == [(1, "0,5|2"), (1, "0,2|5")]
-
-    def test_inadmissible_arrangement_rejected(self):
-        with pytest.raises(ValueError, match=re.escape("is not admissible for 0,2|1")):
-            make_cell(Z4, Arrangement(((0, 2),), 1))
-
-    def test_sign_pairs_outside_the_arrangement_rejected(self):
-        with pytest.raises(ValueError, match="sign_pairs must be a subset"):
-            make_cell(Z12, sign_pairs=((1, 2),))
-
-    def test_repeated_terms_rejected(self, monkeypatch):
-        # a pair named twice swaps the same singles in three terms
-        monkeypatch.setattr(cells, "is_admissible", lambda z, arrangement: True)
-        with pytest.raises(ValueError, match=re.escape("cell terms for 0,2|1 are not distinct")):
-            make_cell(Z4, Arrangement(((0, 1), (0, 1)), 2))
-
-    def test_term_plans_cover_rank_28_with_22_patterns(self):
-        # the cell plans sit in front of the term plans, so they start cold too
+    def test_cell_plans_one_per_layout_and_flips_at_rank_28(self):
+        # 22 sign patterns (d and which pairs flip) give 22 Fourier plans
         cells._cell_plan.cache_clear()
-        cells._term_plan.cache_clear()
         cells._kept_masks.cache_clear()
         for n in range(1, 15):
             distinguished(n)
-        assert cells._term_plan.cache_info().currsize == 22
         assert cells._kept_masks.cache_info().currsize == 22
-        # one cell plan per layout and sign choice
-        keys = {
-            (reference_layout(z), make_cell(z).signs)
-            for n in range(1, 15)
-            for z in even_strip_specials(n)
-        }
+        keys = set()
+        for n in range(1, 15):
+            for z in even_strip_specials(n):
+                flips = tuple((b - a) % 2 == 1 for a, b in reference_standard_arrangement(z).pairs)
+                keys.add((reference_layout(z), flips))
+        assert len({flips for _, flips in keys}) == 22
         assert cells._cell_plan.cache_info().currsize == len(keys)
 
     def test_cells_match_the_value_references_through_rank_30(self):
@@ -540,43 +542,21 @@ class TestCells:
         [
             # one layout: one single below the double, two above it
             (
-                [("0,2,4|2,3", {}), ("0,3,6|3,5", {})],
+                ["0,2,4|2,3", "0,3,6|3,5"],
                 "columnwise pairing of {z} hits a doubled entry",
-            ),
-            (
-                [("0,2|1", {"arrangement": Arrangement(((0, 1),), 5)}),
-                 ("1,3|2", {"arrangement": Arrangement(((1, 2),), 7)})],
-                "{arrangement} does not partition the singles of {z}",
-            ),
-            (
-                [("0,2,5|1,2", {"arrangement": Arrangement(((1, 5),), 0)}),
-                 ("0,3,6|1,3", {"arrangement": Arrangement(((1, 6),), 0)})],
-                "{arrangement} is not admissible for {z}",
-            ),
-            (
-                [("0,2,4|1,3", {"sign_pairs": ((1, 2),)}),
-                 ("1,3,5|2,4", {"sign_pairs": ((2, 3),)})],
-                "sign_pairs must be a subset of the arrangement's pairs",
-            ),
-            (
-                [("0,2|1", {"arrangement": Arrangement(((0, 1), (0, 1)), 2)}),
-                 ("1,3|2", {"arrangement": Arrangement(((1, 2), (1, 2)), 3)})],
-                "cell terms for {z} are not distinct",
             ),
         ],
     )
-    def test_failed_checks_raise_again_naming_z(self, cases, message, monkeypatch):
-        # a cached failure raises for every call and every Z of its layout
-        if "distinct" in message:
-            # a pair named twice is no arrangement; only this reaches the check
-            monkeypatch.setattr(cells, "is_admissible", lambda z, arrangement: True)
-        zs = [SpecialSymbol(Symbol.parse(text)) for text, _ in cases]
+    def test_failed_checks_raise_again_naming_z(self, cases, message):
+        # a cached failure raises for every call and every Z of its layout;
+        # the parity check is the one check a standard cell can fail
+        zs = [SpecialSymbol(Symbol.parse(text)) for text in cases]
         assert len({reference_layout(z) for z in zs}) == 1
         for _ in range(2):
-            for z, (_, kwargs) in zip(zs, cases):
-                text = message.format(z=z, **kwargs)
+            for z in zs:
+                text = message.format(z=z)
                 with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
-                    make_cell(z, **kwargs)
+                    make_cell(z)
 
     def test_row_plans_one_per_layout_and_kept_masks_at_rank_28(self):
         cells._row_plan.cache_clear()
@@ -598,7 +578,7 @@ class TestCells:
         standard = [make_cell(z) for n in range(1, 15) for z in even_strip_specials(n)]
         assert len(standard) == 3258 and max(c.d for c in arranged) == 3
         for c in standard + arranged:
-            assert masks_pattern(c) == cells._index_pattern(c.z, c.arrangement), (
+            assert masks_pattern(c) == index_pattern(c.z, c.arrangement), (
                 str(c.z),
                 c.arrangement,
             )
@@ -649,7 +629,8 @@ class TestCells:
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_mask_distinctness_is_symbol_distinctness(self, data):
-        # make_cell's check: masks m and m ^ full flip Z to one symbol
+        # the distinctness argument of the module docstring: masks m and
+        # m ^ full flip Z to one symbol, and no two other masks do
         z = data.draw(st.sampled_from([z for n in range(1, 7) for z in even_strip_specials(n)]))
         full = (1 << len(z.singles())) - 1
         drawn = data.draw(st.lists(st.integers(0, full), min_size=1, max_size=8))
@@ -816,9 +797,23 @@ class TestFourier:
             pairs = c.arrangement.pairs
             for t in range(2**c.d):
                 chosen = tuple(p for j, p in enumerate(pairs) if t >> j & 1)
-                cell = make_cell(c.z, c.arrangement, chosen)
+                cell = reference_cell(c.z, c.arrangement, chosen)
                 expected = reference_constituents(cell)
                 assert fourier_constituents(cell) == expected, (str(c.z), c.arrangement, chosen)
+
+    def test_standard_cell_transform_peaks_at_the_flip_mask_through_rank_28(self):
+        # a standard cell's signs are a product character, so the transform
+        # is 2**d at the flip mask and 0 elsewhere: the Fourier step never
+        # raises on a cell that make_cell builds
+        total = 0
+        for n in range(1, 15):
+            for z in even_strip_specials(n):
+                c = make_cell(z)
+                flips = sum(1 << j for j, p in enumerate(c.arrangement.pairs) if p in c.sign_pairs)
+                expected = [2**c.d if u == flips else 0 for u in range(2**c.d)]
+                assert cells._walsh_hadamard(c.signs) == expected, str(z)
+                total += 1
+        assert total == 3258
 
     def test_term_count_checked(self):
         c = make_cell(Z12)
@@ -855,7 +850,7 @@ class TestFourier:
         pairs = standard_arrangement(z).pairs
         mask = data.draw(st.integers(0, 2 ** len(pairs) - 1))
         chosen = tuple(p for i, p in enumerate(pairs) if mask >> i & 1)
-        c = make_cell(z, sign_pairs=chosen)
+        c = reference_cell(z, sign_pairs=chosen)
         # the reference raises on a multiplicity outside {0, 1}
         assert fourier_constituents(c) == reference_constituents(c)
         assert len(fourier_constituents(c)) == 2**c.d

@@ -6,9 +6,12 @@ it, or a string constant in perfbench/ names it (the tracer resolves the
 functions it wraps by name).  A public method or property of a class in
 the package counts as used when those sources read it on the class itself
 (Class.name), or read an attribute of that name on anything else (an
-instance, whose class the syntax does not tell).
+instance, whose class the syntax does not tell).  A private top-level
+function, class or constant (one leading underscore) counts as used by
+the same rule as a public name, and must be: nothing is allowed.
 The tests do not count: a helper only tests need belongs in the test that
-uses it.
+uses it, and a private helper that only a test reads (its cache_info, say)
+is dead code.
 
 The package is its modules.  __init__.py imports nothing and binds nothing
 but __version__, so every name has one import path, the module that
@@ -43,8 +46,8 @@ def _trees(paths):
     return [ast.parse(p.read_text(), filename=str(p)) for p in paths]
 
 
-def public_names() -> set[str]:
-    """Every public top-level name defined in the package, as module.name."""
+def top_level_names() -> set[str]:
+    """Every top-level name defined in the package, as module.name."""
     out = set()
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
@@ -55,8 +58,24 @@ def public_names() -> set[str]:
                 names = [t.id for t in targets if isinstance(t, ast.Name)]
             else:
                 continue
-            out.update(f"{path.stem}.{name}" for name in names if not name.startswith("_"))
+            out.update(f"{path.stem}.{name}" for name in names)
     return out
+
+
+def public_names() -> set[str]:
+    """Every public top-level name defined in the package, as module.name."""
+    return {name for name in top_level_names() if not name.split(".")[1].startswith("_")}
+
+
+def private_names() -> set[str]:
+    """Every private top-level name defined in the package (one leading
+    underscore; dunders such as __version__ are not private), as
+    module.name."""
+    return {
+        name
+        for name in top_level_names()
+        if name.split(".")[1].startswith("_") and not name.split(".")[1].startswith("__")
+    }
 
 
 def public_methods() -> set[str]:
@@ -132,6 +151,12 @@ def test_every_unused_public_name_is_allowed():
     unused = unused_public()
     assert sorted(unused - set(ALLOWED_UNUSED)) == []
     assert sorted(set(ALLOWED_UNUSED) - unused) == []
+
+
+def test_every_private_name_is_used():
+    names = used_names()
+    assert private_names()
+    assert sorted(name for name in private_names() if name.split(".")[1] not in names) == []
 
 
 def test_allowed_names_exist():
