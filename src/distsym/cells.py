@@ -8,16 +8,18 @@ image is a set of 2**d symbols from the 2**(2d)-member family of Z; the
 union over the even-strip special symbols of rank 2n is the
 distinguished-symbol list for the rank-2n symplectic group.
 
-A Cell is its term signs and swap masks (bitmasks over the singles); its
-term rows (Cell.term_rows, what route C, the JSON report and every
-printed term read) build no term symbol.  make_cell builds only Z's
-standard cell: the standard arrangement of Z's singles (below), with its
-odd-difference pairs flipping the sign.  It is the one cell per special
-symbol that the distinguished-symbol list is read off, so make_cell takes
-no arrangement and no sign pairs; is_admissible still takes any
-arrangement.  In single indices the standard arrangement pairs the
-singles 2j and 2j + 1 and isolates the last, so the signs and masks depend
-on Z only through d and which pairs flip.  The masks carry the pattern:
+A Cell is Z with its term signs and swap masks (bitmasks over the
+singles); its term rows (Cell.term_rows, what route C, the JSON report
+and every printed term read) build no term symbol.  make_cell builds only
+Z's standard cell, the one cell per special symbol that the
+distinguished-symbol list is read off.  In single indices the standard
+arrangement (below) pairs the singles 2j and 2j + 1 and isolates the
+last; term t swaps the pairs at the set bits of t and has the sign
+(-1)**popcount(t & flips), where bit j of flips is set when pair j has an
+odd difference.  So the signs and masks depend on Z only through d and
+flips, and a Cell holds no arrangement: standard_arrangement gives the
+pairs as entries to verify and the tests, and is_admissible takes any
+arrangement.  The masks carry the pattern:
 masks[1 << j] swaps pair j alone, and masks[-1] swaps every single but
 the isolated one.  So _kept_masks (the Walsh-Hadamard transform, the
 {0, 1} guard, the one-peak check and the kept family masks) is keyed on
@@ -67,7 +69,6 @@ can fail no other:
   no two other masks do.  The masks are unions of disjoint pairs, so they
   are distinct, and none holds the isolated single's bit, while every
   b ^ full does.
-- Its sign pairs are pairs of its arrangement by construction.
 
 Everything else a cell needs from Z, bar its entry values, is Z's
 layout: below, the number of doubles below each single (one bisect per
@@ -156,18 +157,17 @@ class Arrangement(namedtuple("Arrangement", "pairs isolated")):
         return super().__new__(cls, tuple(sorted(tuple(sorted(p)) for p in pairs)), isolated)
 
 
-class Cell(namedtuple("Cell", "z arrangement sign_pairs signs masks")):
+class Cell(namedtuple("Cell", "z signs masks")):
     """A virtual cell as its term signs and swap masks, stored as the tuple
-    (z, arrangement, sign_pairs, signs, masks): term t has sign signs[t]
-    and is Z with the singles at the set bits of masks[t] moved to the
-    other row (bit i is the i-th smallest single); term_rows() gives the
-    terms' rows."""
+    (z, signs, masks): term t has sign signs[t] and is Z with the singles
+    at the set bits of masks[t] moved to the other row (bit i is the i-th
+    smallest single); term_rows() gives the terms' rows."""
 
     __slots__ = ()
 
     @property
     def d(self) -> int:
-        return len(self.arrangement.pairs)
+        return self.z.d
 
     def term_rows(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
         """Each term symbol's (top, bottom) rows, in term order, with no
@@ -189,16 +189,14 @@ def standard_arrangement(z: SpecialSymbol) -> Arrangement:
     singles puts that double in a pair, which is rejected because it is
     no arrangement of the singles at all.
     """
-    return make_cell(z).arrangement
+    make_cell(z)  # the parity check, with make_cell's message
+    _, singles, _ = z
+    return Arrangement(zip(singles[::2], singles[1::2]), singles[-1])
 
 
 def odd_difference_pairs(z: SpecialSymbol) -> tuple[tuple[int, int], ...]:
     """The pairs of the standard arrangement whose difference is odd."""
-    return _odd_pairs(standard_arrangement(z))
-
-
-def _odd_pairs(arrangement: Arrangement) -> tuple[tuple[int, int], ...]:
-    return tuple(p for p in arrangement.pairs if (p[1] - p[0]) % 2 == 1)
+    return tuple(p for p in standard_arrangement(z).pairs if (p[1] - p[0]) % 2 == 1)
 
 
 def is_admissible(z: SpecialSymbol, arrangement: Arrangement) -> bool:
@@ -246,27 +244,23 @@ def swap_pairs(z: SpecialSymbol, pairs: tuple[tuple[int, int], ...]) -> Symbol:
     """Row-swap the two members of each given pair of singles; everything
     else, including the isolated single, keeps its row.  A pair member
     that is not a single of Z, an entry that does not have two members, or
-    a single named twice (within one pair or across two), is rejected."""
-    singles = set(z.singles())
-    top = set(z.top)
-    bottom = set(z.bottom)
-    seen = set()
+    a single named twice (within one pair or across two), is rejected.
+    The pairs become one swap mask, flipped through _rows like every
+    other row of the module."""
+    singles = z.singles()
+    mask = 0
     for pair in pairs:
         if len(pair) != 2:
             raise ValueError(f"{pair} does not have two members")
         for x in pair:
             if x not in singles:
                 raise ValueError(f"{x} is not a single of {z}")
-            if x in seen:
+            bit = 1 << singles.index(x)
+            if mask & bit:
                 raise ValueError(f"{x} appears twice in the pairs {pairs}")
-            seen.add(x)
-            if x in top:
-                top.remove(x)
-                bottom.add(x)
-            else:
-                bottom.remove(x)
-                top.add(x)
-    return Symbol(tuple(sorted(top)), tuple(sorted(bottom)))
+            mask |= bit
+    (rows,) = _rows(z, (mask,))
+    return Symbol._of_rows(*rows)
 
 
 def _layout(z: SpecialSymbol) -> tuple[tuple[int, ...], int]:
@@ -330,23 +324,20 @@ def make_cell(z: SpecialSymbol) -> Cell:
     """Z's standard cell: the standard arrangement of its singles, with its
     odd-difference pairs flipping the sign.
 
-    Terms run over the subsets Psi of the pairs, ordered as bitmasks over
-    the pairs sorted by smaller element, with sign (-1)**|Psi & sign_pairs|
-    and symbol obtained by row-swapping Psi.
+    Pair j is the singles 2j and 2j + 1, and bit j of flips is set when
+    their difference is odd.  Term t swaps the pairs at the set bits of t
+    and has the sign (-1)**popcount(t & flips).
 
     The parity check is the one check a standard cell can fail (module
     docstring); it runs in _cell_plan, once per layout and sign flips, and
     this raises it, naming Z, on every call.
     """
     _, singles, _ = z
-    # the standard arrangement; _cell_plan's parity check says whether it is one
-    standard = Arrangement._make((tuple(zip(singles[::2], singles[1::2])), singles[-1]))
-    sign_pairs = _odd_pairs(standard)
-    flips = tuple([p in sign_pairs for p in standard.pairs])
+    flips = tuple([(b - a) % 2 == 1 for a, b in zip(singles[::2], singles[1::2])])
     ok, signs, masks = _cell_plan(_layout(z), flips)
     if not ok:
         raise ValueError(f"columnwise pairing of {z} hits a doubled entry")
-    return Cell(z, standard, sign_pairs, signs, masks)
+    return Cell(z, signs, masks)
 
 
 @lru_cache(maxsize=None)
@@ -430,16 +421,19 @@ def fourier_constituents(cell: Cell) -> tuple[Symbol, ...]:
     of family(Z).
 
     A standard cell (make_cell) always passes.  Its signs are a product
-    character, sign_t = prod over the set bits j of t of s_j, with
-    s_j = -1 exactly when pair j is a sign pair, so
-    F[u] = prod over j of (1 + s_j * (-1)**u_j): one peak of 2**d, at the
-    flip mask u = sum of 2**j over the sign pairs j, and 0 elsewhere.  So a
-    FamilyModelViolation from this step needs hand-built signs; the guard
-    and _raise_violation stay as the model's check on any Cell.
+    character, sign_t = (-1)**popcount(t & flips) = prod over the set bits
+    j of t of s_j, with s_j = -1 exactly when bit j of flips is set, so
+    F[u] = prod over j of (1 + s_j * (-1)**u_j): one peak of 2**d, at
+    u = flips, and 0 elsewhere.  So a FamilyModelViolation from this step
+    needs hand-built signs; the guard and _raise_violation stay as the
+    model's check on any Cell.
     """
     full = 2**cell.d
-    if len(cell.signs) != full:
-        raise ValueError(f"d = {cell.d} needs {full} terms, got {len(cell.signs)}")
+    if len(cell.signs) != full or len(cell.masks) != full:
+        raise ValueError(
+            f"d = {cell.d} needs {full} terms, got {len(cell.signs)} signs "
+            f"and {len(cell.masks)} masks"
+        )
     m = len(cell.z.singles())
     kept = _kept_masks(m, cell.masks, tuple(cell.signs))
     if kept is None:

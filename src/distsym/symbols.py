@@ -207,18 +207,6 @@ class SpecialSymbol(tuple):
 
     symbol = property(operator.itemgetter(0))
 
-    @property
-    def top(self) -> tuple[int, ...]:
-        return self[0].top
-
-    @property
-    def bottom(self) -> tuple[int, ...]:
-        return self[0].bottom
-
-    @property
-    def rank(self) -> int:
-        return self[0].rank
-
     def singles(self) -> tuple[int, ...]:
         """Entries occurring in exactly one row, ascending; always odd many."""
         return self[1]

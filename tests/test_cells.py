@@ -114,7 +114,8 @@ def reference_cell(z, arrangement=None, sign_pairs=None):
     from the value references: terms over the subsets of the pairs as
     bitmasks, the sign pairs (the pairs of odd difference by default)
     flipping the sign.  make_cell builds only the standard cell; this
-    builds the others that the Fourier step and term_rows are checked on."""
+    builds the others that the Fourier step and term_rows are checked on.
+    A Cell holds no arrangement, so callers keep theirs beside it."""
     if arrangement is None:
         arrangement = reference_standard_arrangement(z)
     assert reference_is_admissible(z, arrangement)
@@ -127,7 +128,7 @@ def reference_cell(z, arrangement=None, sign_pairs=None):
         sign = -1 if (a, b) in sign_pairs else 1
         signs += [sign * s for s in signs]
         masks += [m | 1 << index(a) | 1 << index(b) for m in masks]
-    return cells.Cell(z, arrangement, sign_pairs, tuple(signs), tuple(masks))
+    return cells.Cell(z, tuple(signs), tuple(masks))
 
 
 def term_symbols(cell):
@@ -152,15 +153,18 @@ def cell_character(cell):
     """The cell's signed sum of irreducibles of W_rank as a class function,
     through the bipartition map."""
     terms = {label(sym)[1:]: sign for sign, sym in term_symbols(cell)}
-    return virtual_character(cell.z.rank, terms)
+    return virtual_character(cell.z.symbol.rank, terms)
 
 
-def reference_constituents(cell):
+def reference_constituents(cell, arrangement=None):
     """The even-subset pairing weighed over every member of family(Z) with
     frozenset indices: the independent reference for fourier_constituents.
-    Term t swaps the pairs at the set bits of t."""
+    Term t swaps the pairs of the cell's arrangement (the standard one by
+    default) at the set bits of t."""
     z, d = cell.z, cell.d
-    pairs = cell.arrangement.pairs
+    if arrangement is None:
+        arrangement = reference_standard_arrangement(z)
+    pairs = arrangement.pairs
     swapped = [
         (sign, frozenset(x for i, p in enumerate(pairs) if t >> i & 1 for x in p))
         for t, sign in enumerate(cell.signs)
@@ -192,10 +196,10 @@ def cells_by_d():
 
 @functools.cache
 def admissible_cells():
-    """A reference cell with no sign pairs for every admissible arrangement
-    of every special symbol of rank <= 12 (up to 7 singles)."""
+    """Every admissible arrangement of every special symbol of rank <= 12
+    (up to 7 singles), beside its reference cell with no sign pairs."""
     return [
-        reference_cell(z, arr, ())
+        (arr, reference_cell(z, arr, ()))
         for rank in range(13)
         for z in special_symbols_of_rank(rank)
         for arr in all_arrangements(z.singles())
@@ -425,7 +429,7 @@ class TestSwap:
     def test_swap_keeps_rank(self):
         for psi in ((), ((0, 1),), ((2, 3),), ((0, 1), (2, 3))):
             sym = swap_pairs(Z12, psi)
-            assert sym.rank == Z12.rank and sym.defect == 1
+            assert sym.rank == Z12.symbol.rank and sym.defect == 1
 
     def test_swap_rejects_doubled_entry(self):
         # 2 sits in both rows of 0,2,5|1,2; swapping it would drop it
@@ -500,7 +504,8 @@ class TestCells:
         monkeypatch.setattr(cells, "_layout", counted)
         c = make_cell(Z12)
         assert calls == [Z12]
-        assert c.sign_pairs == ((0, 1), (2, 3))
+        # both pairs of 0,2,4|1,3 have an odd difference and flip the sign
+        assert c.signs == (1, -1, -1, 1)
 
     def test_cell_plans_one_per_layout_and_flips_at_rank_28(self):
         # 22 sign patterns (d and which pairs flip) give 22 Fourier plans
@@ -525,7 +530,8 @@ class TestCells:
             for z in even_strip_specials(n):
                 total += 1
                 c = make_cell(z)
-                assert c == reference_cell(z) and standard_arrangement(z) == c.arrangement, str(z)
+                assert c == reference_cell(z), str(z)
+                assert standard_arrangement(z) == reference_standard_arrangement(z), str(z)
                 kept = cells._kept_masks(len(z.singles()), c.masks, c.signs)
                 got = fourier_constituents(c)
                 assert got == tuple(sorted(reference_flipped(z, kept))), str(z)
@@ -575,19 +581,20 @@ class TestCells:
         # and every admissible arrangement of every special symbol through
         # rank 12
         arranged = admissible_cells()
-        standard = [make_cell(z) for n in range(1, 15) for z in even_strip_specials(n)]
-        assert len(standard) == 3258 and max(c.d for c in arranged) == 3
-        for c in standard + arranged:
-            assert masks_pattern(c) == index_pattern(c.z, c.arrangement), (
-                str(c.z),
-                c.arrangement,
-            )
+        standard = [
+            (standard_arrangement(z), make_cell(z))
+            for n in range(1, 15)
+            for z in even_strip_specials(n)
+        ]
+        assert len(standard) == 3258 and max(c.d for _, c in arranged) == 3
+        for arr, c in standard + arranged:
+            assert masks_pattern(c) == index_pattern(c.z, arr), (str(c.z), arr)
 
     def test_terms_are_swapped_pairs_through_rank_20(self):
         for n in range(1, 11):
             for z in even_strip_specials(n):
                 c = make_cell(z)
-                pairs = c.arrangement.pairs
+                pairs = standard_arrangement(z).pairs
                 for t, rows in enumerate(c.term_rows()):
                     psi = tuple(p for i, p in enumerate(pairs) if t >> i & 1)
                     sym = swap_pairs(z, psi)
@@ -618,12 +625,16 @@ class TestCells:
         # admissible arrangement of every special symbol through rank 12
         # (up to 7 singles)
         arranged = admissible_cells()
-        assert max(c.d for c in arranged) == 3
-        standard = [make_cell(z) for n in range(1, 11) for z in even_strip_specials(n)]
-        for c in standard + arranged:
+        assert max(c.d for _, c in arranged) == 3
+        standard = [
+            (standard_arrangement(z), make_cell(z))
+            for n in range(1, 11)
+            for z in even_strip_specials(n)
+        ]
+        for arr, c in standard + arranged:
             rows = c.term_rows()
             syms = [sym for _, sym in term_symbols(c)]
-            assert rows == [(sym.top, sym.bottom) for sym in syms], (str(c.z), c.arrangement)
+            assert rows == [(sym.top, sym.bottom) for sym in syms], (str(c.z), arr)
             assert [_rows_text(*r) for r in rows] == [str(sym) for sym in syms]
 
     @settings(max_examples=200, deadline=None)
@@ -699,7 +710,7 @@ class TestFamilies:
             assert len({sym for _, sym in members}) == len(members)
             for a, sym in members:
                 assert len(a) % 2 == 0
-                assert sym.rank == z.rank
+                assert sym.rank == z.symbol.rank
                 assert sym.defect % 2 == 1
             assert members[0] == (frozenset(), z.symbol)
 
@@ -792,14 +803,13 @@ class TestFourier:
         # every sign-pair subset, so a kept mask of odd size takes the
         # isolated single, read off masks[-1], which is not always the last
         arranged = admissible_cells()
-        assert sum(c.arrangement.isolated != c.z.singles()[-1] for c in arranged) > 500
-        for c in arranged:
-            pairs = c.arrangement.pairs
+        assert sum(arr.isolated != c.z.singles()[-1] for arr, c in arranged) > 500
+        for arr, c in arranged:
             for t in range(2**c.d):
-                chosen = tuple(p for j, p in enumerate(pairs) if t >> j & 1)
-                cell = reference_cell(c.z, c.arrangement, chosen)
-                expected = reference_constituents(cell)
-                assert fourier_constituents(cell) == expected, (str(c.z), c.arrangement, chosen)
+                chosen = tuple(p for j, p in enumerate(arr.pairs) if t >> j & 1)
+                cell = reference_cell(c.z, arr, chosen)
+                expected = reference_constituents(cell, arr)
+                assert fourier_constituents(cell) == expected, (str(c.z), arr, chosen)
 
     def test_standard_cell_transform_peaks_at_the_flip_mask_through_rank_28(self):
         # a standard cell's signs are a product character, so the transform
@@ -809,17 +819,24 @@ class TestFourier:
         for n in range(1, 15):
             for z in even_strip_specials(n):
                 c = make_cell(z)
-                flips = sum(1 << j for j, p in enumerate(c.arrangement.pairs) if p in c.sign_pairs)
+                odd = odd_difference_pairs(z)
+                pairs = standard_arrangement(z).pairs
+                flips = sum(1 << j for j, p in enumerate(pairs) if p in odd)
                 expected = [2**c.d if u == flips else 0 for u in range(2**c.d)]
                 assert cells._walsh_hadamard(c.signs) == expected, str(z)
                 total += 1
         assert total == 3258
 
     def test_term_count_checked(self):
+        # a short mask list would flip a wrong row pair, and a long one
+        # would go unread
         c = make_cell(Z12)
         for signs in (c.signs[:-1], c.signs + c.signs[:1]):
             with pytest.raises(ValueError, match="d = 2 needs 4 terms"):
                 fourier_constituents(c._replace(signs=signs))
+        for masks in (c.masks[:-1], c.masks + (0,)):
+            with pytest.raises(ValueError, match="d = 2 needs 4 terms"):
+                fourier_constituents(c._replace(masks=masks))
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())

@@ -30,11 +30,8 @@ SHAPE_REPR = "SkewShape(outer=Partition(parts=(2, 1)), inner=Partition(parts=(1,
 # the one cell at rank 0: Z = 0|- with no pairs
 POINT = "Symbol(top=(0,), bottom=())"
 POINT_FIELDS = ((1, (0,), ()), (0,), ())
-POINT_CELL_FIELDS = (POINT_FIELDS, ((), 0), (), (1,), (0,))
-POINT_CELL = (
-    f"Cell(z=SpecialSymbol(symbol={POINT}), arrangement=Arrangement(pairs=(), isolated=0), "
-    "sign_pairs=(), signs=(1,), masks=(0,))"
-)
+POINT_CELL_FIELDS = (POINT_FIELDS, (1,), (0,))
+POINT_CELL = f"Cell(z=SpecialSymbol(symbol={POINT}), signs=(1,), masks=(0,))"
 
 # (record, the plain tuple of its fields, its repr)
 RECORDS = [
@@ -52,9 +49,8 @@ RECORDS = [
     ),
     (
         cells.make_cell(Z),
-        (Z, (((0, 1),), 2), ((0, 1),), (1, -1), (0, 3)),
-        f"Cell(z={Z_REPR}, arrangement=Arrangement(pairs=((0, 1),), isolated=2), "
-        "sign_pairs=((0, 1),), signs=(1, -1), masks=(0, 3))",
+        (Z, (1, -1), (0, 3)),
+        f"Cell(z={Z_REPR}, signs=(1, -1), masks=(0, 3))",
     ),
     (
         cells.rank_report(0).entries[0],
