@@ -189,14 +189,14 @@ def standard_arrangement(z: SpecialSymbol) -> Arrangement:
     singles puts that double in a pair, which is rejected because it is
     no arrangement of the singles at all.
     """
-    make_cell(z)  # the parity check, with make_cell's message
-    _, singles, _ = z
-    return Arrangement(zip(singles[::2], singles[1::2]), singles[-1])
+    pairs, _, _, _ = _standard(z)
+    return Arrangement(pairs, z.singles()[-1])
 
 
 def odd_difference_pairs(z: SpecialSymbol) -> tuple[tuple[int, int], ...]:
     """The pairs of the standard arrangement whose difference is odd."""
-    return tuple(p for p in standard_arrangement(z).pairs if (p[1] - p[0]) % 2 == 1)
+    pairs, flips, _, _ = _standard(z)
+    return tuple([p for p, flip in zip(pairs, flips) if flip])
 
 
 def is_admissible(z: SpecialSymbol, arrangement: Arrangement) -> bool:
@@ -330,14 +330,25 @@ def make_cell(z: SpecialSymbol) -> Cell:
 
     The parity check is the one check a standard cell can fail (module
     docstring); it runs in _cell_plan, once per layout and sign flips, and
-    this raises it, naming Z, on every call.
+    _standard raises it, naming Z, on every call.
     """
+    _, _, signs, masks = _standard(z)
+    return Cell(z, signs, masks)
+
+
+def _standard(
+    z: SpecialSymbol,
+) -> tuple[tuple[tuple[int, int], ...], tuple[bool, ...], tuple[int, ...], tuple[int, ...]]:
+    """The pairs of Z's standard arrangement, the singles 2j and 2j + 1;
+    whether each flips the sign, by an odd difference; and the signs and
+    masks of Z's cell.  Raises the parity check, naming Z."""
     _, singles, _ = z
-    flips = tuple([(b - a) % 2 == 1 for a, b in zip(singles[::2], singles[1::2])])
+    pairs = tuple(zip(singles[::2], singles[1::2]))
+    flips = tuple([(b - a) % 2 == 1 for a, b in pairs])
     ok, signs, masks = _cell_plan(_layout(z), flips)
     if not ok:
         raise ValueError(f"columnwise pairing of {z} hits a doubled entry")
-    return Cell(z, signs, masks)
+    return pairs, flips, signs, masks
 
 
 @lru_cache(maxsize=None)

@@ -66,6 +66,21 @@ def reference_flipped(z, masks):
     return [Symbol(top, bottom) for top, bottom in reference_flipped_rows(z, masks)]
 
 
+def reference_swapped(z, pairs):
+    """Z with the two members of each pair moved to the other row, by set
+    algebra on Z's rows: the reference for swap_pairs, term_rows and
+    family()."""
+    top, bottom = set(z.symbol.top), set(z.symbol.bottom)
+    for x in (x for pair in pairs for x in pair):
+        if x in top:
+            top.remove(x)
+            bottom.add(x)
+        else:
+            bottom.remove(x)
+            top.add(x)
+    return Symbol(tuple(sorted(top)), tuple(sorted(bottom)))
+
+
 def reference_standard_arrangement(z):
     """The standard arrangement with its parity check on Z's values: the
     reference for the layout's parity check."""
@@ -597,8 +612,9 @@ class TestCells:
                 pairs = standard_arrangement(z).pairs
                 for t, rows in enumerate(c.term_rows()):
                     psi = tuple(p for i, p in enumerate(pairs) if t >> i & 1)
-                    sym = swap_pairs(z, psi)
+                    sym = reference_swapped(z, psi)
                     assert rows == (sym.top, sym.bottom), (str(z), t)
+                    assert swap_pairs(z, psi) == sym, (str(z), t)
 
     def test_terms_are_flipped_masks_built_once_through_rank_12(self, monkeypatch):
         # the terms are Z flipped at each mask, one per sign; reading their
@@ -715,14 +731,17 @@ class TestFamilies:
             assert members[0] == (frozenset(), z.symbol)
 
     def test_members_are_swapped_pairs_through_rank_12(self):
-        # the set-based reference: the member at A swaps sorted(A) in
-        # consecutive pairs
+        # against the set-based reference: the member at A swaps sorted(A)
+        # in consecutive pairs, on every special symbol, including those
+        # with a double above an odd number of singles (0,2,5|1,2)
         for rank in range(1, 13):
             for z in special_symbols_of_rank(rank):
                 for a, sym in family(z):
                     members = sorted(a)
                     pairs = tuple(zip(members[::2], members[1::2]))
-                    assert sym == swap_pairs(z, pairs), (str(z), members)
+                    expected = reference_swapped(z, pairs)
+                    assert sym == expected, (str(z), members)
+                    assert swap_pairs(z, pairs) == expected, (str(z), members)
 
     def test_members_equal_checked_symbols_through_rank_10(self):
         # family() builds its members unchecked; the checked constructor
