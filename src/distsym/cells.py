@@ -21,10 +21,11 @@ flips, and a Cell holds no arrangement: standard_arrangement gives the
 pairs as entries to verify and the tests, and is_admissible takes any
 arrangement.  The masks carry the pattern:
 masks[1 << j] swaps pair j alone, and masks[-1] swaps every single but
-the isolated one.  So _kept_masks (the Walsh-Hadamard transform, the
-{0, 1} guard, the one-peak check and the kept family masks) is keyed on
-the cell's own (m, masks, signs) and serves any Cell, whatever its
-arrangement, and the Fourier step reads no pattern.  Rank 2n <= 28
+the isolated one.  So _kept_masks is keyed on the cell's own (m, masks,
+signs) and serves any Cell, whatever its arrangement: once per key it
+checks that the masks swap disjoint pairs, transforms the signs, and
+gives the kept family masks or the first violation, which
+fourier_constituents raises naming Z.  Rank 2n <= 28
 allows d <= 4 (2d + 1 singles need rank at least d*d + d); every sign
 choice occurs for d <= 3 and 7 of 16 at d = 4, so 22 sign patterns cover
 the 3258 specials of n = 1..14.  The distinguished-symbol pipeline builds
@@ -115,10 +116,11 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from functools import lru_cache
+from itertools import combinations
 from operator import itemgetter
-from typing import Iterable, NoReturn
+from typing import Iterable
 
-from .partitions import even_subsets, horizontal_strips, partitions
+from .partitions import horizontal_strips, partitions
 from .symbols import (
     SpecialSymbol,
     Symbol,
@@ -391,14 +393,18 @@ def family(z: SpecialSymbol) -> tuple[tuple[frozenset, Symbol], ...]:
     """The 2**(2d) family members of Z, indexed by even subsets A of the
     singles: A records which singles change row relative to Z."""
     singles = z.singles()
-    members = [Symbol._of_rows(*rows) for rows in _rows(z, _even_masks(len(singles)))]
-    return tuple(zip(even_subsets(singles), members))
+    masks = _even_masks(len(singles))
+    index = [frozenset(x for i, x in enumerate(singles) if a >> i & 1) for a in masks]
+    return tuple(zip(index, [Symbol._of_rows(*rows) for rows in _rows(z, masks)]))
 
 
 @lru_cache(maxsize=None)
 def _even_masks(m: int) -> tuple[int, ...]:
-    """even_subsets(range(m)) as bitmasks, in its order."""
-    return tuple(sum(1 << i for i in a) for a in even_subsets(tuple(range(m))))
+    """The even subsets of range(m) as bitmasks, in the family order: by
+    size, then lexicographically."""
+    return tuple(
+        [sum(1 << i for i in a) for k in range(0, m + 1, 2) for a in combinations(range(m), k)]
+    )
 
 
 def _syndrome(a: int, pair_masks: list[int]) -> int:
@@ -436,19 +442,15 @@ def fourier_constituents(cell: Cell) -> tuple[Symbol, ...]:
     j of t of s_j, with s_j = -1 exactly when bit j of flips is set, so
     F[u] = prod over j of (1 + s_j * (-1)**u_j): one peak of 2**d, at
     u = flips, and 0 elsewhere.  So a FamilyModelViolation from this step
-    needs hand-built signs; the guard and _raise_violation stay as the
-    model's check on any Cell.
+    needs hand-built signs; the guard in _kept_masks stays as the model's
+    check on any Cell.
     """
-    full = 2**cell.d
-    if len(cell.signs) != full or len(cell.masks) != full:
-        raise ValueError(
-            f"d = {cell.d} needs {full} terms, got {len(cell.signs)} signs "
-            f"and {len(cell.masks)} masks"
-        )
-    m = len(cell.z.singles())
-    kept = _kept_masks(m, cell.masks, tuple(cell.signs))
-    if kept is None:
-        _raise_violation(cell.z, cell.masks, cell.signs)
+    singles = cell.z.singles()
+    kept, violation = _kept_masks(len(singles), cell.masks, tuple(cell.signs))
+    if violation:
+        a, multiplicity = violation
+        index = [x for i, x in enumerate(singles) if a >> i & 1]
+        raise FamilyModelViolation(cell.z, index, multiplicity)
     # _kept_masks lists them in symbol order, and _row_plan orients them
     return tuple([Symbol._of_rows(*rows) for rows in _rows(cell.z, kept)])
 
@@ -468,15 +470,20 @@ def _walsh_hadamard(signs: Iterable[int]) -> list[int]:
 @lru_cache(maxsize=None)
 def _kept_masks(
     m: int, masks: tuple[int, ...], signs: tuple[int, ...]
-) -> tuple[int, ...] | None:
-    """The 2**d even masks of the one syndrome where the transform of the
-    signs peaks, for a cell over m singles with the given term masks;
-    None if a multiplicity leaves {0, 1} or the peak is not unique
-    (_raise_violation then says where).
+) -> tuple[tuple[int, ...], tuple[int, int | str] | None]:
+    """(kept, violation) for a cell over m = 2d + 1 singles with the given
+    term masks and signs.  kept is the 2**d even masks of the one syndrome
+    where the transform of the signs peaks, and violation is None.  Else
+    kept is empty and violation is (A, multiplicity): A is the first even
+    mask in family order whose multiplicity leaves {0, 1}, or A = 0 with
+    the constituent count when the peak is not unique.  Signs or masks
+    of other than 2**d terms, or masks that do not swap pairs, raise
+    ValueError.
 
-    Term 1 << j swaps pair j alone, so masks[1 << j] is that pair's mask,
-    and the last term swaps every pair, so the one single that masks[-1]
-    leaves is the isolated one.
+    Term 1 << j swaps pair j alone, so masks[1 << j] is that pair's mask;
+    every term swaps the OR of the pairs at its bits, and the pairs and
+    one isolated single partition the singles, so the one single that
+    masks[-1] leaves is the isolated one.
 
     The kept masks are listed in the order of their symbols.  The singles
     alternate rows, the even ones in Z's top row, so each kept mask fixes
@@ -486,21 +493,41 @@ def _kept_masks(
     and the row that holds it is the smaller, as the sorted index tuples
     of the two S are; equal longer rows make equal symbols.  So sorting by
     (|S|, sorted S) sorts the symbols."""
-    full = len(signs)
+    d = m // 2
+    full = 2**d
+    if len(signs) != full or len(masks) != full:
+        raise ValueError(
+            f"d = {d} needs {full} terms, got {len(signs)} signs and {len(masks)} masks"
+        )
+    pair_masks = [masks[1 << j] for j in range(d)]
+    spans = [0]
+    for pair in pair_masks:
+        spans += [b | pair for b in spans]
+    union = masks[-1]
+    # d pairs of two singles each, disjoint, and one single left over
+    twos = all(pair.bit_count() == 2 for pair in pair_masks)
+    if masks != tuple(spans) or not twos or union.bit_count() != 2 * d or union >> m:
+        raise ValueError(f"masks {masks} do not swap {d} disjoint pairs of {m} singles")
     f = _walsh_hadamard(signs)
     if any(num not in (0, full) for num in f):
-        return None
+        # every syndrome is reached, so this finds the first violating A
+        for a in _even_masks(m):
+            num = f[_syndrome(a, pair_masks)]
+            if num % full:
+                return (), (a, f"{num}/{full}")
+            if num // full not in (0, 1):
+                return (), (a, num // full)
     peaks = [u for u, num in enumerate(f) if num]
     if len(peaks) != 1:
-        return None
+        return (), (0, f"{len(peaks) * full} constituents")
     kept = [0]
-    for j, pair in enumerate(_pair_masks(masks)):
+    for j, pair in enumerate(pair_masks):
         # one member (the lower or the higher bit) if syndrome bit j is set
         low = pair & -pair
         options = (low, pair ^ low) if peaks[0] >> j & 1 else (0, pair)
         kept = [k | o for k in kept for o in options]
     full_mask = (1 << m) - 1
-    isolated = masks[-1] ^ full_mask
+    isolated = union ^ full_mask
     z_top = sum(1 << j for j in range(0, m, 2))
 
     def longer(k: int) -> tuple[int, list[int]]:
@@ -508,33 +535,8 @@ def _kept_masks(
         s = top if 2 * top.bit_count() > m else top ^ full_mask
         return s.bit_count(), [j for j in range(m) if s >> j & 1]
 
-    return tuple(sorted((k | isolated if k.bit_count() & 1 else k for k in kept), key=longer))
-
-
-def _pair_masks(masks: tuple[int, ...]) -> list[int]:
-    """Each pair's mask, in pair order: the mask of the term that swaps
-    that pair alone."""
-    return [masks[1 << j] for j in range(len(masks).bit_length() - 1)]
-
-
-def _raise_violation(z: SpecialSymbol, masks: tuple[int, ...], signs: Iterable[int]) -> NoReturn:
-    """Raise the FamilyModelViolation of signs that _kept_masks rejects:
-    the first multiplicity outside {0, 1} in family(Z) order, else the
-    constituent count."""
-    f = _walsh_hadamard(signs)
-    full = len(f)
-    singles = z.singles()
-    pair_masks = _pair_masks(masks)
-    if any(num not in (0, full) for num in f):
-        # every syndrome is reached, so this finds the first violating A
-        for a, mask in zip(even_subsets(singles), _even_masks(len(singles))):
-            num = f[_syndrome(mask, pair_masks)]
-            if num % full:
-                raise FamilyModelViolation(z, a, f"{num}/{full}")
-            if num // full not in (0, 1):
-                raise FamilyModelViolation(z, a, num // full)
-    peaks = sum(1 for num in f if num)
-    raise FamilyModelViolation(z, frozenset(), f"{peaks * full} constituents")
+    kept = [k | isolated if k.bit_count() & 1 else k for k in kept]
+    return tuple(sorted(kept, key=longer)), None
 
 
 class CellEntry(namedtuple("CellEntry", "cell constituents")):

@@ -10,7 +10,6 @@ from __future__ import annotations
 import operator
 from collections import Counter, namedtuple
 from functools import lru_cache
-from itertools import combinations
 from typing import Iterable, Iterator
 
 
@@ -316,12 +315,3 @@ def even_paired_extensions(beta: tuple[int, ...], size: int) -> list[tuple[tuple
 
     rec(2, size, (top, top), 0, 0)
     return out
-
-
-def even_subsets(items: tuple[int, ...]) -> tuple[frozenset, ...]:
-    """All even-cardinality subsets, ordered by size then lexicographically."""
-    out = []
-    for k in range(0, len(items) + 1, 2):
-        for comb in combinations(sorted(items), k):
-            out.append(frozenset(comb))
-    return tuple(out)

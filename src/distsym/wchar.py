@@ -61,7 +61,7 @@ while xi_8 as a virtual character of W_16 takes about 0.5 s and 30 MiB
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from functools import lru_cache
@@ -171,23 +171,19 @@ def _to_dense(n: int, values: Mapping[tuple, int]) -> tuple:
     return tuple(dense)
 
 
-class ClassFunction:
-    """An exact-valued function on the conjugacy classes of W_n.
+class ClassFunction(namedtuple("ClassFunction", "n values")):
+    """An exact-valued function on the conjugacy classes of W_n, stored as
+    the tuple (n, values): one value per class, in the order of
+    bipartitions(n); a wrong number of values raises ValueError."""
 
-    ``values`` holds one value per class, in the order of bipartitions(n).
-    """
+    __slots__ = ()
 
-    __slots__ = ("n", "values")
-
-    def __init__(self, n: int, values: Iterable[int | Fraction]):
-        """One value per class, in the order of bipartitions(n); a wrong
-        number of values raises ValueError."""
+    def __new__(cls, n: int, values: Iterable[int | Fraction]) -> "ClassFunction":
         values = tuple(values)
         classes = len(_class_index(n))
         if len(values) != classes:
             raise ValueError(f"W_{n} has {classes} classes, got {len(values)} values")
-        self.n = n
-        self.values = values
+        return super().__new__(cls, n, values)
 
     def at(self, c: Bipartition):
         """The value at the class c, a bipartition or its raw pair; anything
@@ -196,13 +192,6 @@ class ClassFunction:
             return self.values[_class_index(self.n)[c]]
         except (KeyError, TypeError):
             raise ValueError(f"{c} is not a class of W_{self.n}") from None
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ClassFunction)
-            and self.n == other.n
-            and self.values == other.values
-        )
 
     def __repr__(self) -> str:
         nonzero = {str(c): v for c, v in zip(bipartitions(self.n), self.values) if v}

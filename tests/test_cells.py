@@ -3,6 +3,7 @@ import hashlib
 import json
 import re
 from bisect import bisect_left, bisect_right
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +24,6 @@ from distsym.cells import (
     standard_arrangement,
     swap_pairs,
 )
-from distsym.partitions import even_subsets
 from distsym.symbols import (
     SpecialSymbol,
     Symbol,
@@ -39,6 +39,16 @@ from test_symbols import symbol_key
 
 Z4 = SpecialSymbol(Symbol.parse("0,2|1"))
 Z12 = SpecialSymbol(Symbol.parse("0,2,4|1,3"))
+
+
+def even_subsets(items):
+    """All even-cardinality subsets, ordered by size then lexicographically:
+    the family order that family() and the first violation are checked
+    against."""
+    items = sorted(items)
+    return tuple(
+        frozenset(comb) for k in range(0, len(items) + 1, 2) for comb in combinations(items, k)
+    )
 
 
 def reference_flipped_rows(z, masks):
@@ -547,7 +557,7 @@ class TestCells:
                 c = make_cell(z)
                 assert c == reference_cell(z), str(z)
                 assert standard_arrangement(z) == reference_standard_arrangement(z), str(z)
-                kept = cells._kept_masks(len(z.singles()), c.masks, c.signs)
+                kept, _ = cells._kept_masks(len(z.singles()), c.masks, c.signs)
                 got = fourier_constituents(c)
                 assert got == tuple(sorted(reference_flipped(z, kept))), str(z)
                 # the terms keep Z's orientation
@@ -586,7 +596,7 @@ class TestCells:
         plans = set()
         for z in specials:
             c = make_cell(z)
-            kept = cells._kept_masks(len(z.singles()), c.masks, c.signs)
+            kept, _ = cells._kept_masks(len(z.singles()), c.masks, c.signs)
             plans.add((reference_layout(z), kept))
         assert cells._row_plan.cache_info().currsize == len(plans) < len(specials)
 
@@ -856,6 +866,38 @@ class TestFourier:
         for masks in (c.masks[:-1], c.masks + (0,)):
             with pytest.raises(ValueError, match="d = 2 needs 4 terms"):
                 fourier_constituents(c._replace(masks=masks))
+
+    @pytest.mark.parametrize(
+        "masks", [(0, 96, 12, 108), (0, 3, 12, 5), (0, 3, 6, 7), (0, 1, 14, 15)]
+    )
+    def test_masks_that_swap_no_pairs_are_rejected(self, masks):
+        # (0, 96, 12, 108) swaps two entries that are not singles of Z, and
+        # masks[3] of (0, 3, 12, 5) is not the OR of pairs 0 and 1; read as
+        # pairs, either gave wrong constituents.  The pairs of (0, 3, 6, 7)
+        # share a single, and those of (0, 1, 14, 15) have one and three
+        c = make_cell(Z12)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="do not swap 2 disjoint pairs of 5 singles"):
+                fourier_constituents(c._replace(masks=masks))
+
+    def test_non_standard_masks_are_accepted(self):
+        # pairs (1, 2) and (3, 4) of 0,2,4|1,3, with 0 isolated
+        arrangement = Arrangement([(1, 2), (3, 4)], 0)
+        c = reference_cell(Z12, arrangement, ())
+        assert c.masks == (0, 6, 24, 30)
+        assert fourier_constituents(c) == reference_constituents(c, arrangement)
+
+    def test_a_cached_violation_names_each_z(self):
+        # both cells have d = 1 and masks (0, 3), so they share one pattern
+        cells._kept_masks.cache_clear()
+        for text, index in [("0,2|1", [0, 2]), ("0,5|2", [0, 5])]:
+            z = SpecialSymbol(Symbol.parse(text))
+            bad = make_cell(z)._replace(signs=(2, -2))
+            expected = {"special_symbol": text, "family_index": index, "multiplicity": "2"}
+            assert outcome(reference_constituents, bad) == expected
+            assert outcome(fourier_constituents, bad) == expected
+        info = cells._kept_masks.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())

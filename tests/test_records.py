@@ -20,7 +20,7 @@ from distsym import cells
 from distsym.partitions import SkewShape, iter_tableaux
 from distsym.symbols import SpecialSymbol, Symbol
 from distsym.verify import Check, VerificationReport
-from distsym.xi import CoefficientViolation, XiResult, xi
+from distsym.xi import CoefficientViolation, XiResult, kappa, xi
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -74,6 +74,7 @@ RECORDS = [
         "XiResult(n=1, route='A', decomposition={((2,), Partition(parts=())): 1, "
         "((1, 1), Partition(parts=())): -1, ((1,), Partition(parts=(1,))): 1})",
     ),
+    (kappa(1), (2, (2, 0, 0, 2, 0)), "ClassFunction(n=2, {'2;-': 2, '-;2': 2})"),
     (
         Check("x", "pass", "d"),
         ("x", "pass", "d", None),
@@ -102,7 +103,7 @@ def test_record_is_its_tuple_of_fields(record, fields, text):
 def test_every_record_type_is_covered():
     assert {type(r).__name__ for r, _, _ in RECORDS} == {
         "SkewShape", "Tableau", "SpecialSymbol", "Arrangement", "Cell", "CellEntry",
-        "DistinguishedReport", "XiResult", "Check", "VerificationReport",
+        "DistinguishedReport", "XiResult", "ClassFunction", "Check", "VerificationReport",
     }
 
 
