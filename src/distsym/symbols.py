@@ -244,6 +244,8 @@ def odd_defect_symbols(rank: int) -> tuple[Symbol, ...]:
     """All reduced symbols of the given rank and odd defect, in symbol
     order: the images under symbol_of of the bipartitions of
     rank - k(k + 1), over the defects 2k + 1 with k(k + 1) <= rank."""
+    if rank < 0:
+        raise ValueError("rank must be non-negative")
     out = []
     k = 0
     while k * (k + 1) <= rank:

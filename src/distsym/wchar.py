@@ -48,15 +48,16 @@ keeps the induced construction as an independent check through W_7.
 
 The transposed rule evaluates a virtual character sum_b c_b chi^b at every
 class without building any chi^b (virtual_character).  Write the rule's
-step for an r-cycle as chi_i(w) = sum_j M_ij chi_j(w'), with row i of M
-read off _hook_row.  Then sum_i c_i chi_i(w) = sum_j (M^T c)_j chi_j(w'): the
-coefficient vector is pushed through the transposed steps, one cycle at a
-time in the table's cycle order (positive cycles largest first, then
-negative ones largest first), down to W_0, where the one entry left is the
-value at w.  Classes that share a cycle prefix share the pushed vector, and
-no row of the table is built: the W_16 table takes about 40 s and 950 MiB,
-while xi_8 as a virtual character of W_16 takes about 0.5 s and 30 MiB
-(CPython 3.11, 2-core x86-64).
+step for an r-cycle as chi_i(w) = sum_j M_ij chi_j(w'), where row i of M
+is +1 at each position of _hook_row's plus half for the cycle's sign and
+-1 at each of its minus half.  Then sum_i c_i chi_i(w) = sum_j (M^T c)_j
+chi_j(w'): the coefficient vector is pushed through the transposed steps,
+one cycle at a time in the table's cycle order (positive cycles largest
+first, then negative ones largest first), down to W_0, where the one entry
+left is the value at w.  Classes that share a cycle prefix share the
+pushed vector, and no row of the table is built: the W_16 table takes
+about 40 s and 950 MiB, while xi_8 as a virtual character of W_16 takes
+about 0.5 s and 30 MiB (CPython 3.11, 2-core x86-64).
 """
 
 from __future__ import annotations
@@ -317,8 +318,14 @@ def sym_character(alpha: Partition, cycle_type: Partition) -> int:
 def _hook_rows(m: int, r: int) -> list:
     """The rows of the B_n rule's step for an r-cycle on W_m, one per
     irreducible in canonical order, each None until _hook_row builds it.
-    The step for a positive and for a negative r-cycle share these rows."""
+    The step for a positive and for a negative r-cycle share these rows,
+    each signed for both: row[k] enters with +1 and row[k + 1] with -1,
+    where k is 0 for a positive cycle and 2 for a negative one.  Every row
+    with no rim r-hook is the one shared _NO_HOOK."""
     return [None] * len(_class_index(m))
+
+
+_NO_HOOK = ((), (), (), ())  # the row of every irreducible with no rim r-hook
 
 
 def _hook_row(m: int, r: int, i: int) -> tuple[tuple, tuple, tuple, tuple]:
@@ -326,21 +333,26 @@ def _hook_row(m: int, r: int, i: int) -> tuple[tuple, tuple, tuple, tuple]:
 
     For the i-th irreducible (alpha; beta) of W_m: the positions in
     bipartitions(m - r) of the irreducibles reached by removing a rim
-    r-hook from alpha, split by even and odd hook height, then those
-    reached by removing one from beta, split the same way: (a0, a1, b0,
-    b1).  A hook of height h has sign (-1)**h, and one removed from beta
-    for a negative cycle carries one more factor -1.  So a positive cycle
-    enters a0 + b0 with sign +1 and a1 + b1 with sign -1, and a negative
-    cycle a0 + b1 with +1 and a1 + b0 with -1.
+    r-hook from alpha or from beta, alpha's first, signed for both cycle
+    signs as (plus, minus) for a positive cycle, then (plus, minus) for a
+    negative one.  A hook of height h has sign (-1)**h, and one removed
+    from beta for a negative cycle carries one more factor -1; this is
+    the one place that sign rule is applied.  A row with no hook is the
+    shared _NO_HOOK.
     """
     index = _class_index(m - r)
     alpha, beta = bipartitions(m)[i]
-    moves: tuple[list[int], ...] = ([], [], [], [])
+    signed: tuple[list[int], ...] = ([], [], [], [])
     for mu, h in _rim_hooks(alpha, r):
-        moves[h % 2].append(index[mu, beta])
+        j = index[mu, beta]
+        signed[h % 2].append(j)
+        signed[2 + h % 2].append(j)
     for mu, h in _rim_hooks(beta, r):
-        moves[2 + h % 2].append(index[alpha, mu])
-    row = _hook_rows(m, r)[i] = tuple(map(tuple, moves))
+        j = index[alpha, mu]
+        signed[h % 2].append(j)
+        signed[3 - h % 2].append(j)
+    row = tuple(map(tuple, signed)) if signed[0] or signed[1] else _NO_HOOK
+    _hook_rows(m, r)[i] = row
     return row
 
 
@@ -351,38 +363,28 @@ def _table(n: int) -> tuple[ClassFunction, ...]:
     A class's cycles are taken positive first, then negative, largest
     first.  The column of a class (every irreducible's value there)
     follows from the column of the class with its first cycle removed, so
-    columns are memoized per remaining cycle suffix.  Every column reads
-    every row of its step, so each step's rows are read once for its
-    cycle sign, into one list of plus and one of minus positions (summing
-    the four halves of each row per column made _table(12) about half
-    again as slow).  Both memos live only for this build.
+    columns are memoized per remaining cycle suffix, for this build only.
+    Every column reads every row of its step, and every step on W_m,
+    m <= n, is some column's, so each step's unbuilt rows are filled
+    once, before the first column.
     """
-    columns: dict[tuple, tuple[int, ...]] = {((), ()): (1,)}
-    steps: dict[tuple, tuple[list, list]] = {}
-
-    def signed_rows(m: int, r: int, negative: bool) -> zip:
-        signed = steps.get((m, r, negative))
-        if signed is None:
-            signed = steps[m, r, negative] = ([], [])
+    for m in range(1, n + 1):
+        for r in range(1, m + 1):
             for i, row in enumerate(_hook_rows(m, r)):
-                a0, a1, b0, b1 = row or _hook_row(m, r, i)
-                if negative:
-                    b0, b1 = b1, b0
-                signed[0].append(a0 + b0)
-                signed[1].append(a1 + b1)
-        return zip(*signed)
+                if row is None:
+                    _hook_row(m, r, i)
+    columns: dict[tuple, tuple[int, ...]] = {((), ()): (1,)}
 
     def column(gamma: tuple[int, ...], delta: tuple[int, ...], m: int) -> tuple[int, ...]:
         col = columns.get((gamma, delta))
         if col is None:
             if gamma:
-                r, negative, prev = gamma[0], False, column(gamma[1:], delta, m - gamma[0])
+                r, k, prev = gamma[0], 0, column(gamma[1:], delta, m - gamma[0])
             else:
-                r, negative, prev = delta[0], True, column((), delta[1:], m - delta[0])
+                r, k, prev = delta[0], 2, column((), delta[1:], m - delta[0])
             get = prev.__getitem__
             col = tuple(
-                sum(map(get, plus)) - sum(map(get, minus))
-                for plus, minus in signed_rows(m, r, negative)
+                sum(map(get, row[k])) - sum(map(get, row[k + 1])) for row in _hook_rows(m, r)
             )
             columns[gamma, delta] = col
         return col
@@ -427,21 +429,15 @@ def _evaluate(n: int, coefficients: tuple) -> tuple:
     gamma: list[int] = []
     delta: list[int] = []
 
-    def step(vec, m: int, r: int, negative: bool) -> list:
+    def step(vec, m: int, r: int, k: int) -> list:
         pushed = [0] * len(_class_index(m - r))
         rows = _hook_rows(m, r)
         for i, x in enumerate(vec):
             if x:
-                a0, a1, b0, b1 = rows[i] or _hook_row(m, r, i)
-                if negative:
-                    b0, b1 = b1, b0
-                for j in a0:
+                row = rows[i] or _hook_row(m, r, i)
+                for j in row[k]:
                     pushed[j] += x
-                for j in b0:
-                    pushed[j] += x
-                for j in a1:
-                    pushed[j] -= x
-                for j in b1:
+                for j in row[k + 1]:
                     pushed[j] -= x
         return pushed
 
@@ -451,13 +447,13 @@ def _evaluate(n: int, coefficients: tuple) -> tuple:
             return
         for r in range(min(bound, m), 0, -1):
             delta.append(r)
-            negative_cycles(step(vec, m, r, True), m - r, r)
+            negative_cycles(step(vec, m, r, 2), m - r, r)
             delta.pop()
 
     def positive_cycles(vec, m: int, bound: int) -> None:
         for r in range(min(bound, m), 0, -1):
             gamma.append(r)
-            positive_cycles(step(vec, m, r, False), m - r, r)
+            positive_cycles(step(vec, m, r, 0), m - r, r)
             gamma.pop()
         negative_cycles(vec, m, m)
 

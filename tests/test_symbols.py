@@ -358,3 +358,8 @@ class TestOddDefectEnumeration:
     def test_cuspidal_members(self):
         assert cuspidal_symbol(1) in odd_defect_symbols(2)
         assert cuspidal_symbol(2) in odd_defect_symbols(6)
+
+    def test_negative_rank_rejected(self):
+        # rank -2 gave no symbols, where every other enumerator raises
+        with pytest.raises(ValueError, match="rank must be non-negative"):
+            odd_defect_symbols(-2)

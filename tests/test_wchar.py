@@ -366,10 +366,8 @@ class TestHookRows:
             for r in range(1, m + 1):
                 rows = wchar._hook_rows(m, r)
                 read = [rows[i] or wchar._hook_row(m, r, i) for i in range(len(rows))]
-                positive = tuple((a0 + b0, a1 + b1) for a0, a1, b0, b1 in read)
-                negative = tuple((a0 + b1, a1 + b0) for a0, a1, b0, b1 in read)
-                assert positive == reference_hook_moves(m, r, False), (m, r)
-                assert negative == reference_hook_moves(m, r, True), (m, r)
+                assert tuple(row[:2] for row in read) == reference_hook_moves(m, r, False), (m, r)
+                assert tuple(row[2:] for row in read) == reference_hook_moves(m, r, True), (m, r)
 
     @pytest.mark.parametrize("table_first", [False, True])
     def test_evaluation_and_table_in_either_order(self, table_first, induced_w7):
@@ -397,6 +395,18 @@ class TestHookRows:
         character_table(6)
         built, total = built_rows(6)
         assert built == total
+
+    def test_rows_with_no_hook_share_one_row(self):
+        clear_wchar_caches()
+        xi(5, "B").character
+        empty = [
+            row
+            for m in range(1, 11)
+            for r in range(1, m + 1)
+            for row in wchar._hook_rows(m, r)
+            if row is not None and not any(row)
+        ]
+        assert empty and all(row is wchar._NO_HOOK for row in empty)
 
 
 @st.composite
