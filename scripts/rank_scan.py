@@ -17,15 +17,24 @@ xi_n: route B's, read off the row's pairs, route A's and route C's; this
 evaluates no character.  Rows with n <= cli.XI_MAX_N also evaluate
 route A's character, which XiResult.character checks against the closed
 form of xi_n at every class of W_2n, and print the self inner product of
-xi_n, which must equal the count; with wall-clock timings."""
+xi_n, which must equal the count.
+
+Every row also holds the distinguished union to the even labels: the
+symbols symbol_of(2k + 1, 2 alpha, 2 beta) of rank 2n, one for each k
+with k(k + 1)/2 <= n and each bipartition (alpha; beta) of
+n - k(k + 1)/2, every part doubled.  By Gauss's identity
+sum_k x^(k(k+1)/2) = prod_k (1 - x^2k)/(1 - x^(2k-1)) there are as many
+as the product formula says; the row checks that they are the union
+itself, and names the first symbol in only one of the two.  Each row
+ends with its wall-clock time."""
 
 import argparse
 import time
 
 from distsym.cells import distinguished, even_strip_specials
 from distsym.cli import XI_MAX_N
-from distsym.symbols import cuspidal_symbol
-from distsym.wchar import inner_product
+from distsym.symbols import cuspidal_symbol, symbol_of
+from distsym.wchar import bipartitions, inner_product
 from distsym.xi import even_paired_pairs, xi
 
 
@@ -38,6 +47,20 @@ def product_formula(max_n: int) -> list[int]:
             for i in range(k, max_n + 1):
                 coeffs[i] += coeffs[i - k]
     return coeffs
+
+
+def even_labels(n: int) -> set:
+    """The symbols symbol_of(2k + 1, 2 alpha, 2 beta) over every k with
+    k(k + 1)/2 <= n and every bipartition (alpha; beta) of n - k(k + 1)/2:
+    rank 2n, every part of the label doubled."""
+    out = set()
+    k = 0
+    while k * (k + 1) // 2 <= n:
+        for alpha, beta in bipartitions(n - k * (k + 1) // 2):
+            doubled = tuple(2 * p for p in alpha), tuple(2 * p for p in beta)
+            out.add(symbol_of(2 * k + 1, *doubled))
+        k += 1
+    return out
 
 
 def positive(text: str) -> int:
@@ -54,7 +77,8 @@ def main() -> None:
     args = parser.parse_args()
 
     header = f"{'n':>3} {'rank':>5} {'|S|':>5} {'count':>6} {'formula':>8} {'cuspidal':>9}"
-    header += f" {'B pairs':>8} {'A = B = C':>10} {'<xi,xi>':>8} {'seconds':>8}"
+    header += f" {'B pairs':>8} {'A = B = C':>10} {'<xi,xi>':>8} {'even labels':>12}"
+    header += f" {'seconds':>8}"
     print(header)
     formula = product_formula(args.max_n)
     for n in range(1, args.max_n + 1):
@@ -92,6 +116,12 @@ def main() -> None:
             row += f" {norm:>8}"
         else:
             row += f" {'-':>8}"
+        union, labels = set(report.union), even_labels(n)
+        if union != labels:
+            first = min(union ^ labels)
+            where = "the union" if first in union else "the even labels"
+            raise SystemExit(f"n = {n}: {first} is in {where} only")
+        row += f" {'yes':>12}"
         row += f" {time.monotonic() - start:>8.2f}"
         print(row)
 

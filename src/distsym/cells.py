@@ -8,6 +8,24 @@ image is a set of 2**d symbols from the 2**(2d)-member family of Z; the
 union over the even-strip special symbols of rank 2n is the
 distinguished-symbol list for the rank-2n symplectic group.
 
+even_strip_specials builds each even-strip special symbol straight from
+its label (alpha; beta), with no check.  alpha / beta is a horizontal
+strip, so alpha has at most one more row than beta and symbol_of would
+pad to m = len(beta): the bottom row is beta shifted to m entries, built
+once per beta, and the top row alpha shifted to m + 1, once per alpha.
+With alpha and beta ascending and zero-padded to m + 1 and m entries,
+top_i = alpha_i + i and bottom_i = beta_i + i, and the rows interleave
+column by column:
+
+- The strip is horizontal, so alpha_i <= beta_i and top_i <= bottom_i.
+- beta lies in alpha, so beta_i <= alpha_(i+1) and bottom_i < top_(i+1).
+
+So the symbol is special, and since no entry is shared between columns,
+a double fills a whole column (top_i == bottom_i).  The doubles are the
+columns where the rows agree, the singles are the entries of the other
+columns in increasing order and then the last top entry, and
+SpecialSymbol._of_rows takes both in one pass over the columns.
+
 A Cell is Z with its term signs and swap masks (bitmasks over the
 singles); its term rows (Cell.term_rows, what route C, the JSON report
 and every printed term read) build no term symbol.  make_cell builds only
@@ -125,8 +143,8 @@ from .symbols import (
     SpecialSymbol,
     Symbol,
     _rows_text,
+    _shifted,
     cuspidal_symbol,
-    symbol_of,
 )
 
 
@@ -376,17 +394,22 @@ def _cell_plan(
 def even_strip_specials(n: int) -> tuple[SpecialSymbol, ...]:
     """The special symbols of rank 2n whose bipartition skew is an even
     horizontal strip, the defect-1 symbols of their labels, generated
-    beta-first."""
+    beta-first and built straight from the labels' rows (module
+    docstring), in symbol order."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    syms = [
-        symbol_of(1, alpha, beta)
-        for bsize in range(n, -1, -1)
-        for beta in partitions(bsize)
-        for alpha in horizontal_strips(beta, 2 * n - 2 * bsize, 2)
-    ]
-    # one rank and defect, so the sort is symbol order
-    return tuple(map(SpecialSymbol, sorted(syms)))
+    out = []
+    for bsize in range(n, -1, -1):
+        for beta in partitions(bsize):
+            # the rows of symbol_of(1, alpha, beta), which pads to m = len(beta)
+            m = len(beta)
+            bottom = _shifted(beta, m)
+            for alpha in horizontal_strips(beta, 2 * n - 2 * bsize, 2):
+                # top_i <= bottom_i < top_(i+1), as _of_rows needs (module docstring)
+                out.append(SpecialSymbol._of_rows(_shifted(alpha, m + 1), bottom))
+    # by the symbol, of one rank and defect: symbol order
+    out.sort(key=itemgetter(0))
+    return tuple(out)
 
 
 def family(z: SpecialSymbol) -> tuple[tuple[frozenset, Symbol], ...]:

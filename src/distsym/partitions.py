@@ -264,23 +264,37 @@ def strip_sign_sum(shape: SkewShape) -> int:
 def horizontal_strips(mu: tuple[int, ...], k: int, step: int) -> tuple[tuple[int, ...], ...]:
     """Every partition lam containing mu with lam / mu a horizontal strip
     of k boxes whose row lengths are multiples of step: mu_i <= lam_i <=
-    mu_(i-1), with at most one new row.  Partitions are raw part tuples.
+    mu_(i-1), with at most one new row.  Partitions are raw part tuples,
+    and lam comes in increasing order of its len(mu) + 1 rows, zero-padded.
+
+    The rows of mu are chosen top to bottom, each leaving no more boxes
+    than the rows below it can take, and the recursion stops at the new
+    row below them: it takes whatever boxes are left, which fit under the
+    row above, if that is a multiple of step, and it is a part only when
+    it is not empty.  So no call runs past the last row and no zero part
+    is filtered out.  A step below 1 or a negative k raises
+    ValueError.
 
     Not cached: even_strip_specials meets each (mu, k) at one rank only
     and caches its own result, and xi's route A caches its own use."""
-    rows = mu + (0,)
+    if step < 1:
+        raise ValueError(f"step must be at least 1, got {step}")
+    if k < 0:
+        raise ValueError(f"k must be non-negative, got {k}")
+    last = len(mu)
     out = []
 
     def rec(i: int, left: int, lam: tuple[int, ...]) -> None:
-        if i == len(rows):
-            if not left:
-                out.append(tuple(p for p in lam if p))
+        if i == last:
+            # row i - 1 took at least its least, so left <= mu[i - 1]: the row fits
+            if left % step == 0:
+                out.append(lam + (left,) if left else lam)
             return
-        room = left if i == 0 else min(left, rows[i - 1] - rows[i])
-        # the rows below take at most rows[i] boxes in all (their rooms telescope)
-        least = max(0, left - rows[i])
+        room = left if i == 0 else min(left, mu[i - 1] - mu[i])
+        # the rows below take at most mu[i] boxes in all (their rooms telescope)
+        least = max(0, left - mu[i])
         for add in range(-(-least // step) * step, room + 1, step):
-            rec(i + 1, left - add, lam + (rows[i] + add,))
+            rec(i + 1, left - add, lam + (mu[i] + add,))
 
     rec(0, k, ())
     return tuple(out)

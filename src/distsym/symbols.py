@@ -27,7 +27,7 @@ import operator
 from functools import lru_cache
 from typing import Iterable
 
-from .partitions import partitions
+from .partitions import Partition, partitions
 
 
 class Symbol(tuple):
@@ -46,9 +46,10 @@ class Symbol(tuple):
     The private _of_rows() is the one unchecked route: it only orients the
     rows.  Its callers' rows are valid by construction: cells._rows reads
     off a checked, reduced special symbol its doubles plus a subset of its
-    singles (disjoint from the doubles), in increasing order, and
-    symbol_of gives partition parts shifted by their positions and
-    minimally padded, so 0 never lies in both.
+    singles (disjoint from the doubles), in increasing order; symbol_of
+    gives checked partition parts shifted by their positions and minimally
+    padded, so 0 never lies in both; and SpecialSymbol._of_rows passes on
+    rows that its caller builds the same way.
     """
 
     __slots__ = ()
@@ -136,8 +137,10 @@ def symbol_of(d: int, alpha: tuple[int, ...], beta: tuple[int, ...]) -> Symbol:
     """The symbol of odd defect d labelled by the bipartition (alpha; beta),
     given as part tuples (positive, weakly decreasing): the inverse of
     label.  The rows are strictly increasing, alpha's is d longer, and the
-    minimal padding leaves a 0 in one row at most."""
+    minimal padding leaves a 0 in one row at most.  Parts that are not
+    positive or not weakly decreasing raise ValueError, as in Partition."""
     _check_defect(d)
+    alpha, beta = Partition(alpha), Partition(beta)
     m = max(len(alpha) - d, len(beta), 0)
     return Symbol._of_rows(_shifted(alpha, m + d), _shifted(beta, m))
 
@@ -187,7 +190,10 @@ class SpecialSymbol(tuple):
     rows, each ascending.  Both are fixed by the symbol, so equality and
     hashing are the symbol's in effect; like Symbol, a SpecialSymbol
     equals the plain tuple of its items.  The cell code unpacks all three
-    at once."""
+    at once.
+
+    The private _of_rows() is the one unchecked route, as for Symbol; its
+    caller says why its rows meet the condition there."""
 
     __slots__ = ()
 
@@ -197,6 +203,23 @@ class SpecialSymbol(tuple):
         top, bottom = set(symbol.top), set(symbol.bottom)
         singles, doubles = tuple(sorted(top ^ bottom)), tuple(sorted(top & bottom))
         return tuple.__new__(cls, (symbol, singles, doubles))
+
+    @classmethod
+    def _of_rows(cls, top: tuple[int, ...], bottom: tuple[int, ...]) -> "SpecialSymbol":
+        """The special symbol of strictly increasing, reduced int rows with
+        top one longer and top_i <= bottom_i < top_(i+1) for every column
+        i.  Then the merged order reads the columns in turn, so a double
+        fills a whole column and the singles come in increasing order: the
+        columns where the rows differ, then the last top entry.  One pass
+        over the columns gives both."""
+        singles, doubles = [], []
+        for t, b in zip(top, bottom):
+            if t == b:
+                doubles.append(t)
+            else:
+                singles += (t, b)
+        singles.append(top[-1])
+        return tuple.__new__(cls, (Symbol._of_rows(top, bottom), tuple(singles), tuple(doubles)))
 
     # copy and pickle rebuild a SpecialSymbol by calling __new__ with these
     def __getnewargs__(self) -> tuple:

@@ -24,6 +24,7 @@ from distsym.cells import (
     standard_arrangement,
     swap_pairs,
 )
+from distsym.partitions import horizontal_strips, partitions
 from distsym.symbols import (
     SpecialSymbol,
     Symbol,
@@ -172,6 +173,20 @@ def special_symbols_of_rank(rank):
         if is_special(sym):
             out.append(SpecialSymbol(sym))
     return tuple(sorted(out, key=lambda z: symbol_key(z.symbol)))
+
+
+def reference_even_strip_specials(n):
+    """The checked construction of the even-strip specials: the
+    SpecialSymbol of symbol_of(1, alpha, beta) for every even strip alpha
+    over beta, sorted.  The reference even_strip_specials, which builds
+    each from its label's rows unchecked, is held to."""
+    labels = [
+        (alpha, beta)
+        for bsize in range(n, -1, -1)
+        for beta in partitions(bsize)
+        for alpha in horizontal_strips(beta, 2 * n - 2 * bsize, 2)
+    ]
+    return tuple(sorted(map(SpecialSymbol, (symbol_of(1, a, b) for a, b in labels))))
 
 
 def cell_character(cell):
@@ -709,6 +724,17 @@ class TestEnumeration:
     def test_subset_of_specials(self):
         for n in (1, 2, 3, 4):
             assert set(even_strip_specials(n)) <= set(special_symbols_of_rank(2 * n))
+
+    def test_trusted_construction_equals_the_checked_one_through_rank_42(self):
+        for n in range(22):
+            got = even_strip_specials(n)
+            assert got == reference_even_strip_specials(n), n
+            for z in got:
+                assert type(z) is SpecialSymbol and type(z.symbol) is Symbol, str(z)
+                checked = SpecialSymbol(z.symbol)
+                assert len(z) == len(checked), str(z)
+                for mine, theirs in zip(z, checked):
+                    assert mine == theirs and type(mine) is type(theirs), str(z)
 
 
 class TestFamilies:

@@ -378,6 +378,20 @@ class TestStripExtensions:
                     want = [tuple(p for p in lam if p) for lam in sorted(want)]
                     assert list(horizontal_strips(mu, k, step)) == want, (mu, k)
 
+    @pytest.mark.parametrize(
+        "mu,k,step,message",
+        [
+            # step 0 raised ZeroDivisionError, and the others returned ()
+            ((2, 1), 2, 0, "step must be at least 1, got 0"),
+            ((2, 1), 2, -2, "step must be at least 1, got -2"),
+            ((2, 1), -2, 2, "k must be non-negative, got -2"),
+            ((), -1, 1, "k must be non-negative, got -1"),
+        ],
+    )
+    def test_horizontal_strips_rejects_a_bad_step_or_size(self, mu, k, step, message):
+        with pytest.raises(ValueError, match=message):
+            horizontal_strips(mu, k, step)
+
     def test_even_paired_extensions_match_definition(self):
         # every alpha over beta whose skew shape is even-paired, by brute
         # force over partitions, with the sign (-1)**(|v|/2) from hv_split

@@ -228,6 +228,21 @@ class TestBipartitionCorrespondence:
         assert str(sym) == expected
         assert sym.defect == d and sym.rank == sum(alpha) + sum(beta) + (d * d - 1) // 4
 
+    @pytest.mark.parametrize(
+        "parts,message",
+        [
+            # these gave 2,2|0, the unreduced 0,2|0 and -1|-
+            ((1, 2), "parts must be weakly decreasing: (1, 2)"),
+            ((1, 0), "parts must be positive integers: (1, 0)"),
+            ((-1,), "parts must be positive integers: (-1,)"),
+        ],
+    )
+    def test_symbol_of_rejects_a_label_that_is_not_a_partition(self, parts, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            symbol_of(1, parts, ())
+        with pytest.raises(ValueError, match=re.escape(message)):
+            symbol_of(3, (), parts)
+
     def test_to_bipartition(self):
         assert label(Symbol.parse("0,2|1")) == (1, (1,), (1,))
 
